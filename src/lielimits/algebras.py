@@ -5,12 +5,15 @@ Conventions, fixed once for the whole package:
 * Bourbaki numbering of simple roots.  For B_n the last simple root is
   short, for C_n the last is long, for D_n the fork is at the end.
 * Weights are tuples of integers in fundamental-weight coordinates
-  (Dynkin labels).  Epsilon coordinates are used internally to generate
-  positive roots and never leave this module.
+  (Dynkin labels).  Doubled epsilon coordinates (eps2) are integers in
+  every series; they carry the form and the Weyl dimension.
 * The invariant form is normalized so that (alpha, alpha) = 2 for long
-  roots; its Gram matrix on fundamental weights is CartanInverse * D with
-  D the symmetrizer diag((alpha_i, alpha_i)/2).
-* All arithmetic is Fraction / int.  No floats anywhere.
+  roots.  It has one implementation, the integer pairing of eps2
+  coordinates, which is form_scale * (lam, mu) with a fixed scale per
+  series: 4(n+1) for A, 8 for C, 4 for B and D.  weight_form and
+  weight_gram divide by that scale once; the oracle stays on the integers.
+* All arithmetic is exact: int, and Fraction only where a value is
+  rational.  No floats anywhere.
 
 Rank floors: A and C from rank 1, B from rank 2, D from rank 4.  The
 small orthogonal algebras so(2), so(3), so(4), so(6) coincide with (sums
@@ -24,7 +27,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DimensionMismatchError, DomainError, ParseError
-from .linalg import frac_matrix, invert
 
 Weight = tuple[int, ...]
 
@@ -115,112 +117,60 @@ def cartan_matrix(alg: SimpleAlgebra) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a)
 
 
-@lru_cache(maxsize=None)
-def symmetrizer(alg: SimpleAlgebra) -> tuple[Fraction, ...]:
-    """d_i = (alpha_i, alpha_i) / 2 with long roots of squared length 2."""
-    n = alg.rank
+def form_scale(alg: SimpleAlgebra) -> int:
+    """The fixed S with pairing = S * (form): 4(n+1) for A, 8 for C, 4 for B and D."""
+    return {"A": 4 * (alg.rank + 1), "C": 8}.get(alg.series, 4)
+
+
+def eps2(alg: SimpleAlgebra, weight) -> list[int]:
+    """Doubled epsilon coordinates 2*eps(weight) of a label vector.
+
+    Integers in every series: n+1 entries for A_n (not centered; the
+    pairing removes the trace), n entries for B, C and D.
+    """
+    n = len(weight)
     if alg.series == "B":
-        return tuple([Fraction(1)] * (n - 1) + [Fraction(1, 2)])
+        chain, start = n - 1, weight[-1]
+    elif alg.series == "D":
+        chain, start = n - 2, weight[-2] + weight[-1]
+    else:
+        chain, start = n, 0
+    out = [start]
+    for x in reversed(weight[:chain]):
+        out.append(out[-1] + 2 * x)
+    out.reverse()
     if alg.series == "C":
-        return tuple([Fraction(1, 2)] * (n - 1) + [Fraction(1)])
-    return tuple([Fraction(1)] * n)
+        out.pop()
+    elif alg.series == "D":
+        out.append(weight[-1] - weight[-2])
+    return out
+
+
+def pairing(alg: SimpleAlgebra, a, b) -> int:
+    """form_scale(alg) * (x, y) for x, y given by their eps2 coordinates a, b."""
+    dot = sum(x * y for x, y in zip(a, b))
+    if alg.series == "A":
+        return (alg.rank + 1) * dot - sum(a) * sum(b)
+    return dot
+
+
+def weight_form(alg: SimpleAlgebra, lam, mu) -> Fraction:
+    """Normalized invariant form on the weight lattice (long roots of norm 2)."""
+    lam = check_weight(alg, lam)
+    mu = check_weight(alg, mu)
+    return Fraction(pairing(alg, eps2(alg, lam), eps2(alg, mu)), form_scale(alg))
+
+
+def fundamental_weight(alg: SimpleAlgebra, i: int) -> Weight:
+    return tuple(1 if j == i else 0 for j in range(alg.rank))
 
 
 @lru_cache(maxsize=None)
 def weight_gram(alg: SimpleAlgebra) -> tuple[tuple[Fraction, ...], ...]:
     """Gram matrix gram[i][j] = (omega_i, omega_j) of the normalized form."""
-    inv = invert(frac_matrix(cartan_matrix(alg)))
-    d = symmetrizer(alg)
-    gram = tuple(tuple(inv[i][j] * d[j] for j in range(alg.rank)) for i in range(alg.rank))
-    _validate_gram(alg, gram)
-    return gram
-
-
-def _validate_gram(alg, gram):
-    n = alg.rank
-    for i in range(n):
-        for j in range(n):
-            if gram[i][j] != gram[j][i]:
-                raise DomainError(f"gram matrix of {alg} is not symmetric")
-    # Defining property (omega_i, alpha_j^vee) = delta_ij, with alpha_j^vee
-    # expressed through the Cartan matrix and the symmetrizer.
-    a = cartan_matrix(alg)
-    d = symmetrizer(alg)
-    for i in range(n):
-        for j in range(n):
-            val = sum(gram[i][k] * a[j][k] for k in range(n)) / d[j]
-            if val != (1 if i == j else 0):
-                raise DomainError(f"gram matrix of {alg} fails (omega_i, alpha_j^vee) = delta_ij")
-
-
-def gram_form(alg: SimpleAlgebra, lam, mu) -> Fraction:
-    """The form evaluated against the Gram table, lam^T * gram * mu."""
-    lam = check_weight(alg, lam)
-    mu = check_weight(alg, mu)
-    gram = weight_gram(alg)
-    total = Fraction(0)
-    for i, li in enumerate(lam):
-        if li:
-            row = gram[i]
-            total += li * sum(row[j] * mj for j, mj in enumerate(mu) if mj)
-    return total
-
-
-def _eps_coordinates(alg: SimpleAlgebra, weight) -> list[Fraction]:
-    """Internal epsilon coordinates of a weight (never exposed)."""
-    n = alg.rank
-    w = [Fraction(x) for x in weight]
-    if alg.series == "A":
-        # partial sums in R^{n+1}; the centering happens in the form
-        out = []
-        acc = Fraction(0)
-        for i in range(n, -1, -1):
-            out.append(acc)
-            if i > 0:
-                acc += w[i - 1]
-        return list(reversed(out))
-    if alg.series == "B":
-        half = w[n - 1] / 2
-        out = [half] * n
-        acc = Fraction(0)
-        for i in range(n - 2, -1, -1):
-            acc += w[i]
-            out[i] += acc
-        return out
-    if alg.series == "C":
-        out = [Fraction(0)] * n
-        acc = Fraction(0)
-        for i in range(n - 1, -1, -1):
-            acc += w[i]
-            out[i] = acc
-        return out
-    plus = (w[n - 2] + w[n - 1]) / 2
-    minus = (w[n - 1] - w[n - 2]) / 2
-    out = [plus] * (n - 1) + [minus]
-    acc = Fraction(0)
-    for i in range(n - 3, -1, -1):
-        acc += w[i]
-        out[i] += acc
-    return out
-
-
-def weight_form(alg: SimpleAlgebra, lam, mu) -> Fraction:
-    """Normalized invariant form on the weight lattice (long roots of norm 2).
-
-    Evaluated in epsilon coordinates; agrees exactly with the Gram-table
-    pairing lam^T * gram * mu (see gram_form), which stays quadratic-time
-    in the rank instead of cubic.
-    """
-    lam = check_weight(alg, lam)
-    mu = check_weight(alg, mu)
-    a = _eps_coordinates(alg, lam)
-    b = _eps_coordinates(alg, mu)
-    total = sum((x * y for x, y in zip(a, b)), Fraction(0))
-    if alg.series == "A":
-        total -= sum(a) * sum(b) / (alg.rank + 1)
-    elif alg.series == "C":
-        total /= 2
-    return total
+    coords = [eps2(alg, fundamental_weight(alg, i)) for i in range(alg.rank)]
+    scale = form_scale(alg)
+    return tuple(tuple(Fraction(pairing(alg, a, b), scale) for b in coords) for a in coords)
 
 
 def simple_roots(alg: SimpleAlgebra) -> list[Weight]:
@@ -282,11 +232,6 @@ def rho(alg: SimpleAlgebra) -> Weight:
     return (1,) * alg.rank
 
 
-def _doubled_eps(alg: SimpleAlgebra, labels) -> list[int]:
-    """2x the epsilon coordinates: always integers, for the Weyl product."""
-    return [int(2 * c) for c in _eps_coordinates(alg, labels)]
-
-
 def _weyl_numerator(alg: SimpleAlgebra, doubled) -> int:
     # One integer factor per positive root; the doubling cancels between
     # the lam+rho and rho products.
@@ -307,18 +252,21 @@ def _weyl_numerator(alg: SimpleAlgebra, doubled) -> int:
     return product
 
 
+@lru_cache(maxsize=None)
+def _rho_product(alg: SimpleAlgebra) -> int:
+    return _weyl_numerator(alg, eps2(alg, rho(alg)))
+
+
 def dimension(alg: SimpleAlgebra, lam) -> int:
     """Weyl dimension formula: prod over alpha > 0 of (lam+rho, alpha)/(rho, alpha).
 
-    Evaluated root-by-root in epsilon coordinates with integer arithmetic.
+    Evaluated root-by-root in doubled epsilon coordinates with integer arithmetic.
     """
     lam = check_dominant(alg, lam)
-    shifted = tuple(x + 1 for x in lam)
-    num = _weyl_numerator(alg, _doubled_eps(alg, shifted))
-    den = _weyl_numerator(alg, _doubled_eps(alg, rho(alg)))
-    if den == 0 or num % den != 0 or num // den <= 0:
+    dim, rest = divmod(_weyl_numerator(alg, eps2(alg, [x + 1 for x in lam])), _rho_product(alg))
+    if rest or dim <= 0:
         raise DomainError(f"Weyl dimension of {lam} over {alg} is not a positive integer")
-    return num // den
+    return dim
 
 
 def dual_weight(alg: SimpleAlgebra, lam) -> Weight:

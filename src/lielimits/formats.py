@@ -55,6 +55,18 @@ def _expect(doc, key, where):
     return doc[key]
 
 
+def _list(doc, key, where, default=None):
+    """A list-valued field; a missing field gives `default` when one is set."""
+    value = _expect(doc, key, where) if default is None or key in doc else default
+    if not isinstance(value, list):
+        raise _fail(f"{where}: field {key!r} must be a list, got {value!r}")
+    return value
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_format(doc, expected, where):
     got = _expect(doc, "format", where)
     if got != expected:
@@ -68,7 +80,7 @@ def parse_weight(text) -> tuple[int, ...]:
             return tuple(int(p) for p in text.split(","))
         except ValueError as exc:
             raise _fail(f"bad weight literal {text!r}") from exc
-    if isinstance(text, (list, tuple)) and all(isinstance(x, int) for x in text):
+    if isinstance(text, (list, tuple)) and all(_is_int(x) for x in text):
         return tuple(text)
     raise _fail(f"bad weight {text!r}")
 
@@ -77,6 +89,13 @@ def parse_algebra(text) -> SimpleAlgebra:
     if not isinstance(text, str):
         raise _fail(f"bad algebra literal {text!r}")
     return SimpleAlgebra.parse(text)
+
+
+def _parse_index(text, where) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise _fail(f"{where}: bad basis index {text!r}") from exc
 
 
 def _parse_fraction(x, where) -> Fraction:
@@ -102,7 +121,7 @@ def decomposition_from_doc(doc, factors, where) -> ModuleDecomposition:
     for pos, rec in enumerate(doc):
         weights = _expect(rec, "weights", f"{where}[{pos}]")
         mult = rec.get("mult", 1)
-        if not isinstance(mult, int) or mult < 1:
+        if not _is_int(mult) or mult < 1:
             raise _fail(f"{where}[{pos}]: bad multiplicity {mult!r}")
         if not isinstance(weights, list) or len(weights) != len(factors):
             raise _fail(
@@ -135,13 +154,13 @@ def system_to_doc(levels, edges) -> dict:
 def system_from_doc(doc) -> tuple[tuple[LevelSpec, ...], tuple[EdgeSpec, ...]]:
     _check_format(doc, SYSTEM_FORMAT, "system file")
     raw_levels = _expect(doc, "levels", "system file")
-    raw_edges = doc.get("edges", [])
+    raw_edges = _list(doc, "edges", "system file", [])
     if not isinstance(raw_levels, list) or not raw_levels:
         raise _fail("system file: 'levels' must be a non-empty list")
     levels = []
     for n, entry in enumerate(raw_levels, start=1):
         where = f"level {n}"
-        factors = [parse_algebra(a) for a in _expect(entry, "components", where)]
+        factors = [parse_algebra(a) for a in _list(entry, "components", where)]
         ambient = parse_algebra(_expect(entry, "ambient", where))
         branching = decomposition_from_doc(
             _expect(entry, "ambient_branching", where), factors, f"{where}.ambient_branching"
@@ -186,7 +205,7 @@ def embedding_to_doc(emb: Embedding) -> dict:
 
 def embedding_from_doc(doc) -> Embedding:
     _check_format(doc, EMBEDDING_FORMAT, "embedding file")
-    factors = [parse_algebra(a) for a in _expect(doc, "source", "embedding file")]
+    factors = [parse_algebra(a) for a in _list(doc, "source", "embedding file")]
     target = parse_algebra(_expect(doc, "target", "embedding file"))
     branching = decomposition_from_doc(
         _expect(doc, "branching", "embedding file"), factors, "branching"
@@ -202,26 +221,30 @@ def subspace_input_from_doc(doc):
     _check_format(doc, SUBSPACE_FORMAT, "subspace file")
     if "token" in doc:
         token = doc["token"]
-        if token != COMMUTATOR_TOKEN and token not in FORM_TOKENS:
+        if token not in (COMMUTATOR_TOKEN, *FORM_TOKENS):
             raise _fail(f"subspace file: unknown token {token!r}")
         return token
     space = doc.get("space", "V")
     if space not in ("V", "V*"):
         raise _fail(f"subspace file: bad space {space!r}")
     generators = []
-    for pos, gen in enumerate(doc.get("generators", [])):
+    for pos, gen in enumerate(_list(doc, "generators", "subspace file", [])):
         if not isinstance(gen, dict):
             raise _fail(f"subspace file: generator {pos} must be an index->value map")
         generators.append(
-            {int(i): _parse_fraction(v, f"generator {pos}") for i, v in gen.items()}
+            {_parse_index(i, f"generator {pos}"): _parse_fraction(v, f"generator {pos}")
+             for i, v in gen.items()}
         )
     tail_from = doc.get("tail_from")
-    if tail_from is not None and (not isinstance(tail_from, int) or tail_from < 1):
+    if tail_from is not None and (not _is_int(tail_from) or tail_from < 1):
         raise _fail(f"subspace file: bad tail_from {tail_from!r}")
     kernels = []
-    for pos, ker in enumerate(doc.get("kernels", [])):
+    for pos, ker in enumerate(_list(doc, "kernels", "subspace file", [])):
+        if not isinstance(ker, dict):
+            raise _fail(f"subspace file: kernel {pos} must be a head/tail map")
         head = [
-            _parse_fraction(x, f"kernel {pos} head") for x in ker.get("head", [])
+            _parse_fraction(x, f"kernel {pos} head")
+            for x in _list(ker, "head", f"subspace file: kernel {pos}", [])
         ]
         tail = _parse_fraction(ker.get("tail", 0), f"kernel {pos} tail")
         kernels.append(EvConstFunctional(tuple(head), tail))

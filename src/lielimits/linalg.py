@@ -13,18 +13,6 @@ Matrix = list[list[Fraction]]
 Vector = list[Fraction]
 
 
-def frac_matrix(rows) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def identity(n: int) -> Matrix:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return [sum((aij * vj for aij, vj in zip(row, v)), Fraction(0)) for row in a]
-
-
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form.  Returns (rref matrix, pivot column list).
 
@@ -58,15 +46,6 @@ def row_space_basis(m: Matrix) -> Matrix:
     """Canonical (RREF) basis of the row space; empty list for the zero space."""
     red, pivots = rref(m)
     return [red[i] for i in range(len(pivots))]
-
-
-def invert(m: Matrix) -> Matrix:
-    n = len(m)
-    aug = [list(row) + ident_row for row, ident_row in zip(frac_matrix(m), identity(n))]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red[:n]]
 
 
 def nullspace_basis(m: Matrix, cols: int) -> Matrix:

@@ -10,7 +10,6 @@ index formula, so agreement with it is evidence rather than tautology.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .algebras import (
@@ -19,11 +18,12 @@ from .algebras import (
     cartan_matrix,
     check_dominant,
     dimension,
-    weight_form,
-    weight_gram,
+    eps2,
+    fundamental_weight,
+    pairing,
+    positive_roots,
 )
 from .errors import InternalConsistencyError, ResourceBoundError
-from .linalg import frac_matrix, invert, mat_vec
 
 DEFAULT_DIM_BOUND = 5000
 
@@ -55,18 +55,26 @@ class WeightMultiset:
 
 
 @lru_cache(maxsize=None)
-def _inverse_cartan(alg: SimpleAlgebra):
-    return invert(frac_matrix(cartan_matrix(alg)))
+def _coweights(alg: SimpleAlgebra) -> tuple[tuple[list[int], int], ...]:
+    """Fundamental coweights 2 omega_i / (alpha_i, alpha_i), one per simple
+    root, as pairs (eps2(omega_i), pairing(alpha_i, alpha_i))."""
+    out = []
+    for i, alpha in enumerate(cartan_matrix(alg)):
+        a = eps2(alg, alpha)
+        out.append((eps2(alg, fundamental_weight(alg, i)), pairing(alg, a, a)))
+    return tuple(out)
 
 
 def _depth(alg: SimpleAlgebra, top: Weight, mu: Weight) -> int:
-    """Height of top - mu in simple-root coordinates."""
-    diff = [Fraction(a - b) for a, b in zip(top, mu)]
-    coeffs = mat_vec(list(zip(*_inverse_cartan(alg))), diff)
-    total = sum(coeffs)
-    if total.denominator != 1 or any(c.denominator != 1 or c < 0 for c in coeffs):
-        raise InternalConsistencyError(f"{mu} is not below {top} in the root lattice")
-    return int(total)
+    """Height of beta = top - mu: the sum of c_i = 2(beta, omega_i)/(alpha_i, alpha_i)."""
+    beta = eps2(alg, [a - b for a, b in zip(top, mu)])
+    total = 0
+    for omega, norm in _coweights(alg):
+        c, rest = divmod(2 * pairing(alg, beta, omega), norm)
+        if rest or c < 0:
+            raise InternalConsistencyError(f"{mu} is not below {top} in the root lattice")
+        total += c
+    return total
 
 
 def weight_system(alg: SimpleAlgebra, lam) -> set[Weight]:
@@ -92,9 +100,10 @@ def weight_system(alg: SimpleAlgebra, lam) -> set[Weight]:
 def freudenthal(alg: SimpleAlgebra, lam: Weight, dim_bound: int = DEFAULT_DIM_BOUND) -> WeightMultiset:
     """Exact weight multiplicities via the Freudenthal recursion.
 
-    The inner string walks run on integer-scaled pairings and a successor
-    table (weight id -> weight id per positive root); only the final
-    division per weight touches rationals.
+    Both sides of the recursion are integer pairings at the scale of
+    algebras.form_scale, so each multiplicity is one exact division.  The
+    string walks run on a successor table (weight id -> weight id per
+    positive root).
     """
     lam = check_dominant(alg, lam)
     dim = dimension(alg, lam)
@@ -105,24 +114,21 @@ def freudenthal(alg: SimpleAlgebra, lam: Weight, dim_bound: int = DEFAULT_DIM_BO
     weights = sorted(weight_system(alg, lam), key=lambda mu: (_depth(alg, lam, mu), mu))
     index = {mu: i for i, mu in enumerate(weights)}
 
-    gram = [list(row) for row in weight_gram(alg)]
-    from .algebras import positive_roots
-
     roots = positive_roots(alg)
-    forms = [mat_vec(gram, [Fraction(x) for x in alpha]) for alpha in roots]
-    scale = 1
-    for row in forms:
-        for value in row:
-            scale = scale * value.denominator // _gcd(scale, value.denominator)
-    int_forms = [[int(v * scale) for v in row] for row in forms]
+    # (mu, alpha) as a linear functional on the labels of mu, and (alpha, alpha)
+    forms, steps = [], []
+    for alpha in roots:
+        a = eps2(alg, alpha)
+        forms.append([pairing(alg, omega, a) for omega, _ in _coweights(alg)])
+        steps.append(pairing(alg, a, a))
     successors = [
         [index.get(tuple(x + a for x, a in zip(mu, alpha)), -1) for mu in weights]
         for alpha in roots
     ]
 
     def norm_shifted(mu):
-        shifted = tuple(x + 1 for x in mu)
-        return weight_form(alg, shifted, shifted)
+        shifted = eps2(alg, [x + 1 for x in mu])
+        return pairing(alg, shifted, shifted)
 
     top_norm = norm_shifted(lam)
     mult = [0] * len(weights)
@@ -130,12 +136,11 @@ def freudenthal(alg: SimpleAlgebra, lam: Weight, dim_bound: int = DEFAULT_DIM_BO
     for i in range(1, len(weights)):
         mu = weights[i]
         acc = 0
-        for alpha, ga, succ in zip(roots, int_forms, successors):
+        for ga, step, succ in zip(forms, steps, successors):
             j = succ[i]
             if j < 0:
                 continue
             base = sum(c * x for c, x in zip(ga, mu))
-            step = sum(c * a for c, a in zip(ga, alpha))
             k = 1
             while j >= 0:
                 acc += mult[j] * (base + k * step)
@@ -144,21 +149,15 @@ def freudenthal(alg: SimpleAlgebra, lam: Weight, dim_bound: int = DEFAULT_DIM_BO
         denom = top_norm - norm_shifted(mu)
         if denom == 0:
             raise InternalConsistencyError(f"Freudenthal denominator vanished at {mu}")
-        value = Fraction(2 * acc, scale) / denom
-        if value.denominator != 1 or value <= 0:
-            raise InternalConsistencyError(f"non-integral multiplicity {value} at {mu}")
-        mult[i] = int(value)
+        value, rest = divmod(2 * acc, denom)
+        if rest or value <= 0:
+            raise InternalConsistencyError(f"non-integral multiplicity {2 * acc}/{denom} at {mu}")
+        mult[i] = value
     if sum(mult) != dim:
         raise InternalConsistencyError(
             f"multiplicities of {lam} over {alg} sum to {sum(mult)}, expected {dim}"
         )
     return WeightMultiset(alg, tuple(sorted(zip(weights, mult))))
-
-
-def _gcd(a: int, b: int) -> int:
-    from math import gcd
-
-    return gcd(a, b)
 
 
 def _long_simple_root_position(alg: SimpleAlgebra) -> int:

@@ -258,16 +258,6 @@ class SubspaceDescriptor:
         a, b = self.at_window(m), other.at_window(m)
         return all(in_row_space(list(r), [list(x) for x in a.rows]) for r in b.rows)
 
-    def sample_vectors(self, limit=4) -> list[Coords]:
-        """Concrete members realizing basis rows (tail mass placed at v_window)."""
-        out = []
-        for r in self.rows[:limit]:
-            vec: Coords = {i + 1: c for i, c in enumerate(r[:-1]) if c}
-            if r[-1]:
-                vec[self.window] = r[-1]
-            out.append(vec)
-        return out
-
 
 def descriptor_sum(a: SubspaceDescriptor, b: SubspaceDescriptor) -> SubspaceDescriptor:
     if a.space != b.space:
@@ -344,42 +334,26 @@ def perp(w: SubspaceDescriptor, context=GL_PAIRING) -> SubspaceDescriptor:
 
     gl: subspaces of V map to subspaces of V_* and back.  so/sp: subspaces
     of V map to subspaces of V.  The descriptor class is closed under both.
+    Both cases annihilate the window projection of the rows (through the
+    musical map J for a form).  The perp of a tail descriptor must vanish
+    on all deep tail differences, hence is finite; the perp of a finite
+    one contains the whole tail, hence gains the S row.
     """
     if context == GL_PAIRING:
         target = "V*" if w.space == "V" else "V"
-        if w.has_tail:
-            # Covectors must vanish on all deep tail differences, hence live
-            # in the window and annihilate the window projection.
-            proj = [list(r[:-1]) for r in w.rows]
-            sols = nullspace_basis(proj, w.window - 1)
-            rows = [r + [Fraction(0)] for r in sols]
-            return SubspaceDescriptor(target, w.window, rows, False)
         conditions = [list(r[:-1]) for r in w.rows]
-        sols = nullspace_basis(conditions, w.window - 1)
-        rows = [r + [Fraction(0)] for r in sols]
-        s_dir = [Fraction(0)] * w.window
-        s_dir[-1] = Fraction(1)
-        rows.append(s_dir)
-        return SubspaceDescriptor(target, w.window, rows, True)
-
-    if not isinstance(context, StandardForm):
-        raise DomainError(f"unknown perp context {context!r}")
-    if w.space != "V":
-        raise DomainError("form-orthogonal complements are taken inside V")
-    w = _odd_window(w)
-    sign = context.sign
-    if w.has_tail:
-        proj = [_j_window(r[:-1], sign) for r in w.rows]
-        sols = nullspace_basis(proj, w.window - 1)
-        rows = [r + [Fraction(0)] for r in sols]
-        return SubspaceDescriptor("V", w.window, rows, False)
-    conditions = [_j_window(r[:-1], sign) for r in w.rows]
-    sols = nullspace_basis(conditions, w.window - 1)
-    rows = [r + [Fraction(0)] for r in sols]
-    s_dir = [Fraction(0)] * w.window
-    s_dir[-1] = Fraction(1)
-    rows.append(s_dir)
-    return SubspaceDescriptor("V", w.window, rows, True)
+    else:
+        if not isinstance(context, StandardForm):
+            raise DomainError(f"unknown perp context {context!r}")
+        if w.space != "V":
+            raise DomainError("form-orthogonal complements are taken inside V")
+        target = "V"
+        w = _odd_window(w)
+        conditions = [_j_window(r[:-1], context.sign) for r in w.rows]
+    rows = [r + [Fraction(0)] for r in nullspace_basis(conditions, w.window - 1)]
+    if not w.has_tail:
+        rows.append([Fraction(0)] * (w.window - 1) + [Fraction(1)])
+    return SubspaceDescriptor(target, w.window, rows, not w.has_tail)
 
 
 def double_perp_closed(w: SubspaceDescriptor, context=GL_PAIRING):
@@ -387,14 +361,10 @@ def double_perp_closed(w: SubspaceDescriptor, context=GL_PAIRING):
     closure = perp(perp(w, context), context)
     if closure == w:
         return True, None
-    m = max(closure.window, w.window)
-    for row in closure.at_window(m).rows:
-        vec: Coords = {i + 1: c for i, c in enumerate(row[:-1]) if c}
-        if row[-1]:
-            vec[m] = row[-1]
-        if not w.contains(vec):
-            return False, vec
-    raise InternalConsistencyError("double perp differs but no witness row found")
+    gap = _gap_vector(closure, w)
+    if gap is None:
+        raise InternalConsistencyError("double perp differs but no witness row found")
+    return False, gap
 
 
 def is_isotropic(w: SubspaceDescriptor, form: StandardForm) -> bool:

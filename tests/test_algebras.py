@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -8,11 +10,9 @@ from lielimits.algebras import (
     dimension,
     dominant_weights_up_to_dim,
     dual_weight,
-    gram_form,
     positive_roots,
     rho,
     simple_roots,
-    symmetrizer,
     weight_form,
     weight_gram,
 )
@@ -68,6 +68,54 @@ def test_weight_form_dimension_error():
         weight_form(SimpleAlgebra("A", 2), (1,), (1, 0))
 
 
+# -- reference form: Cartan inverse times the symmetrizer, in local Fractions --
+
+
+def symmetrizer(alg):
+    """d_i = (alpha_i, alpha_i) / 2 with long roots of squared length 2."""
+    n = alg.rank
+    if alg.series == "B":
+        return [Fraction(1)] * (n - 1) + [Fraction(1, 2)]
+    if alg.series == "C":
+        return [Fraction(1, 2)] * (n - 1) + [Fraction(1)]
+    return [Fraction(1)] * n
+
+
+def _inverse(matrix):
+    n = len(matrix)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(matrix)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if aug[r][c] != 0)
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c] != 0:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return [row[n:] for row in aug]
+
+
+@lru_cache(maxsize=None)
+def reference_gram(alg):
+    """(omega_i, omega_j) = (Cartan^-1)_ij * d_j."""
+    inv = _inverse(cartan_matrix(alg))
+    d = symmetrizer(alg)
+    return [[inv[i][j] * d[j] for j in range(alg.rank)] for i in range(alg.rank)]
+
+
+def gram_form(alg, lam, mu):
+    """lam^T * gram * mu against the reference Gram table."""
+    gram = reference_gram(alg)
+    return sum((li * gram[i][j] * mj for i, li in enumerate(lam) if li
+                for j, mj in enumerate(mu) if mj), Fraction(0))
+
+
+FORM_ALGEBRAS = TEST_ALGEBRAS + [
+    SimpleAlgebra("A", 20), SimpleAlgebra("B", 12), SimpleAlgebra("C", 12), SimpleAlgebra("D", 12),
+]
+
+
 @pytest.mark.parametrize("alg", TEST_ALGEBRAS, ids=str)
 def test_gram_recovers_root_pairings(alg):
     # gram * Cartan^T gives (omega_i, alpha_j) = d_j * delta_ij exactly.
@@ -81,14 +129,40 @@ def test_gram_recovers_root_pairings(alg):
             assert value == (d[j] if i == j else 0)
 
 
-@pytest.mark.parametrize("alg", TEST_ALGEBRAS, ids=str)
+@pytest.mark.parametrize("alg", FORM_ALGEBRAS, ids=str)
+def test_weight_gram_matches_reference(alg):
+    assert [list(row) for row in weight_gram(alg)] == reference_gram(alg)
+
+
+@pytest.mark.parametrize("alg", FORM_ALGEBRAS, ids=str)
 def test_weight_form_matches_gram_table(alg):
-    # two independent evaluation routes: epsilon coordinates vs the Gram table
+    # two independent evaluation routes: the integer pairing vs the Gram table
+    rng = random.Random(alg.rank * 10 + "ABCD".index(alg.series))
     probes = list(simple_roots(alg)) + [rho(alg), alg.natural_weight]
     probes.append(tuple(range(1, alg.rank + 1)))
+    probes += [tuple(rng.randint(-3, 3) for _ in range(alg.rank)) for _ in range(6)]
     for lam in probes:
         for mu in probes:
             assert weight_form(alg, lam, mu) == gram_form(alg, lam, mu)
+
+
+def reference_dimension(alg, lam):
+    """Weyl's product over the positive roots, in Fractions on the reference form."""
+    shifted = [x + 1 for x in lam]
+    value = Fraction(1)
+    for alpha in positive_roots(alg):
+        value *= gram_form(alg, shifted, alpha) / gram_form(alg, rho(alg), alpha)
+    return value
+
+
+@pytest.mark.parametrize("alg", FORM_ALGEBRAS, ids=str)
+def test_dimension_matches_weyl_product(alg):
+    rng = random.Random(alg.rank)
+    weights = [tuple(rng.randint(0, 2) for _ in range(alg.rank)) for _ in range(4)]
+    if alg.rank <= 5:
+        weights += dominant_weights_up_to_dim(alg, 60)
+    for lam in weights:
+        assert dimension(alg, lam) == reference_dimension(alg, lam)
 
 
 def _leading_minor_pivots(matrix):

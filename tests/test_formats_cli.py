@@ -139,6 +139,46 @@ def test_cli_exit_codes():
     assert code == 2
 
 
+def _components_null(doc):
+    doc["levels"][0]["components"] = None
+
+
+def _kernels_null(doc):
+    doc["kernels"] = None
+
+
+def _generator_index_x(doc):
+    doc["generators"] = [{"x": "1"}]
+
+
+def _mult_true(doc):
+    doc["levels"][0]["ambient_branching"][0]["mult"] = True
+
+
+def _token_list(doc):
+    doc["token"] = ["x"]
+
+
+@pytest.mark.parametrize(
+    "command,name,mutate",
+    [
+        (("limit",), "s2.json", _components_null),
+        (("maximal", "gl"), "codim2_kernel.json", _kernels_null),
+        (("maximal", "gl"), "codim2_kernel.json", _generator_index_x),
+        (("limit",), "s2.json", _mult_true),
+        (("maximal", "gl"), "codim2_kernel.json", _token_list),
+    ],
+    ids=["components-null", "kernels-null", "generator-index-x", "mult-true", "token-list"],
+)
+def test_cli_malformed_documents_are_parse_errors(tmp_path, command, name, mutate):
+    doc = load_fixture(name)
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(*command, str(bad))
+    assert (code, out) == (2, "") and err.startswith("parse error:")
+
+
 def test_cli_eq4_violation_names_level(tmp_path):
     # consistent dimensions everywhere, but the labels break the sum law:
     # alpha_1 = 2 while the only edge carries beta = 1 onto alpha_2 = 1

@@ -1,9 +1,9 @@
 import pytest
 
 from lielimits.algebras import SimpleAlgebra, dimension, dominant_weights_up_to_dim
-from lielimits.errors import ResourceBoundError
+from lielimits.errors import InternalConsistencyError, ResourceBoundError
 from lielimits.index import index_of_irrep, index_of_module
-from lielimits.oracle import freudenthal, tensor_decompose, trace_index, weight_system
+from lielimits.oracle import _depth, freudenthal, tensor_decompose, trace_index, weight_system
 
 A1 = SimpleAlgebra("A", 1)
 A2 = SimpleAlgebra("A", 2)
@@ -100,3 +100,18 @@ def test_adjoint_zero_weight_multiplicity_is_rank(literal, adjoint):
     alg = SimpleAlgebra.parse(literal)
     assert dimension(alg, adjoint) == alg.dim
     assert freudenthal(alg, adjoint).as_dict()[(0,) * alg.rank] == alg.rank
+
+
+@pytest.mark.parametrize(
+    "alg,top,mu",
+    [
+        (A2, (1, 0), (0, 1)),            # top - mu is not in the root lattice
+        (A2, (1, 0), (0, 0)),            # top - mu = (2 alpha_1 + alpha_2) / 3
+        (A2, (0, 0), (2, -1)),           # mu = top + alpha_1 lies above top
+        (SimpleAlgebra("C", 3), (0, 0, 1), (0, 0, 2)),
+    ],
+    ids=str,
+)
+def test_depth_rejects_weight_not_below_top(alg, top, mu):
+    with pytest.raises(InternalConsistencyError):
+        _depth(alg, top, mu)

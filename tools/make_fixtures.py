@@ -244,7 +244,7 @@ def make_subspaces():
                                  "kernels": [{"head": [], "tail": "1"}]})
 
 
-if __name__ == "__main__":
+def main():
     OUT.mkdir(exist_ok=True)
     make_s1()
     make_s2()
@@ -259,3 +259,7 @@ if __name__ == "__main__":
     make_refine_mixed()
     make_embeddings()
     make_subspaces()
+
+
+if __name__ == "__main__":
+    main()
