@@ -63,8 +63,28 @@ def _list(doc, key, where, default=None):
     return value
 
 
+def _optional(doc, key, where, default=None):
+    if not isinstance(doc, dict):
+        raise _fail(f"{where}: expected a map, got {doc!r}")
+    return doc.get(key, default)
+
+
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _all_ints(row) -> bool:
+    return all(_is_int(x) for x in row)
+
+
+def _entries(doc, key, where, width, valid=None):
+    """A list field whose entries are lists of `width` items, each entry
+    accepted by `valid` when one is given."""
+    entries = _list(doc, key, where)
+    for pos, entry in enumerate(entries):
+        if not isinstance(entry, list) or len(entry) != width or (valid and not valid(entry)):
+            raise _fail(f"{where}: bad entry {pos} of {key!r}: {entry!r}")
+    return entries
 
 
 def _check_format(doc, expected, where):
@@ -263,16 +283,25 @@ def descriptor_to_doc(w: SubspaceDescriptor) -> dict:
     }
 
 
-def descriptor_from_doc(doc) -> SubspaceDescriptor:
-    return SubspaceDescriptor(
-        _expect(doc, "space", "descriptor"),
-        _expect(doc, "window", "descriptor"),
-        [
-            [_parse_fraction(x, "descriptor row") for x in row]
-            for row in _expect(doc, "rows", "descriptor")
-        ],
-        _expect(doc, "has_tail", "descriptor"),
-    )
+def descriptor_from_doc(doc, where="descriptor") -> SubspaceDescriptor:
+    space = _expect(doc, "space", where)
+    window = _expect(doc, "window", where)
+    has_tail = _expect(doc, "has_tail", where)
+    if space not in ("V", "V*"):
+        raise _fail(f"{where}: bad space {space!r}")
+    if not _is_int(window) or window < 1:
+        raise _fail(f"{where}: window must be an integer >= 1, got {window!r}")
+    if not isinstance(has_tail, bool):
+        raise _fail(f"{where}: has_tail must be true or false, got {has_tail!r}")
+    rows = []
+    for pos, row in enumerate(_list(doc, "rows", where)):
+        if not isinstance(row, list) or len(row) != window or not all(isinstance(x, str) for x in row):
+            raise _fail(f"{where}: row {pos} must be a list of {window} rational strings, got {row!r}")
+        row = [_parse_fraction(x, f"{where}: row {pos}") for x in row]
+        if not has_tail and row[-1] != 0:
+            raise _fail(f"{where}: row {pos} of a finite descriptor has a nonzero tail entry")
+        rows.append(row)
+    return SubspaceDescriptor(space, window, rows, has_tail)
 
 
 # -- reports ------------------------------------------------------------------
@@ -292,13 +321,13 @@ def extended_dim_to_doc(d: ExtendedDim) -> dict:
     }
 
 
-def extended_dim_from_doc(doc) -> ExtendedDim:
+def extended_dim_from_doc(doc, where="dimension") -> ExtendedDim:
     return ExtendedDim(
-        doc["kind"],
-        value=doc.get("value"),
-        lower_bound=doc.get("lower_bound"),
-        tail_assumed=doc.get("tail_assumed", False),
-        evidence=tuple(doc.get("evidence", [])),
+        _expect(doc, "kind", where),
+        value=_optional(doc, "value", where),
+        lower_bound=_optional(doc, "lower_bound", where),
+        tail_assumed=_optional(doc, "tail_assumed", where, False),
+        evidence=tuple(_list(doc, "evidence", where, [])),
     )
 
 
@@ -312,13 +341,14 @@ def constituent_to_doc(c: Constituent) -> dict:
     }
 
 
-def constituent_from_doc(doc) -> Constituent:
+def constituent_from_doc(doc, where="constituent") -> Constituent:
+    algebra = _optional(doc, "algebra", where)
     return Constituent(
-        doc["id"],
-        doc["kind"],
-        parse_algebra(doc["algebra"]) if doc.get("algebra") else None,
-        tuple((int(n), int(j)) for n, j in doc["string"]),
-        doc["tail_assumed"],
+        _expect(doc, "id", where),
+        _expect(doc, "kind", where),
+        parse_algebra(algebra) if algebra else None,
+        tuple(tuple(v) for v in _entries(doc, "string", where, 2, _all_ints)),
+        _expect(doc, "tail_assumed", where),
     )
 
 
@@ -450,87 +480,99 @@ def parse_report(doc):
     """Rebuild the typed content of a report document (round-trip partner)."""
     _check_format(doc, REPORT_FORMAT, "report")
     kind = _expect(doc, "kind", "report")
+    where = f"{kind} report"
+
+    def field(key):
+        return _expect(doc, key, where)
+
+    def dims(rec, at, *keys):
+        return [extended_dim_from_doc(_expect(rec, k, at), f"{at}.{k}") for k in keys]
+
     if kind == "index":
         return (
-            parse_algebra(doc["algebra"]),
-            parse_weight(doc["weight"]),
-            doc["index"],
-            doc["dimension"],
+            parse_algebra(field("algebra")),
+            parse_weight(field("weight")),
+            field("index"),
+            field("dimension"),
         )
     if kind == "embedding":
         return (
-            tuple(parse_algebra(a) for a in doc["source"]),
-            parse_algebra(doc["target"]),
-            tuple(doc["index"]),
-            doc["classification"],
+            tuple(parse_algebra(a) for a in _list(doc, "source", where)),
+            parse_algebra(field("target")),
+            tuple(_list(doc, "index", where)),
+            field("classification"),
         )
     if kind == "limit":
         return (
-            {(n, j): v for n, j, v in doc["alpha"]},
-            {(n, j, k): v for n, j, k, v in doc["beta"]},
-            tuple(constituent_from_doc(c) for c in doc["constituents"]),
+            {(n, j): v for n, j, v in _entries(doc, "alpha", where, 3, _all_ints)},
+            {(n, j, k): v for n, j, k, v in _entries(doc, "beta", where, 4, _all_ints)},
+            tuple(
+                constituent_from_doc(c, f"{where}: constituent {pos}")
+                for pos, c in enumerate(_list(doc, "constituents", where))
+            ),
         )
     if kind == "refinement":
         return RefinementReport(
-            tuple((int(a), int(b)) for a, b in doc["chain"]),
-            tuple(parse_algebra(a) for a in doc["algebras"]),
-            tuple(bool(b) for b in doc["standard_edges"]),
-            doc["n0"],
+            tuple(tuple(v) for v in _entries(doc, "chain", where, 2, _all_ints)),
+            tuple(parse_algebra(a) for a in _list(doc, "algebras", where)),
+            tuple(bool(b) for b in _list(doc, "standard_edges", where)),
+            field("n0"),
         )
     if kind == "socle":
-        return SocleReport(
-            tuple(
-                ConstituentSocle(
-                    r["id"],
-                    r["kind"],
-                    r["algebra"],
-                    r["k"],
-                    r["l"],
-                    extended_dim_from_doc(r["trivial"]),
-                    extended_dim_from_doc(r["trivial_dual"]),
-                )
-                for r in doc["constituents"]
-            ),
-            tuple(
-                IsotypicRow(r["id"], r["algebra"], tuple(r["weight"]), r["mult"])
-                for r in doc["finite_part"]
-            ),
-            extended_dim_from_doc(doc["quotient"]),
-            extended_dim_from_doc(doc["quotient_dual"]),
-        )
+        rows = []
+        for pos, r in enumerate(_list(doc, "constituents", where)):
+            at = f"{where}: constituent {pos}"
+            rows.append(ConstituentSocle(
+                *(_expect(r, k, at) for k in ("id", "kind", "algebra", "k", "l")),
+                *dims(r, at, "trivial", "trivial_dual"),
+            ))
+        finite = []
+        for pos, r in enumerate(_list(doc, "finite_part", where)):
+            at = f"{where}: finite part {pos}"
+            finite.append(IsotypicRow(
+                _expect(r, "id", at), _expect(r, "algebra", at),
+                tuple(_list(r, "weight", at)), _expect(r, "mult", at),
+            ))
+        return SocleReport(tuple(rows), tuple(finite), *dims(doc, where, "quotient", "quotient_dual"))
     if kind == "invariants":
+        subsets = []
+        for pos, r in enumerate(_list(doc, "subsets", where)):
+            at = f"{where}: subset {pos}"
+            subsets.append(SubsetInvariants(
+                tuple(_list(r, "ids", at)),
+                *dims(r, at, "trivial", "trivial_dual", "quotient", "quotient_dual"),
+            ))
         return InvariantsReport(
-            tuple(tuple(p) for p in doc["multiplicities"]),
-            tuple(
-                SubsetInvariants(
-                    tuple(r["ids"]),
-                    extended_dim_from_doc(r["trivial"]),
-                    extended_dim_from_doc(r["trivial_dual"]),
-                    extended_dim_from_doc(r["quotient"]),
-                    extended_dim_from_doc(r["quotient_dual"]),
-                )
-                for r in doc["subsets"]
-            ),
+            tuple(tuple(p) for p in _entries(doc, "multiplicities", where, 3)),
+            tuple(subsets),
         )
     if kind == "maximal":
+        def descriptor(key):
+            sub = _optional(doc, key, where)
+            return descriptor_from_doc(sub, f"{where}: {key}") if sub else None
+
+        witness_vector = None
+        if _optional(doc, "witness_vector", where):
+            witness_vector = tuple(
+                (i, c) for i, c in _entries(
+                    doc, "witness_vector", where, 2,
+                    lambda e: _is_int(e[0]) and isinstance(e[1], str),
+                )
+            )
         return Verdict(
-            doc["algebra"],
-            doc["tag"],
-            doc["maximal"],
-            doc["description"],
-            subspace=descriptor_from_doc(doc["subspace"]) if doc.get("subspace") else None,
-            perp_space=descriptor_from_doc(doc["perp"]) if doc.get("perp") else None,
-            witness=descriptor_from_doc(doc["witness"]) if doc.get("witness") else None,
-            witness_vector=(
-                tuple((int(i), str(c)) for i, c in doc["witness_vector"])
-                if doc.get("witness_vector")
-                else None
-            ),
+            field("algebra"),
+            field("tag"),
+            field("maximal"),
+            field("description"),
+            subspace=descriptor("subspace"),
+            perp_space=descriptor("perp"),
+            witness=descriptor("witness"),
+            witness_vector=witness_vector,
         )
     if kind == "oracle":
-        alg = parse_algebra(doc["algebra"])
         return WeightMultiset(
-            alg, tuple((parse_weight(w), m) for w, m in doc["entries"])
+            parse_algebra(field("algebra")),
+            tuple((parse_weight(w), m) for w, m in _entries(doc, "entries", where, 2)),
         )
     raise _fail(f"report: unknown kind {kind!r}")
 

@@ -49,16 +49,23 @@ def row_space_basis(m: Matrix) -> Matrix:
 
 
 def nullspace_basis(m: Matrix, cols: int) -> Matrix:
-    """Basis of {x : m @ x = 0} inside Q^cols (m given as rows of functionals)."""
-    red, pivots = rref(m)
+    """RREF basis of {x : m @ x = 0} inside Q^cols (m given as rows of functionals).
+
+    Elimination runs with the columns reversed, so each solution is 1 at its
+    free column, 0 at every other free column and nonzero only at later pivot
+    columns: listed by free column, the basis is already reduced.  The cost is
+    that of one elimination of m plus writing the output.
+    """
+    red, pivots = rref([list(reversed(row)) for row in m])
     pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
     basis = []
-    for fc in free:
+    for fc in reversed(range(cols)):
+        if fc in pivot_set:
+            continue
         v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
+        v[cols - 1 - fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+            v[cols - 1 - pc] = -red[r][fc]
         basis.append(v)
     return basis
 

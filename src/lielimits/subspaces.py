@@ -8,9 +8,17 @@ such W reduces to a canonical finite model: a window 1..M-1 of explicit
 coordinates plus one extra coordinate S holding the lumped tail sum
 (eventually constant functionals cannot see more of the tail than that).
 An infinite-dimensional ("tail") descriptor is exactly the preimage of a
-subspace of the model under x -> (x_1, ..., x_{M-1}, sum_{i>=M} x_i); a
-finite-dimensional one is a plain window subspace.  Minimal window plus
-reduced row echelon rows make equality a tuple comparison.
+subspace U of the model under mu: x -> (x_1, ..., x_{M-1}, sum_{i>=M} x_i);
+a finite-dimensional one is a window subspace U whose S coordinate is 0.
+
+A descriptor stores the small side of U as reduced row echelon rows of
+length M: a tail keeps the annihilator of U (codim rows, each an eventually
+constant functional whose S entry is its value on the whole tail), a finite
+space keeps the basis of U (dim rows).  Either way a row's S entry is its
+value at every index from M on, so widening the window repeats that entry,
+and the minimal window plus the rows make equality a tuple comparison.
+Perp swaps the two sides; sum and intersection concatenate rows or restrict
+the rows of one operand by those of the other.
 
 Perp is the annihilator under the gl pairing between V and V_*, or the
 orthogonal space under a fixed split form on V for the so/sp cases; the
@@ -70,27 +78,80 @@ class EvConstFunctional:
 ALL_ONES = EvConstFunctional((), Fraction(1))
 
 
+def _dot(a, b) -> Fraction:
+    return sum((x * y for x, y in zip(a, b) if x), Fraction(0))
+
+
+def _lincomb(coeffs, rows) -> list[Fraction]:
+    terms = [(t, r) for t, r in zip(coeffs, rows) if t]
+    return [sum((t * r[j] for t, r in terms), Fraction(0)) for j in range(len(rows[0]))]
+
+
+def _restrict(rows, conditions) -> list[list[Fraction]]:
+    """RREF rows spanning the x in rowspace(rows) with c . x = 0 for every condition c."""
+    if not rows:
+        return []
+    values = [[_dot(c, r) for r in rows] for c in conditions]
+    return row_space_basis([_lincomb(t, rows) for t in nullspace_basis(values, len(rows))])
+
+
+def _meet(a, b) -> list[list[Fraction]]:
+    """RREF rows spanning rowspace(a) ∩ rowspace(b): from each relation
+    sum s_i a_i + sum t_j b_j = 0, the common vector sum s_i a_i."""
+    if not a or not b:
+        return []
+    columns = [list(col) for col in zip(*a, *b)]
+    relations = nullspace_basis(columns, len(a) + len(b))
+    return row_space_basis([_lincomb(t[: len(a)], a) for t in relations])
+
+
 class SubspaceDescriptor:
     """Canonical model of one descriptor subspace.
 
     Attributes:
         space: "V" or "V*".
         window: M; coordinates 1..M-1 explicit, the tail starts at M.
-        rows: RREF basis of the model subspace of Q^M (window + S column).
-        has_tail: infinite-dimensional iff True.  With a tail, membership
-            means mu(x) in rowspace; without, x must live inside the window.
+        has_tail: infinite-dimensional iff True.
+        small: RREF rows of length M.  With a tail, the annihilator of the
+            model subspace U: x lies in W iff every row vanishes on mu(x).
+            Without, the basis of U (S entry 0): x must live inside the
+            window and in the row space.
+
+    The constructor takes a basis of U itself, as `rows` gives it and
+    reports print it.
     """
 
-    __slots__ = ("space", "window", "rows", "has_tail")
+    __slots__ = ("space", "window", "small", "has_tail")
 
     def __init__(self, space: str, window: int, rows, has_tail: bool):
+        rows = [[Fraction(x) for x in r] for r in rows]
+        if has_tail:
+            small = nullspace_basis(rows, window)
+        else:
+            small = row_space_basis(rows)
+            if any(r[-1] != 0 for r in small):
+                raise DomainError("rows of a finite descriptor must have a zero tail entry")
+        self._set(space, window, small, has_tail)
+
+    def _set(self, space, window, small, has_tail):
+        """Store RREF small-side rows at the minimal window: explicit columns
+        equal to the S column in every row are folded into the tail, which
+        keeps the rows reduced."""
         if space not in ("V", "V*"):
             raise DomainError(f"space must be 'V' or 'V*', got {space!r}")
+        cut = window - 1
+        while cut > 0 and all(r[cut - 1] == r[-1] for r in small):
+            cut -= 1
         self.space = space
-        self.window = window
-        self.rows = tuple(tuple(Fraction(x) for x in r) for r in rows)
+        self.window = cut + 1
+        self.small = tuple(tuple(r[:cut]) + (r[-1],) for r in small)
         self.has_tail = has_tail
-        self._canonicalize()
+
+    @staticmethod
+    def _of(space, window, small, has_tail) -> "SubspaceDescriptor":
+        out = SubspaceDescriptor.__new__(SubspaceDescriptor)
+        out._set(space, window, small, has_tail)
+        return out
 
     # -- construction -----------------------------------------------------
 
@@ -109,35 +170,20 @@ class SubspaceDescriptor:
             + [len(k.head) + 1 for k in kers]
             + [1]
         )
-        span: list[list[Fraction]] = []
-        for g in gens:
-            row = [g.get(i, Fraction(0)) for i in range(1, window)]
-            row.append(sum((c for i, c in g.items() if i >= window), Fraction(0)))
-            span.append(row)
-        if tail_from is not None:
-            for i in range(tail_from, window):
-                row = [Fraction(0)] * window
-                row[i - 1] = Fraction(1)
-                span.append(row)
-            s_dir = [Fraction(0)] * window
-            s_dir[-1] = Fraction(1)
-            span.append(s_dir)
-        basis = row_space_basis(span)
-        if kers:
-            conditions = []
-            for k in kers:
-                cond = [k.value_at(i) for i in range(1, window)] + [k.tail]
-                conditions.append([
-                    sum((c * b for c, b in zip(cond, row)), Fraction(0)) for row in basis
-                ])
-            solutions = nullspace_basis(conditions, len(basis))
-            basis = row_space_basis(
-                [
-                    [sum((t * row[c] for t, row in zip(sol, basis)), Fraction(0)) for c in range(window)]
-                    for sol in solutions
-                ]
+        zero = Fraction(0)
+        span = [[g.get(i, zero) for i in range(1, window)] + [zero] for g in gens]
+        conditions = [[k.value_at(i) for i in range(1, window)] + [k.tail] for k in kers]
+        if tail_from is None:
+            small = _restrict(span, conditions)
+        else:
+            # span + tail is annihilated by the functionals on the head
+            # 1..tail_from-1 that kill every generator; add the kernels.
+            head = tail_from - 1
+            pad = [zero] * (window - head)
+            small = row_space_basis(
+                [a + pad for a in nullspace_basis([r[:head] for r in span], head)] + conditions
             )
-        return SubspaceDescriptor(space, window, basis, tail_from is not None)
+        return SubspaceDescriptor._of(space, window, small, tail_from is not None)
 
     @staticmethod
     def zero(space="V") -> "SubspaceDescriptor":
@@ -162,31 +208,8 @@ class SubspaceDescriptor:
 
     # -- canonical form ----------------------------------------------------
 
-    def _canonicalize(self):
-        rows = [list(r) for r in row_space_basis([list(r) for r in self.rows])]
-        window = self.window
-        if not self.has_tail and any(r[-1] != 0 for r in rows):
-            raise InternalConsistencyError("finite descriptor with a live tail coordinate")
-        while window > 1:
-            if self.has_tail:
-                probe = [Fraction(0)] * window
-                probe[window - 2] = Fraction(1)
-                probe[window - 1] = Fraction(-1)
-                if not in_row_space(probe, rows):
-                    break
-                rows = row_space_basis(
-                    [r[: window - 2] + [r[window - 2] + r[window - 1]] for r in rows]
-                )
-            else:
-                if any(r[window - 2] != 0 for r in rows):
-                    break
-                rows = row_space_basis([r[: window - 2] + [r[window - 1]] for r in rows])
-            window -= 1
-        self.window = window
-        self.rows = tuple(tuple(r) for r in rows)
-
     def _key(self):
-        return (self.space, self.has_tail, self.window, self.rows)
+        return (self.space, self.has_tail, self.window, self.small)
 
     def __eq__(self, other):
         return isinstance(other, SubspaceDescriptor) and self._key() == other._key()
@@ -196,7 +219,16 @@ class SubspaceDescriptor:
 
     def __repr__(self):
         kind = "tail" if self.has_tail else "finite"
-        return f"SubspaceDescriptor({self.space}, window={self.window}, {kind}, rank={len(self.rows)})"
+        rank = self.window - len(self.small) if self.has_tail else len(self.small)
+        return f"SubspaceDescriptor({self.space}, window={self.window}, {kind}, rank={rank})"
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """RREF basis of the model subspace U of Q^M; a tail derives it from
+        its annihilator."""
+        if not self.has_tail:
+            return self.small
+        return tuple(tuple(r) for r in nullspace_basis(self.small, self.window))
 
     # -- window alignment ---------------------------------------------------
 
@@ -204,50 +236,42 @@ class SubspaceDescriptor:
         """Equivalent model with a larger window (used to align operands)."""
         if window < self.window:
             raise DomainError("cannot shrink a window explicitly")
-        rows = [list(r) for r in self.rows]
-        m = self.window
-        while m < window:
-            if self.has_tail:
-                rows = [r[:-1] + [r[-1], Fraction(0)] for r in rows]
-                extra = [Fraction(0)] * (m + 1)
-                extra[m - 1] = Fraction(1)
-                extra[m] = Fraction(-1)
-                rows.append(extra)
-            else:
-                rows = [r[:-1] + [Fraction(0), r[-1]] for r in rows]
-            m += 1
         out = SubspaceDescriptor.__new__(SubspaceDescriptor)
         out.space = self.space
         out.window = window
-        out.rows = tuple(tuple(r) for r in row_space_basis(rows))
+        out.small = tuple(r[:-1] + r[-1:] * (window - self.window + 1) for r in self.small)
         out.has_tail = self.has_tail
         return out
 
     # -- basic queries -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.has_tail and not self.rows
+        return not self.has_tail and not self.small
 
     def is_full(self) -> bool:
-        return self.has_tail and len(self.rows) == self.window
+        return self.has_tail and not self.small
 
     @property
     def dim(self) -> int | None:
         """Dimension; None means countably infinite."""
-        return None if self.has_tail else len(self.rows)
+        return None if self.has_tail else len(self.small)
 
     @property
     def codim(self) -> int | None:
         """Codimension in the ambient space; None means infinite."""
-        return self.window - len(self.rows) if self.has_tail else None
+        return len(self.small) if self.has_tail else None
 
     def contains(self, vec) -> bool:
         vec = vector(vec)
-        if not self.has_tail and any(i >= self.window for i in vec):
+        m = self.window
+        if self.has_tail:
+            return all(
+                sum((c * r[min(i, m) - 1] for i, c in vec.items()), Fraction(0)) == 0
+                for r in self.small
+            )
+        if any(i >= m for i in vec):
             return False
-        image = [vec.get(i, Fraction(0)) for i in range(1, self.window)]
-        image.append(sum((c for i, c in vec.items() if i >= self.window), Fraction(0)))
-        return in_row_space(image, [list(r) for r in self.rows])
+        return in_row_space([vec.get(i, Fraction(0)) for i in range(1, m + 1)], self.small)
 
     def contains_space(self, other: "SubspaceDescriptor") -> bool:
         if other.space != self.space:
@@ -256,27 +280,43 @@ class SubspaceDescriptor:
             return False
         m = max(self.window, other.window)
         a, b = self.at_window(m), other.at_window(m)
-        return all(in_row_space(list(r), [list(x) for x in a.rows]) for r in b.rows)
+        if not a.has_tail:
+            return all(in_row_space(r, a.small) for r in b.small)
+        if not b.has_tail:
+            return all(_dot(f, r) == 0 for f in a.small for r in b.small)
+        # U_b inside U_a iff the annihilator of U_a lies in that of U_b
+        return all(in_row_space(f, b.small) for f in a.small)
+
+
+def _aligned(a: SubspaceDescriptor, b: SubspaceDescriptor, verb: str):
+    if a.space != b.space:
+        raise DomainError(f"cannot {verb} subspaces of different spaces")
+    m = max(a.window, b.window)
+    return a.at_window(m), b.at_window(m)
 
 
 def descriptor_sum(a: SubspaceDescriptor, b: SubspaceDescriptor) -> SubspaceDescriptor:
-    if a.space != b.space:
-        raise DomainError("cannot add subspaces of different spaces")
-    m = max(a.window, b.window)
-    a, b = a.at_window(m), b.at_window(m)
-    return SubspaceDescriptor(a.space, m, list(a.rows) + list(b.rows), a.has_tail or b.has_tail)
+    a, b = _aligned(a, b, "add")
+    if a.has_tail and b.has_tail:
+        small = _meet(a.small, b.small)
+    elif a.has_tail or b.has_tail:
+        t, f = (a, b) if a.has_tail else (b, a)
+        small = _restrict(t.small, f.small)
+    else:
+        small = row_space_basis(list(a.small + b.small))
+    return SubspaceDescriptor._of(a.space, a.window, small, a.has_tail or b.has_tail)
 
 
 def descriptor_intersection(a: SubspaceDescriptor, b: SubspaceDescriptor) -> SubspaceDescriptor:
-    if a.space != b.space:
-        raise DomainError("cannot intersect subspaces of different spaces")
-    m = max(a.window, b.window)
-    a, b = a.at_window(m), b.at_window(m)
-    conditions = nullspace_basis([list(r) for r in a.rows], m) + nullspace_basis(
-        [list(r) for r in b.rows], m
-    )
-    rows = nullspace_basis(conditions, m)
-    return SubspaceDescriptor(a.space, m, rows, a.has_tail and b.has_tail)
+    a, b = _aligned(a, b, "intersect")
+    if a.has_tail and b.has_tail:
+        small = row_space_basis(list(a.small + b.small))
+    elif a.has_tail or b.has_tail:
+        t, f = (a, b) if a.has_tail else (b, a)
+        small = _restrict(f.small, t.small)
+    else:
+        small = _meet(a.small, b.small)
+    return SubspaceDescriptor._of(a.space, a.window, small, a.has_tail and b.has_tail)
 
 
 # -- forms and perps ---------------------------------------------------------
@@ -334,14 +374,13 @@ def perp(w: SubspaceDescriptor, context=GL_PAIRING) -> SubspaceDescriptor:
 
     gl: subspaces of V map to subspaces of V_* and back.  so/sp: subspaces
     of V map to subspaces of V.  The descriptor class is closed under both.
-    Both cases annihilate the window projection of the rows (through the
-    musical map J for a form).  The perp of a tail descriptor must vanish
-    on all deep tail differences, hence is finite; the perp of a finite
-    one contains the whole tail, hence gains the S row.
+    Perp swaps the stored side.  A finite W's basis, read as functionals,
+    is the annihilator of its perp, a tail.  A tail W's perp is the part of
+    its annihilator that is finitely supported (S entry 0), a finite space.
+    For a form, both pass through the musical map J on the window.
     """
     if context == GL_PAIRING:
         target = "V*" if w.space == "V" else "V"
-        conditions = [list(r[:-1]) for r in w.rows]
     else:
         if not isinstance(context, StandardForm):
             raise DomainError(f"unknown perp context {context!r}")
@@ -349,11 +388,12 @@ def perp(w: SubspaceDescriptor, context=GL_PAIRING) -> SubspaceDescriptor:
             raise DomainError("form-orthogonal complements are taken inside V")
         target = "V"
         w = _odd_window(w)
-        conditions = [_j_window(r[:-1], context.sign) for r in w.rows]
-    rows = [r + [Fraction(0)] for r in nullspace_basis(conditions, w.window - 1)]
-    if not w.has_tail:
-        rows.append([Fraction(0)] * (w.window - 1) + [Fraction(1)])
-    return SubspaceDescriptor(target, w.window, rows, not w.has_tail)
+    rows = w.small
+    if w.has_tail:
+        rows = _restrict(rows, [[Fraction(0)] * (w.window - 1) + [Fraction(1)]])
+    if context != GL_PAIRING:
+        rows = row_space_basis([_j_window(r[:-1], context.sign) + [Fraction(0)] for r in rows])
+    return SubspaceDescriptor._of(target, w.window, rows, not w.has_tail)
 
 
 def double_perp_closed(w: SubspaceDescriptor, context=GL_PAIRING):
@@ -375,7 +415,7 @@ def is_isotropic(w: SubspaceDescriptor, form: StandardForm) -> bool:
     if w.has_tail:
         return False
     w = _odd_window(w)
-    vecs = [list(r[:-1]) for r in w.rows]
+    vecs = [list(r[:-1]) for r in w.small]
     for a in vecs:
         for b in vecs:
             jb = _j_window(b, form.sign)
@@ -492,7 +532,7 @@ def _classify_gl_sl(g_kind: str, w: SubspaceDescriptor) -> Verdict:
 
 def _isotropic_line(w: SubspaceDescriptor, form: StandardForm):
     """A rational isotropic line inside a 2-dimensional nondegenerate W, if any."""
-    rows = [list(r[:-1]) for r in _odd_window(w).rows]
+    rows = [list(r[:-1]) for r in _odd_window(w).small]
 
     def b(x, y):
         return sum((a * c for a, c in zip(x, _j_window(y, form.sign))), Fraction(0))

@@ -179,6 +179,53 @@ def test_cli_malformed_documents_are_parse_errors(tmp_path, command, name, mutat
     assert (code, out) == (2, "") and err.startswith("parse error:")
 
 
+def _maximal_report():
+    kernel = SubspaceDescriptor.kernel([ALL_ONES])
+    return roundtrip(formats.verdict_report(classify_maximal("gl", kernel)))
+
+
+def _subspace_field(key, value):
+    def mutate(doc):
+        doc["subspace"][key] = value
+    return mutate
+
+
+def _finite_row(row):
+    def mutate(doc):
+        doc["perp"] = {"space": "V*", "window": 2, "has_tail": False, "rows": [row]}
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: doc.clear() or doc.update(format=formats.REPORT_FORMAT, kind="index"),
+        _subspace_field("rows", None),
+        _subspace_field("window", "2"),
+        _subspace_field("window", True),
+        _subspace_field("window", 0),
+        _subspace_field("has_tail", 1),
+        _subspace_field("space", "W"),
+        _subspace_field("rows", [[]]),
+        _subspace_field("rows", [[1]]),
+        _finite_row(["1", "1"]),
+        _finite_row(["x", "0"]),
+        lambda doc: doc.update(witness_vector=[[1]]),
+        lambda doc: doc.update(subspace=[1]),
+    ],
+    ids=[
+        "index-missing-algebra", "rows-null", "window-string", "window-bool", "window-zero",
+        "has-tail-int", "space-bad", "row-short", "row-numbers", "finite-row-live-tail",
+        "row-bad-rational", "witness-vector-short", "subspace-list",
+    ],
+)
+def test_malformed_reports_are_parse_errors(mutate):
+    doc = _maximal_report()
+    mutate(doc)
+    with pytest.raises(ParseError):
+        formats.parse_report(doc)
+
+
 def test_cli_eq4_violation_names_level(tmp_path):
     # consistent dimensions everywhere, but the labels break the sum law:
     # alpha_1 = 2 while the only edge carries beta = 1 onto alpha_2 = 1

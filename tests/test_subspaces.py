@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
+from lielimits import linalg
 from lielimits.errors import DomainError
-from lielimits.linalg import row_space_basis
+from lielimits.linalg import in_row_space, nullspace_basis, row_space_basis
 from lielimits.subspaces import (
     ALL_ONES,
     COMMUTATOR_TOKEN,
@@ -25,7 +27,8 @@ SYM = StandardForm("symmetric")
 SYMP = StandardForm("symplectic")
 
 
-def rand_descriptor(rng, space="V"):
+def rand_params(rng):
+    """Random (generators, tail_from, kernels) arguments of `build`."""
     gens = []
     for _ in range(rng.randrange(0, 3)):
         gens.append(
@@ -36,7 +39,148 @@ def rand_descriptor(rng, space="V"):
     for _ in range(rng.randrange(0, 3)):
         head = tuple(Fraction(rng.randrange(-2, 3)) for _ in range(rng.randrange(0, 4)))
         kers.append(EvConstFunctional(head, Fraction(rng.choice([0, 0, 1, 2, -1]))))
-    return SubspaceDescriptor.build(space, gens, tail, kers)
+    return gens, tail, kers
+
+
+def rand_descriptor(rng, space="V"):
+    return SubspaceDescriptor.build(space, *rand_params(rng))
+
+
+# -- the big-side reference ----------------------------------------------------
+#
+# The library stores the small side of the model subspace U of Q^M (the
+# annihilator of a tail, the basis of a finite space).  The reference below
+# stores U itself, as RREF rows, and computes every operation on those rows
+# by plain elimination.  It is slow (cubic in the window) and independent of
+# the small-side formulas.
+
+
+class Ref(NamedTuple):
+    space: str
+    window: int
+    rows: tuple
+    has_tail: bool
+
+
+def _zero_vec(n):
+    return [Fraction(0)] * n
+
+
+def ref_canonical(space, window, rows, has_tail) -> Ref:
+    """RREF rows of U, shrunk to the minimal window."""
+    rows = [list(r) for r in row_space_basis([list(r) for r in rows])]
+    assert has_tail or all(r[-1] == 0 for r in rows)
+    while window > 1:
+        if has_tail:
+            probe = _zero_vec(window)
+            probe[window - 2], probe[window - 1] = Fraction(1), Fraction(-1)
+            if not in_row_space(probe, rows):
+                break
+            rows = row_space_basis([r[: window - 2] + [r[window - 2] + r[window - 1]] for r in rows])
+        else:
+            if any(r[window - 2] != 0 for r in rows):
+                break
+            rows = row_space_basis([r[: window - 2] + [r[window - 1]] for r in rows])
+        window -= 1
+    return Ref(space, window, tuple(tuple(r) for r in rows), has_tail)
+
+
+def ref_build(space, generators, tail_from, kernels) -> Ref:
+    """Span of generators and tail in Q^M, then the kernel conditions."""
+    gens = [dict(g) for g in generators]
+    window = max(
+        [tail_from or 1]
+        + [max(g) + 1 for g in gens if g]
+        + [len(k.head) + 1 for k in kernels]
+        + [1]
+    )
+    span = [[Fraction(g.get(i, 0)) for i in range(1, window)] + [Fraction(0)] for g in gens]
+    if tail_from is not None:
+        for i in range(tail_from, window + 1):
+            row = _zero_vec(window)
+            row[i - 1] = Fraction(1)
+            span.append(row)
+    basis = row_space_basis(span)
+    if kernels:
+        conditions = [
+            [sum((c * b for c, b in zip([k.value_at(i) for i in range(1, window)] + [k.tail], row)),
+                 Fraction(0)) for row in basis]
+            for k in kernels
+        ]
+        basis = [
+            [sum((t * row[c] for t, row in zip(sol, basis)), Fraction(0)) for c in range(window)]
+            for sol in nullspace_basis(conditions, len(basis))
+        ]
+    return ref_canonical(space, window, basis, tail_from is not None)
+
+
+def ref_at_window(w: Ref, window: int) -> Ref:
+    rows = [list(r) for r in w.rows]
+    for m in range(w.window, window):
+        if w.has_tail:
+            rows = [r[:-1] + [r[-1], Fraction(0)] for r in rows]
+            extra = _zero_vec(m + 1)
+            extra[m - 1], extra[m] = Fraction(1), Fraction(-1)
+            rows.append(extra)
+        else:
+            rows = [r[:-1] + [Fraction(0), r[-1]] for r in rows]
+    return Ref(w.space, window, tuple(tuple(r) for r in row_space_basis(rows)), w.has_tail)
+
+
+def ref_aligned(a: Ref, b: Ref):
+    m = max(a.window, b.window)
+    return ref_at_window(a, m), ref_at_window(b, m), m
+
+
+def ref_sum(a: Ref, b: Ref) -> Ref:
+    a, b, m = ref_aligned(a, b)
+    return ref_canonical(a.space, m, a.rows + b.rows, a.has_tail or b.has_tail)
+
+
+def ref_intersection(a: Ref, b: Ref) -> Ref:
+    a, b, m = ref_aligned(a, b)
+    conditions = nullspace_basis([list(r) for r in a.rows], m) + nullspace_basis(
+        [list(r) for r in b.rows], m
+    )
+    return ref_canonical(a.space, m, nullspace_basis(conditions, m), a.has_tail and b.has_tail)
+
+
+def ref_contains_space(a: Ref, b: Ref) -> bool:
+    if b.has_tail and not a.has_tail:
+        return False
+    a, b, _ = ref_aligned(a, b)
+    return all(in_row_space(list(r), [list(x) for x in a.rows]) for r in b.rows)
+
+
+def _apply_j(row, form):
+    out = list(row)
+    sign = form.sign
+    for i in range(0, len(out) - 1, 2):
+        out[i], out[i + 1] = sign * row[i + 1], row[i]
+    return out
+
+
+def ref_perp(w: Ref, context) -> Ref:
+    """Nullspace of the window part of the rows (through J for a form); a
+    finite W's perp also gains the S row."""
+    if context == "gl":
+        target = "V*" if w.space == "V" else "V"
+        conditions = [list(r[:-1]) for r in w.rows]
+    else:
+        target = "V"
+        if w.window % 2 == 0:
+            w = ref_at_window(w, w.window + 1)
+        conditions = [_apply_j(r[:-1], context) for r in w.rows]
+    rows = [r + [Fraction(0)] for r in nullspace_basis(conditions, w.window - 1)]
+    if not w.has_tail:
+        rows.append(_zero_vec(w.window - 1) + [Fraction(1)])
+    return ref_canonical(target, w.window, rows, not w.has_tail)
+
+
+def assert_matches(w: SubspaceDescriptor, ref: Ref):
+    assert (w.space, w.window, w.rows, w.has_tail) == tuple(ref), (w, ref)
+    size = len(ref.rows)
+    assert (w.dim, w.codim) == ((None, ref.window - size) if ref.has_tail else (size, None))
 
 
 def test_functional_canonical_form():
@@ -152,8 +296,6 @@ def test_perp_matches_truncated_elimination(rng):
 
 def _box_basis(w, s):
     """Basis of W ∩ span{v_1..v_s} as explicit coordinate rows."""
-    from lielimits.linalg import nullspace_basis
-
     aligned = w.at_window(s + 1)
     rows = [list(r) for r in aligned.rows]
     if aligned.has_tail:
@@ -169,8 +311,6 @@ def _box_basis(w, s):
 
 def _brute_perp_box(spanning, s, form):
     """Nullspace of the pairing against explicit spanning vectors in Q^s."""
-    from lielimits.linalg import nullspace_basis
-
     conditions = []
     for vec in spanning:
         if form is None:
@@ -179,14 +319,6 @@ def _brute_perp_box(spanning, s, form):
             padded = list(vec) + [Fraction(0)] * ((len(vec) + 1) % 2)
             conditions.append(_apply_j(padded, form)[:s])
     return row_space_basis(nullspace_basis(conditions, s))
-
-
-def _apply_j(row, form):
-    out = list(row)
-    sign = form.sign
-    for i in range(0, len(out) - 1, 2):
-        out[i], out[i + 1] = sign * row[i + 1], row[i]
-    return out
 
 
 def test_perp_matches_bruteforce_box(rng):
@@ -337,3 +469,63 @@ def test_uniqueness_checks():
 
     with pytest.raises(DomainError):
         uniqueness_invariant(classify_maximal("so", SubspaceDescriptor.span([{1: 1}, {2: 1}]), SYM))
+
+
+def test_small_side_matches_big_side_reference(rng):
+    contexts = {"V": ["gl", SYM, SYMP], "V*": ["gl"]}
+    for _ in range(300):
+        space = rng.choice(["V", "V*"])
+        pa, pb = rand_params(rng), rand_params(rng)
+        a, b = SubspaceDescriptor.build(space, *pa), SubspaceDescriptor.build(space, *pb)
+        ra, rb = ref_build(space, *pa), ref_build(space, *pb)
+        assert_matches(a, ra)
+        assert_matches(b, rb)
+        wider = a.window + rng.randrange(1, 4)
+        assert a.at_window(wider).rows == ref_at_window(ra, wider).rows
+        total, meet = descriptor_sum(a, b), descriptor_intersection(a, b)
+        ref_total, ref_meet = ref_sum(ra, rb), ref_intersection(ra, rb)
+        assert_matches(total, ref_total)
+        assert_matches(meet, ref_meet)
+        pairs = [(a, ra, b, rb), (b, rb, a, ra), (total, ref_total, a, ra), (a, ra, meet, ref_meet),
+                 (meet, ref_meet, total, ref_total), (a, ra, a, ra)]
+        for x, rx, y, ry in pairs:
+            assert x.contains_space(y) == ref_contains_space(rx, ry)
+        for ctx in contexts[space]:
+            assert_matches(perp(a, ctx), ref_perp(ra, ctx))
+            assert_matches(perp(meet, ctx), ref_perp(ref_meet, ctx))
+
+
+def test_long_head_kernel_keeps_eliminations_small(monkeypatch):
+    # A tail of codimension k and a span of dimension d in a window of M
+    # never need an elimination larger than (k + d + 1) x M cells.
+    rng = random.Random(200)
+    window = 201
+    cells = []
+    rref = linalg.rref
+
+    def counting_rref(m):
+        if m:
+            cells.append(len(m) * len(m[0]))
+        return rref(m)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+
+    def head():
+        return tuple(Fraction(rng.randrange(-3, 4)) for _ in range(window - 2)) + (Fraction(5),)
+
+    closed = SubspaceDescriptor.kernel([EvConstFunctional(head(), 0), EvConstFunctional(head(), 0)])
+    dense = SubspaceDescriptor.kernel([EvConstFunctional(head(), 1), EvConstFunctional(head(), 2)])
+    isotropic = SubspaceDescriptor.span([{1: 1}, {3: 1, 200: 2}, {5: 1}])
+    degenerate = SubspaceDescriptor.span([{1: 1}, {2: 1}, {200: 1}])
+    assert (closed.window, closed.codim, dense.codim) == (window, 2, 2)
+    assert (isotropic.window, isotropic.dim, degenerate.window) == (window, 3, window)
+    assert classify_maximal("gl", closed).tag == "ic"
+    verdict = classify_maximal("gl", dense)
+    assert verdict.tag == "NotMaximal" and verdict.witness.codim == 1
+    assert verdict.witness_vector is not None
+    assert classify_maximal("gl", isotropic).tag == "ic"
+    assert classify_maximal("so", isotropic, SYM).tag == "iiic"
+    assert classify_maximal("sp", isotropic, SYMP).tag == "iiic"
+    verdict = classify_maximal("so", degenerate, SYM)
+    assert verdict.tag == "NotMaximal" and verdict.witness == SubspaceDescriptor.span([{200: 1}])
+    assert cells and max(cells) <= (2 + 3 + 1) * window
