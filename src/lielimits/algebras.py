@@ -262,7 +262,12 @@ def dimension(alg: SimpleAlgebra, lam) -> int:
 
     Evaluated root-by-root in doubled epsilon coordinates with integer arithmetic.
     """
-    lam = check_dominant(alg, lam)
+    return weyl_dimension(alg, check_dominant(alg, lam))
+
+
+@lru_cache(maxsize=None)
+def weyl_dimension(alg: SimpleAlgebra, lam: Weight) -> int:
+    """Memoized kernel of `dimension` for a weight check_dominant accepted."""
     dim, rest = divmod(_weyl_numerator(alg, eps2(alg, [x + 1 for x in lam])), _rho_product(alg))
     if rest or dim <= 0:
         raise DomainError(f"Weyl dimension of {lam} over {alg} is not a positive integer")
@@ -275,7 +280,11 @@ def dual_weight(alg: SimpleAlgebra, lam) -> Weight:
     Reversal for A_n, identity for B_n and C_n; for D_n the last two labels
     swap exactly when the rank is odd.
     """
-    lam = check_dominant(alg, lam)
+    return dual_labels(alg, check_dominant(alg, lam))
+
+
+def dual_labels(alg: SimpleAlgebra, lam: Weight) -> Weight:
+    """`dual_weight` on a weight tuple already checked to be dominant."""
     if alg.series == "A":
         return tuple(reversed(lam))
     if alg.series == "D" and alg.rank % 2 == 1:

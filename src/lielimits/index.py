@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import algebras
 from .algebras import SimpleAlgebra, Weight, check_dominant, dimension, dual_weight, weight_form
@@ -69,9 +70,10 @@ class ModuleDecomposition:
         )
 
     def summand_dim(self, s: Summand) -> int:
+        """Dimension of one of this decomposition's (validated) summands."""
         d = 1
         for f, w in zip(self.algebra.factors, s.weights):
-            d *= dimension(f, w)
+            d *= algebras.weyl_dimension(f, w)
         return d
 
     @property
@@ -80,13 +82,11 @@ class ModuleDecomposition:
 
     def dual(self) -> "ModuleDecomposition":
         """Factorwise dual of every summand (same multiplicities)."""
-        return ModuleDecomposition(
-            self.algebra,
-            tuple(
-                Summand(tuple(dual_weight(f, w) for f, w in zip(self.algebra.factors, s.weights)), s.mult)
-                for s in self.summands
-            ),
+        factors = self.algebra.factors
+        summands = tuple(
+            Summand(tuple(map(algebras.dual_labels, factors, s.weights)), s.mult) for s in self.summands
         )
+        return ModuleDecomposition(self.algebra, summands)
 
     def is_self_dual(self) -> bool:
         return self.dual() == self
@@ -123,10 +123,14 @@ NATURAL_MODULE_INDEX = {"A": 1, "B": 2, "C": 1, "D": 2}
 
 def index_of_irrep(alg: SimpleAlgebra, lam) -> int:
     """Dynkin index of the irreducible with highest weight lam; integer >= 0."""
-    lam = check_dominant(alg, lam)
-    two_rho = tuple(2 for _ in lam)
-    shifted = tuple(x + y for x, y in zip(lam, two_rho))
-    value = Fraction(dimension(alg, lam), alg.dim) * weight_form(alg, lam, shifted)
+    return irrep_index(alg, check_dominant(alg, lam))
+
+
+@lru_cache(maxsize=None)
+def irrep_index(alg: SimpleAlgebra, lam: Weight) -> int:
+    """Memoized kernel of `index_of_irrep` for a weight check_dominant accepted."""
+    shifted = tuple(x + 2 for x in lam)
+    value = Fraction(algebras.weyl_dimension(alg, lam), alg.dim) * weight_form(alg, lam, shifted)
     if value.denominator != 1 or value < 0:
         raise InternalConsistencyError(f"index of {lam} over {alg} is not an integer >= 0: {value}")
     return int(value)
@@ -139,17 +143,7 @@ def index_of_module(decomp: ModuleDecomposition, factor: int) -> int:
     `factor`); this is exactly the direct-sum and tensor-product rules
     combined.
     """
-    factors = decomp.algebra.factors
-    if not 0 <= factor < len(factors):
-        raise DomainError(f"factor {factor} out of range for {decomp.algebra}")
-    total = 0
-    for s in decomp.summands:
-        others = 1
-        for i, (f, w) in enumerate(zip(factors, s.weights)):
-            if i != factor:
-                others *= dimension(f, w)
-        total += s.mult * others * index_of_irrep(factors[factor], s.weights[factor])
-    return total
+    return sum(m * irrep_index(decomp.algebra.factors[factor], w) for w, m in _collapse(decomp, factor))
 
 
 @dataclass(frozen=True)
@@ -176,21 +170,27 @@ class Embedding:
             )
 
 
-def restrict_to_factor(decomp: ModuleDecomposition, factor: int) -> ModuleDecomposition:
-    """The same module seen over a single factor: every tensor summand
-    collapses to its weight at `factor`, multiplied by the other factors'
-    dimensions."""
+def _collapse(decomp: ModuleDecomposition, factor: int) -> list[tuple[Weight, int]]:
+    """(weight at `factor`, mult * the other factors' dims) per summand."""
     factors = decomp.algebra.factors
     if not 0 <= factor < len(factors):
         raise DomainError(f"factor {factor} out of range for {decomp.algebra}")
-    summands = []
+    out = []
     for s in decomp.summands:
         others = 1
         for i, (f, w) in enumerate(zip(factors, s.weights)):
             if i != factor:
-                others *= dimension(f, w)
-        summands.append(Summand((s.weights[factor],), s.mult * others))
-    return ModuleDecomposition(SemisimpleAlgebra((factors[factor],)), tuple(summands))
+                others *= algebras.weyl_dimension(f, w)
+        out.append((s.weights[factor], s.mult * others))
+    return out
+
+
+def restrict_to_factor(decomp: ModuleDecomposition, factor: int) -> ModuleDecomposition:
+    """The same module seen over a single factor: every tensor summand
+    collapses to its weight at `factor`, multiplied by the other factors'
+    dimensions."""
+    summands = tuple(Summand((w,), m) for w, m in _collapse(decomp, factor))
+    return ModuleDecomposition(SemisimpleAlgebra((decomp.algebra.factors[factor],)), summands)
 
 
 def embedding_index(emb: Embedding) -> list[int]:

@@ -54,10 +54,13 @@ class ExtendedDim:
         return f"undetermined_at_horizon(>= {self.lower_bound})"
 
 
-def _conatural_decomposition(level) -> ModuleDecomposition:
-    if level.conatural_branching is not None:
-        return level.conatural_branching
-    return level.ambient_branching.dual()
+def _require_determined(constituents):
+    """An Undetermined constituent is neither finite nor infinite yet."""
+    for c in constituents:
+        if c.kind == "Undetermined":
+            raise NotStabilizedError(
+                f"constituent #{c.cid} ending at {c.string[-1]} is Undetermined; lengthen prefix"
+            )
 
 
 def _trivial_mass(decomp: ModuleDecomposition, positions) -> int:
@@ -133,7 +136,7 @@ def trivial_dims(graph: BratteliGraph, constituent: Constituent) -> tuple[Extend
         # k copies of the conatural and l copies of the natural
         k, l = _pure_counts(top_level.ambient_branching, top_j, f"level {top_n}")
         k_dual, l_dual = _pure_counts(
-            _conatural_decomposition(top_level), top_j, f"level {top_n} (conatural)"
+            top_level.conatural, top_j, f"level {top_n} (conatural)"
         )
         alg = graph.algebra_at((top_n, top_j))
         self_dual = dual_weight(alg, alg.natural_weight) == alg.natural_weight
@@ -149,7 +152,7 @@ def trivial_dims(graph: BratteliGraph, constituent: Constituent) -> tuple[Extend
     for n, j in constituent.string:
         level = graph.levels[n - 1]
         primal.append(_trivial_mass(level.ambient_branching, (j,)))
-        dual.append(_trivial_mass(_conatural_decomposition(level), (j,)))
+        dual.append(_trivial_mass(level.conatural, (j,)))
     return ExtendedDim.from_sequence(primal), ExtendedDim.from_sequence(dual)
 
 
@@ -195,6 +198,7 @@ def _check_disjoint_supports(graph: BratteliGraph):
 def socle_report(graph: BratteliGraph, constituents=None) -> SocleReport:
     if constituents is None:
         constituents = decompose(graph)
+    _require_determined(constituents)
     _check_disjoint_supports(graph)
 
     rows = []
@@ -224,7 +228,7 @@ def socle_report(graph: BratteliGraph, constituents=None) -> SocleReport:
 
     primal = [_trivial_mass(lv.ambient_branching, range(len(lv.components.factors))) for lv in graph.levels]
     dual = [
-        _trivial_mass(_conatural_decomposition(lv), range(len(lv.components.factors)))
+        _trivial_mass(lv.conatural, range(len(lv.components.factors)))
         for lv in graph.levels
     ]
     return SocleReport(
@@ -260,6 +264,7 @@ def standard_invariants(graph: BratteliGraph, constituents=None, subsets=None) -
     """
     if constituents is None:
         constituents = decompose(graph)
+    _require_determined(constituents)
     by_id = {c.cid: c for c in constituents}
     infinite_ids = [c.cid for c in constituents if c.is_infinite()]
 
@@ -292,7 +297,7 @@ def standard_invariants(graph: BratteliGraph, constituents=None, subsets=None) -
             positions = [s[n] for s in strings]
             level = graph.levels[n - 1]
             primal.append(_trivial_mass(level.ambient_branching, positions))
-            dual.append(_trivial_mass(_conatural_decomposition(level), positions))
+            dual.append(_trivial_mass(level.conatural, positions))
         dim_n = ExtendedDim.from_sequence(primal)
         dim_n_star = ExtendedDim.from_sequence(dual)
         rows.append(SubsetInvariants(J, dim_n, dim_n_star, dim_n, dim_n_star))

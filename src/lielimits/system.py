@@ -9,12 +9,20 @@ is validated on construction, and everything downstream (level sums,
 stabilization, decomposition into constituents) works on the validated
 graph.
 
+compute_labels stores each vertex's successor list once.  Everything about
+an origin (its forward closure, level sums and stabilization level m0)
+comes from one walk of that closure, level by level.  The walk is memoized
+on the graph, so `subdiagram`, `level_sums`, `stabilization`, `decompose`
+and the limit report all share it.
+
 Levels are numbered from 1; component positions j are 0-based.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 from .algebras import SimpleAlgebra
 from .errors import DimensionMismatchError, DomainError, InternalConsistencyError, NotStabilizedError
@@ -53,11 +61,14 @@ class LevelSpec:
     ambient: SimpleAlgebra
     ambient_branching: ModuleDecomposition
     conatural_branching: ModuleDecomposition | None = None
+    embedding: Embedding = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Embedding construction validates total dimension and, for B/C/D
         # ambients, self-duality of the branching.
-        Embedding(self.components, self.ambient, self.ambient_branching)
+        object.__setattr__(
+            self, "embedding", Embedding(self.components, self.ambient, self.ambient_branching)
+        )
         if self.conatural_branching is not None:
             if self.conatural_branching.algebra != self.components:
                 raise DomainError("conatural branching must decompose over the level components")
@@ -65,6 +76,13 @@ class LevelSpec:
                 raise DimensionMismatchError(
                     "conatural branching cannot exceed the ambient natural dimension"
                 )
+
+    @cached_property
+    def conatural(self) -> ModuleDecomposition:
+        """The dual-side branching, computed once per level."""
+        if self.conatural_branching is not None:
+            return self.conatural_branching
+        return self.ambient_branching.dual()
 
 
 @dataclass(frozen=True)
@@ -80,6 +98,9 @@ class BratteliGraph:
     edges: tuple[EdgeSpec, ...]
     alpha: dict[tuple[int, int], int] = field(compare=False)
     beta: dict[tuple[int, int, int], int] = field(compare=False)
+    # (n, j) -> [(k, beta), ...] in increasing k; top-level vertices have none.
+    succ: dict[tuple[int, int], list[tuple[int, int]]] = field(compare=False, repr=False)
+    walks: dict[tuple[int, int], Closure] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def top(self) -> int:
@@ -94,13 +115,7 @@ class BratteliGraph:
                 yield (n, j)
 
     def out_edges(self, n: int, j: int):
-        if n == self.top:
-            return []
-        return [
-            (k, self.beta[(n, j, k)])
-            for k in range(len(self.components_at(n + 1)))
-            if (n, j, k) in self.beta
-        ]
+        return list(self.succ.get((n, j), ()))
 
     def algebra_at(self, vertex) -> SimpleAlgebra:
         n, j = vertex
@@ -131,8 +146,7 @@ def compute_labels(levels, edges) -> BratteliGraph:
 
     alpha: dict[tuple[int, int], int] = {}
     for n, lv in enumerate(levels, start=1):
-        emb = Embedding(lv.components, lv.ambient, lv.ambient_branching)
-        for j, value in enumerate(embedding_index(emb)):
+        for j, value in enumerate(embedding_index(lv.embedding)):
             if value < 1:
                 raise DomainError(
                     f"component {j} of level {n} acts trivially on the ambient natural module"
@@ -140,6 +154,7 @@ def compute_labels(levels, edges) -> BratteliGraph:
             alpha[(n, j)] = value
 
     beta: dict[tuple[int, int, int], int] = {}
+    succ: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for n, edge in enumerate(edges, start=1):
         sources = levels[n - 1].components
         targets = levels[n].components.factors
@@ -154,53 +169,73 @@ def compute_labels(levels, edges) -> BratteliGraph:
                     f"edge {n}: branching of component {k} must decompose over level {n}"
                 )
             emb = Embedding(sources, targets[k], branching)
-            zero_rows = {j: True for j in range(len(sources.factors))}
-            for s in branching.summands:
-                for j, w in enumerate(s.weights):
-                    if any(w):
-                        zero_rows[j] = False
             for j, value in enumerate(embedding_index(emb)):
-                present = not zero_rows[j]
+                present = any(any(s.weights[j]) for s in branching.summands)
                 if present != (value > 0):
                     raise InternalConsistencyError(
                         f"edge ({n},{j})->({n + 1},{k}): presence and index disagree"
                     )
                 if present:
                     beta[(n, j, k)] = value
+                    succ.setdefault((n, j), []).append((k, value))
 
-    graph = BratteliGraph(levels, edges, alpha, beta)
-    _validate_consistency(graph)
-    return graph
+    # The level-to-level sum law, checked at every non-top vertex.
+    for (n, j), value in alpha.items():
+        total = sum(b * alpha[(n + 1, k)] for k, b in succ.get((n, j), ()))
+        if n < len(levels) and total != value:
+            raise DomainError(
+                f"inconsistent system at level {n}, component {j}: "
+                f"alpha={value} but edge sum gives {total}"
+            )
+    return BratteliGraph(levels, edges, alpha, beta, succ)
 
 
-def _validate_consistency(graph: BratteliGraph):
-    """The level-to-level sum law, checked at every non-top vertex."""
-    for n in range(1, graph.top):
-        for j in range(len(graph.components_at(n))):
-            total = sum(b * graph.alpha[(n + 1, k)] for k, b in graph.out_edges(n, j))
-            if total != graph.alpha[(n, j)]:
-                raise DomainError(
-                    f"inconsistent system at level {n}, component {j}: "
-                    f"alpha={graph.alpha[(n, j)]} but edge sum gives {total}"
-                )
+class Closure(NamedTuple):
+    """An origin's forward closure, walked once."""
+
+    layers: tuple[tuple[int, ...], ...]  # component positions at levels n..top
+    sums: tuple[int, ...]  # a_m = sum of alpha over the layer at level m
+    m0: int | None  # stabilization level; None when the prefix is too short
+
+
+def closure(graph: BratteliGraph, origin) -> Closure:
+    """Walk the origin's forward closure level by level (memoized on the graph).
+
+    m0 is the least level from which the level sums stay constant through
+    the top and every closure vertex below the top has exactly one outgoing
+    edge.  Both conditions hold on a suffix of levels, so m0 is found by
+    walking back from the top.  A candidate at the very top only counts when
+    nothing could still change: a single-vertex subdiagram, or a top sum of 1
+    (labels are positive, so the sequence cannot drop further).
+    """
+    origin = tuple(origin)
+    if origin in graph.walks:
+        return graph.walks[origin]
+    if origin not in graph.alpha:
+        raise DomainError(f"no vertex {origin} in the graph")
+    n, top = origin[0], graph.top
+    layers = [(origin[1],)]
+    single = []  # per level n..top-1: every closure vertex has one out-edge
+    for m in range(n, top):
+        outs = [graph.succ[(m, j)] for j in layers[-1]]
+        single.append(all(len(o) == 1 for o in outs))
+        layers.append(tuple(sorted({k for o in outs for k, _ in o})))
+    sums = [sum(graph.alpha[(m, j)] for j in layer) for m, layer in enumerate(layers, start=n)]
+    if any(a < b for a, b in zip(sums, sums[1:])):
+        raise InternalConsistencyError(f"level sums increased at origin {origin}: {sums}")
+    m0 = top
+    while m0 > n and sums[m0 - 1 - n] == sums[-1] and single[m0 - 1 - n]:
+        m0 -= 1
+    if m0 == top and sums[-1] != 1 and n != top:
+        m0 = None
+    walk = graph.walks[origin] = Closure(tuple(layers), tuple(sums), m0)
+    return walk
 
 
 def subdiagram(graph: BratteliGraph, origin) -> set[tuple[int, int]]:
     """Vertices reachable from the origin (the full forward closure)."""
-    n, j = origin
-    if (n, j) not in graph.alpha:
-        raise DomainError(f"no vertex {origin} in the graph")
-    seen = {(n, j)}
-    frontier = [(n, j)]
-    while frontier:
-        nxt = []
-        for m, i in frontier:
-            for k, _ in graph.out_edges(m, i):
-                if (m + 1, k) not in seen:
-                    seen.add((m + 1, k))
-                    nxt.append((m + 1, k))
-        frontier = nxt
-    return seen
+    layers = closure(graph, origin).layers
+    return {(m, j) for m, layer in enumerate(layers, start=origin[0]) for j in layer}
 
 
 def level_sums(graph: BratteliGraph, origin) -> list[int]:
@@ -208,66 +243,13 @@ def level_sums(graph: BratteliGraph, origin) -> list[int]:
 
     The sequence is monotone non-increasing on every validated graph.
     """
-    sub = subdiagram(graph, origin)
-    n = origin[0]
-    sums = []
-    for m in range(n, graph.top + 1):
-        sums.append(sum(graph.alpha[v] for v in sub if v[0] == m))
-    for a, b in zip(sums, sums[1:]):
-        if a < b:
-            raise InternalConsistencyError(
-                f"level sums increased at origin {origin}: {sums}"
-            )
-    return sums
+    return list(closure(graph, origin).sums)
 
 
 def stabilization(graph: BratteliGraph, origin) -> int | None:
-    """Least level m0 from which the subdiagram is a union of strings.
-
-    Requires the level sums to be constant from m0 through the top and every
-    vertex in between to have exactly one outgoing edge inside the
-    subdiagram.  A candidate at the very top only counts when nothing could
-    still change: a single-vertex subdiagram, or a top sum of 1 (labels are
-    positive, so the sequence cannot drop further).  Returns None when the
-    prefix is too short to witness any of this.
-    """
-    sub = subdiagram(graph, origin)
-    n = origin[0]
-    top = graph.top
-    sums = level_sums(graph, origin)
-
-    def strings_from(m0: int) -> bool:
-        for m, i in sub:
-            if m0 <= m < top:
-                degree = sum(1 for _ in graph.out_edges(m, i))
-                if degree != 1:
-                    return False
-        return True
-
-    for m0 in range(n, top + 1):
-        if len(set(sums[m0 - n:])) != 1:
-            continue
-        if not strings_from(m0):
-            continue
-        if m0 < top:
-            return m0
-        if sums[-1] == 1 or n == top:
-            return m0
-        return None
-    return None
-
-
-def _string_from(graph: BratteliGraph, vertex) -> tuple[tuple[int, int], ...]:
-    path = [vertex]
-    n, j = vertex
-    while n < graph.top:
-        outs = graph.out_edges(n, j)
-        if len(outs) != 1:
-            raise InternalConsistencyError(f"no unique continuation from {(n, j)}")
-        (k, _), = outs
-        n, j = n + 1, k
-        path.append((n, j))
-    return tuple(path)
+    """Least level m0 from which the subdiagram is a union of strings, or
+    None when the prefix is too short to witness it (see `closure`)."""
+    return closure(graph, origin).m0
 
 
 @dataclass(frozen=True)
@@ -314,24 +296,28 @@ def decompose(graph: BratteliGraph) -> list[Constituent]:
     stabilization levels coincide from that point on, so classes are the
     groups of strings with a common endpoint.
     """
-    unstable = [v for v in graph.vertices() if stabilization(graph, v) is None]
+    walks = {v: closure(graph, v) for v in graph.vertices()}
+    unstable = [v for v, walk in walks.items() if walk.m0 is None]
     if unstable:
         raise NotStabilizedError(
             "prefix too short: no stabilization witnessed at origins "
             + ", ".join(map(str, sorted(unstable))),
             origins=sorted(unstable),
         )
-    strings_by_top: dict[tuple[int, int], list] = {}
-    for origin in graph.vertices():
-        m0 = stabilization(graph, origin)
-        sub = subdiagram(graph, origin)
-        for vertex in sorted(v for v in sub if v[0] == m0):
-            string = _string_from(graph, vertex)
-            strings_by_top.setdefault(string[-1], []).append(string)
+    # Each vertex of an origin's level-m0 layer starts a string: its own closure.
+    starts_by_top: dict[tuple[int, int], list] = {}
+    for (n, _), walk in walks.items():
+        for j in walk.layers[walk.m0 - n]:
+            last = walks[(walk.m0, j)].layers[-1]
+            if len(last) != 1:
+                raise InternalConsistencyError(f"no unique continuation from {(walk.m0, j)}")
+            starts_by_top.setdefault((graph.top, last[0]), []).append((walk.m0, j))
 
     constituents = []
-    for cid, endpoint in enumerate(sorted(strings_by_top)):
-        witness = min(strings_by_top[endpoint], key=lambda s: (s[0][0], s))
+    for cid, endpoint in enumerate(sorted(starts_by_top)):
+        # strings differ at their start vertex, so the least start is the least string
+        start = min(starts_by_top[endpoint])
+        witness = tuple((m, k) for m, (k,) in enumerate(walks[start].layers, start=start[0]))
         kind, algebra, assumed = _classify_tail(graph, witness)
         constituents.append(Constituent(cid, kind, algebra, witness, assumed))
     return constituents

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -332,3 +333,65 @@ def test_cli_seeded_selftest_deterministic():
     other = run_cli("--format", "json", "--seed", "12", "oracle", "selftest")
     assert one == two
     assert one[1] != other[1]
+
+
+# -- seeded single-field mutations of input documents ------------------------
+
+MUTATION_VALUES = (
+    None, True, False, 0, -1, 2, 1.5, "", "x", "A0", "A2", "B1", "-1", "1/0", "1/2",
+    [], [0], ["x"], [[1]], {}, {"x": 1},
+)
+MUTATION_TARGETS = (
+    ("s2.json", (["limit"], ["socle"], ["invariants"], ["refine"])),
+    ("codim2_kernel.json", (["maximal", "gl"], ["maximal", "sl"], ["maximal", "so"])),
+    ("dim2_nondeg.json", (["maximal", "so"], ["maximal", "sp"], ["maximal", "gl"])),
+    ("diag_a5_a11.json", (["embed"],)),
+)
+
+
+def _doc_paths(node, path=()):
+    """Every position in a JSON document, as a key/index path (root excluded)."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _doc_paths(child, path + (key,))
+
+
+def _mutated(doc, path, value, delete):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if delete:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def test_seeded_document_mutations_exit_cleanly(tmp_path):
+    # Each mutation replaces or deletes one field of a shipped input and runs
+    # a command on it: only LieLimitsError may surface, as exit code 1, 2 or 3.
+    rng = random.Random(20261018)
+    docs = {name: load_fixture(name) for name, _ in MUTATION_TARGETS}
+    paths = {name: list(_doc_paths(doc)) for name, doc in docs.items()}
+    bad = tmp_path / "mutated.json"
+    leaks, codes = [], set()
+    for i in range(400):
+        name, commands = MUTATION_TARGETS[i % len(MUTATION_TARGETS)]
+        path = rng.choice(paths[name])
+        delete = rng.random() < 0.15
+        value = rng.choice(MUTATION_VALUES)
+        bad.write_text(json.dumps(_mutated(docs[name], path, value, delete)))
+        argv = rng.choice(commands) + [str(bad)]
+        case = (name, path, "delete" if delete else value, argv[0])
+        try:
+            code, _, _ = run_cli("--format", "json", *argv)
+        except Exception as exc:  # noqa: BLE001 -- any escape is the failure
+            leaks.append(case + (repr(exc),))
+            continue
+        codes.add(code)
+        if code not in (0, 1, 2, 3):
+            leaks.append(case + (f"exit {code}",))
+    assert leaks == []
+    assert {1, 2} <= codes  # the mutations reach both validation layers

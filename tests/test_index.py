@@ -1,6 +1,12 @@
 import pytest
 
-from lielimits.algebras import SimpleAlgebra, dimension, dominant_weights_up_to_dim, dual_weight
+from lielimits.algebras import (
+    SimpleAlgebra,
+    dimension,
+    dominant_weights_up_to_dim,
+    dual_weight,
+    weyl_dimension,
+)
 from lielimits.errors import DimensionMismatchError, DomainError, ResourceBoundError
 from lielimits.index import (
     NATURAL_MODULE_INDEX,
@@ -15,6 +21,7 @@ from lielimits.index import (
     embedding_index,
     index_of_irrep,
     index_of_module,
+    irrep_index,
     min_nondiagonal_index,
     restrict_to_factor,
 )
@@ -246,3 +253,25 @@ def test_summands_merge_and_sort():
     d2 = decomposition([A1], [(((0,),), 1), (((1,),), 3)])
     assert d1 == d2
     assert d1.total_dim == 7
+
+
+def test_memoized_kernels_keep_their_checks():
+    # Warm both caches first: 1.0 == 1 and hashes alike, so a cache consulted
+    # before validation would hand (1.0, 0) the answer of (1, 0).
+    assert dimension(A2, (1, 0)) == 3
+    assert index_of_irrep(A2, (1, 0)) == 1
+    assert weyl_dimension.cache_info().currsize and irrep_index.cache_info().currsize
+    for bad, error in (((1.0, 0), DomainError), ((-1, 0), DomainError),
+                       ((1, 0, 0), DimensionMismatchError), ((1,), DimensionMismatchError)):
+        with pytest.raises(error):
+            dimension(A2, bad)
+        with pytest.raises(error):
+            index_of_irrep(A2, bad)
+        with pytest.raises(error):
+            decomposition([A2], [((bad,), 1)])
+    assert dimension(A2, [1, 0]) == 3
+    assert index_of_irrep(A2, [1, 0]) == 1
+    with pytest.raises(DomainError):
+        decomposition([A2, A1], [(((1, 0), (-1,)), 1)])
+    pair = decomposition([A2, A1], [(((1, 0), (1,)), 1)])
+    assert pair.total_dim == 6 and index_of_module(pair, 0) == 2

@@ -1,6 +1,12 @@
+import contextlib
+import io
+import json
+
 import pytest
 
 from conftest import A, graph_from_fixture
+from lielimits import formats
+from lielimits.cli import main
 from lielimits.errors import DomainError, NotStabilizedError
 from lielimits.index import SemisimpleAlgebra, decomposition
 from lielimits.socle import (
@@ -235,3 +241,45 @@ def test_extended_dim_from_sequence():
     assert undet.kind == "undetermined" and undet.lower_bound == 3
     with pytest.raises(DomainError):
         ExtendedDim.from_sequence([])
+
+
+def _undetermined_chain_doc():
+    """A3 -> A3 -> A4 with standard edges: the last window neither grows
+    strictly nor stays one algebra, so the one string is Undetermined."""
+
+    def natural(rank):
+        return {"weights": [[1] + [0] * (rank - 1)], "mult": 1}
+
+    def level(rank):
+        return {"components": [f"A{rank}"], "ambient": f"A{rank}", "ambient_branching": [natural(rank)]}
+
+    return {
+        "format": formats.SYSTEM_FORMAT,
+        "levels": [level(3), level(3), level(4)],
+        "edges": [
+            {"branchings": [[natural(3)]]},
+            {"branchings": [[natural(3), {"weights": [[0, 0, 0]], "mult": 1}]]},
+        ],
+    }
+
+
+def test_undetermined_constituent_is_not_reported_as_finite(tmp_path):
+    levels, edges = formats.system_from_doc(_undetermined_chain_doc())
+    g = compute_labels(levels, edges)
+    (c,) = decompose(g)
+    assert (c.kind, c.algebra, c.tail_assumed) == ("Undetermined", None, False)
+    for analysis in (socle_report, standard_invariants):
+        with pytest.raises(NotStabilizedError, match="#0 ending at \\(3, 0\\) is Undetermined"):
+            analysis(g)
+
+    path = tmp_path / "undetermined.json"
+    path.write_text(formats.dumps(_undetermined_chain_doc()))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["--format", "json", "limit", str(path)]) == 0
+    assert json.loads(out.getvalue())["constituents"][0]["kind"] == "Undetermined"
+    for command in ("socle", "invariants"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main([command, str(path)]) == 3
+        assert out.getvalue() == "" and "#0" in err.getvalue()

@@ -8,6 +8,7 @@ from lielimits.index import SemisimpleAlgebra, decomposition
 from lielimits.system import (
     EdgeSpec,
     LevelSpec,
+    _classify_tail,
     compute_labels,
     decompose,
     extract_refinement,
@@ -258,3 +259,130 @@ def test_refinement_restricted_to_one_class():
     assert all(rep.standard_edges) and rep.n0 == 1
     with pytest.raises(DomainError):
         extract_refinement(g, constituent_id=9)
+
+
+# -- reference: the forward-closure engine, one scan per question ------------
+#
+# These are the definitions the memoized closure walk replaced: every call
+# rebuilds the subdiagram, out-edges are found by scanning beta over the next
+# level, and stabilization tries every candidate level in turn.
+
+
+def ref_out_edges(graph, n, j):
+    if n == graph.top:
+        return []
+    return [
+        (k, graph.beta[(n, j, k)])
+        for k in range(len(graph.components_at(n + 1)))
+        if (n, j, k) in graph.beta
+    ]
+
+
+def ref_subdiagram(graph, origin):
+    seen = {origin}
+    frontier = [origin]
+    while frontier:
+        nxt = []
+        for m, i in frontier:
+            for k, _ in ref_out_edges(graph, m, i):
+                if (m + 1, k) not in seen:
+                    seen.add((m + 1, k))
+                    nxt.append((m + 1, k))
+        frontier = nxt
+    return seen
+
+
+def ref_level_sums(graph, origin):
+    sub = ref_subdiagram(graph, origin)
+    sums = [sum(graph.alpha[v] for v in sub if v[0] == m) for m in range(origin[0], graph.top + 1)]
+    assert all(a >= b for a, b in zip(sums, sums[1:]))
+    return sums
+
+
+def ref_stabilization(graph, origin):
+    sub = ref_subdiagram(graph, origin)
+    n, top = origin[0], graph.top
+    sums = ref_level_sums(graph, origin)
+    for m0 in range(n, top + 1):
+        if len(set(sums[m0 - n:])) != 1:
+            continue
+        if any(m0 <= m < top and len(ref_out_edges(graph, m, i)) != 1 for m, i in sub):
+            continue
+        if m0 < top or sums[-1] == 1 or n == top:
+            return m0
+        return None
+
+
+def ref_string_from(graph, vertex):
+    path = [vertex]
+    while path[-1][0] < graph.top:
+        (k, _), = ref_out_edges(graph, *path[-1])
+        path.append((path[-1][0] + 1, k))
+    return tuple(path)
+
+
+def ref_decompose(graph):
+    """(unstable origins, (kind, algebra, string, tail_assumed) per constituent)."""
+    unstable = sorted(v for v in graph.vertices() if ref_stabilization(graph, v) is None)
+    if unstable:
+        return unstable, None
+    by_top = {}
+    for origin in graph.vertices():
+        m0 = ref_stabilization(graph, origin)
+        for vertex in sorted(v for v in ref_subdiagram(graph, origin) if v[0] == m0):
+            string = ref_string_from(graph, vertex)
+            by_top.setdefault(string[-1], []).append(string)
+    out = []
+    for endpoint in sorted(by_top):
+        witness = min(by_top[endpoint], key=lambda s: (s[0][0], s))
+        kind, algebra, assumed = _classify_tail(graph, witness)
+        out.append((kind, algebra, witness, assumed))
+    return [], out
+
+
+def _assert_engine_matches_reference(g):
+    for origin in g.vertices():
+        assert g.out_edges(*origin) == ref_out_edges(g, *origin)
+        assert subdiagram(g, origin) == ref_subdiagram(g, origin)
+        assert level_sums(g, origin) == ref_level_sums(g, origin)
+        assert stabilization(g, origin) == ref_stabilization(g, origin)
+    unstable, expected = ref_decompose(g)
+    if unstable:
+        with pytest.raises(NotStabilizedError) as err:
+            decompose(g)
+        assert list(err.value.origins) == unstable
+    else:
+        got = [(c.kind, c.algebra, c.string, c.tail_assumed) for c in decompose(g)]
+        assert got == expected
+
+
+SYSTEM_FIXTURES = (
+    "example1.json", "example3.json", "example4.json", "notstab.json", "refine_mixed.json",
+    "s1.json", "s2.json", "s3.json", "s4.json", "so_chain.json", "tensor2.json",
+)
+
+
+@pytest.mark.parametrize("name", SYSTEM_FIXTURES)
+def test_closure_walk_matches_reference_on_fixtures(name):
+    _assert_engine_matches_reference(graph_from_fixture(name))
+
+
+def test_closure_walk_matches_reference_on_random_systems():
+    rng = random.Random(4040)
+    outcomes = set()
+    for _ in range(500):
+        g = compute_labels(*random_diagonal_system(rng))
+        _assert_engine_matches_reference(g)
+        outcomes.add(all(stabilization(g, v) is not None for v in g.vertices()))
+    assert outcomes == {True, False}  # both stable and too-short prefixes ran
+
+
+def test_closure_walk_is_memoized_per_graph():
+    g = graph_from_fixture("s2.json")
+    decompose(g)
+    walks = dict(g.walks)
+    assert sorted(walks) == sorted(g.vertices())
+    level_sums(g, (1, 0))
+    stabilization(g, (2, 1))
+    assert g.walks == walks and all(g.walks[v] is walks[v] for v in walks)
+    assert graph_from_fixture("s2.json").walks == {}
