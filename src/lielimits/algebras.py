@@ -280,11 +280,7 @@ def dual_weight(alg: SimpleAlgebra, lam) -> Weight:
     Reversal for A_n, identity for B_n and C_n; for D_n the last two labels
     swap exactly when the rank is odd.
     """
-    return dual_labels(alg, check_dominant(alg, lam))
-
-
-def dual_labels(alg: SimpleAlgebra, lam: Weight) -> Weight:
-    """`dual_weight` on a weight tuple already checked to be dominant."""
+    lam = check_dominant(alg, lam)
     if alg.series == "A":
         return tuple(reversed(lam))
     if alg.series == "D" and alg.rank % 2 == 1:

@@ -84,7 +84,7 @@ class ModuleDecomposition:
         """Factorwise dual of every summand (same multiplicities)."""
         factors = self.algebra.factors
         summands = tuple(
-            Summand(tuple(map(algebras.dual_labels, factors, s.weights)), s.mult) for s in self.summands
+            Summand(tuple(map(dual_weight, factors, s.weights)), s.mult) for s in self.summands
         )
         return ModuleDecomposition(self.algebra, summands)
 

@@ -9,11 +9,11 @@ is validated on construction, and everything downstream (level sums,
 stabilization, decomposition into constituents) works on the validated
 graph.
 
-compute_labels stores each vertex's successor list once.  Everything about
-an origin (its forward closure, level sums and stabilization level m0)
-comes from one walk of that closure, level by level.  The walk is memoized
-on the graph, so `subdiagram`, `level_sums`, `stabilization`, `decompose`
-and the limit report all share it.
+The graph derives each vertex's successor list from beta once.  Everything
+about an origin (its forward closure, level sums and stabilization level
+m0) comes from one walk of that closure, level by level.  The walk is
+memoized on the graph, so `subdiagram`, `level_sums`, `stabilization`,
+`decompose` and the limit report all share it.
 
 Levels are numbered from 1; component positions j are 0-based.
 """
@@ -98,9 +98,14 @@ class BratteliGraph:
     edges: tuple[EdgeSpec, ...]
     alpha: dict[tuple[int, int], int] = field(compare=False)
     beta: dict[tuple[int, int, int], int] = field(compare=False)
-    # (n, j) -> [(k, beta), ...] in increasing k; top-level vertices have none.
-    succ: dict[tuple[int, int], list[tuple[int, int]]] = field(compare=False, repr=False)
+    # Derived from beta: (n, j) -> [(k, beta), ...] in increasing k; top-level vertices have none.
+    succ: dict[tuple[int, int], list[tuple[int, int]]] = field(init=False, compare=False, repr=False)
     walks: dict[tuple[int, int], Closure] = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "succ", {})
+        for (n, j, k), value in sorted(self.beta.items()):
+            self.succ.setdefault((n, j), []).append((k, value))
 
     @property
     def top(self) -> int:
@@ -154,7 +159,6 @@ def compute_labels(levels, edges) -> BratteliGraph:
             alpha[(n, j)] = value
 
     beta: dict[tuple[int, int, int], int] = {}
-    succ: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for n, edge in enumerate(edges, start=1):
         sources = levels[n - 1].components
         targets = levels[n].components.factors
@@ -177,17 +181,17 @@ def compute_labels(levels, edges) -> BratteliGraph:
                     )
                 if present:
                     beta[(n, j, k)] = value
-                    succ.setdefault((n, j), []).append((k, value))
 
+    graph = BratteliGraph(levels, edges, alpha, beta)
     # The level-to-level sum law, checked at every non-top vertex.
     for (n, j), value in alpha.items():
-        total = sum(b * alpha[(n + 1, k)] for k, b in succ.get((n, j), ()))
+        total = sum(b * alpha[(n + 1, k)] for k, b in graph.succ.get((n, j), ()))
         if n < len(levels) and total != value:
             raise DomainError(
                 f"inconsistent system at level {n}, component {j}: "
                 f"alpha={value} but edge sum gives {total}"
             )
-    return BratteliGraph(levels, edges, alpha, beta, succ)
+    return graph
 
 
 class Closure(NamedTuple):

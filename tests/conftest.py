@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import random
 
 import pytest
 
 from lielimits import formats
+from lielimits.cli import main
 from lielimits.algebras import SimpleAlgebra
 from lielimits.index import ModuleDecomposition, SemisimpleAlgebra, Summand
 from lielimits.system import EdgeSpec, LevelSpec, compute_labels
@@ -19,6 +22,14 @@ def load_fixture(name):
 def graph_from_fixture(name):
     levels, edges = formats.system_from_doc(load_fixture(name))
     return compute_labels(levels, edges)
+
+
+def run_cli(*argv):
+    """Run the CLI in process; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def A(n):

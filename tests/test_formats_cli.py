@@ -5,9 +5,8 @@ import sys
 
 import pytest
 
-from conftest import A, graph_from_fixture, load_fixture
+from conftest import A, graph_from_fixture, load_fixture, run_cli
 from lielimits import formats
-from lielimits.cli import main
 from lielimits.errors import ParseError
 from lielimits.socle import socle_report, standard_invariants
 from lielimits.subspaces import (
@@ -90,16 +89,6 @@ def test_report_roundtrips():
     ms = freudenthal(A(2), (1, 1))
     ms_doc = roundtrip(formats.multiset_report(ms))
     assert formats.parse_report(ms_doc) == ms
-
-
-def run_cli(*argv):
-    from io import StringIO
-    import contextlib
-
-    out, err = StringIO(), StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
-    return code, out.getvalue(), err.getvalue()
 
 
 def fixture(name):

@@ -1,12 +1,9 @@
-import contextlib
-import io
 import json
 
 import pytest
 
-from conftest import A, graph_from_fixture
+from conftest import A, graph_from_fixture, run_cli
 from lielimits import formats
-from lielimits.cli import main
 from lielimits.errors import DomainError, NotStabilizedError
 from lielimits.index import SemisimpleAlgebra, decomposition
 from lielimits.socle import (
@@ -274,12 +271,8 @@ def test_undetermined_constituent_is_not_reported_as_finite(tmp_path):
 
     path = tmp_path / "undetermined.json"
     path.write_text(formats.dumps(_undetermined_chain_doc()))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        assert main(["--format", "json", "limit", str(path)]) == 0
-    assert json.loads(out.getvalue())["constituents"][0]["kind"] == "Undetermined"
+    code, out, _ = run_cli("--format", "json", "limit", str(path))
+    assert code == 0 and json.loads(out)["constituents"][0]["kind"] == "Undetermined"
     for command in ("socle", "invariants"):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            assert main([command, str(path)]) == 3
-        assert out.getvalue() == "" and "#0" in err.getvalue()
+        code, out, err = run_cli(command, str(path))
+        assert (code, out) == (3, "") and "#0" in err

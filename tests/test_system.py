@@ -6,6 +6,7 @@ from conftest import A, graph_from_fixture, random_diagonal_system
 from lielimits.errors import DimensionMismatchError, DomainError, NotStabilizedError
 from lielimits.index import SemisimpleAlgebra, decomposition
 from lielimits.system import (
+    BratteliGraph,
     EdgeSpec,
     LevelSpec,
     _classify_tail,
@@ -386,3 +387,5 @@ def test_closure_walk_is_memoized_per_graph():
     stabilization(g, (2, 1))
     assert g.walks == walks and all(g.walks[v] is walks[v] for v in walks)
     assert graph_from_fixture("s2.json").walks == {}
+    rebuilt = BratteliGraph(g.levels, g.edges, g.alpha, g.beta)
+    assert rebuilt == g and rebuilt.succ == g.succ and rebuilt.walks == {}

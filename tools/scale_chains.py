@@ -2,16 +2,15 @@
 
 Run from the repo root:
 
-    PYTHONPATH=src python3 tools/scale_chains.py [--depths 40,80,160,320] [--repeat 3]
+    PYTHONPATH=src python3 tools/scale_chains.py
 
-For each depth L it writes one system document to a temp dir and prints the
-best of --repeat runs of: parse (load_json + system_from_doc), compute_labels,
-decompose, and the whole `lielimits --format json limit` command in process.
-Every run starts with the library's lru_caches cleared, as a fresh command
-does.  Standard library only.
+For each depth L in DEPTHS it writes one system document to a temp dir and
+prints the best of REPEAT runs of: parse (load_json + system_from_doc),
+compute_labels, decompose, and the whole `lielimits --format json limit`
+command in process.  Every run starts with the library's lru_caches cleared,
+as a fresh command does.  Standard library only.
 """
 
-import argparse
 import contextlib
 import io
 import json
@@ -23,6 +22,8 @@ from pathlib import Path
 import lielimits
 from lielimits import cli, formats, system
 
+DEPTHS = (40, 80, 160, 320)
+REPEAT = 3
 WIDTH = 3
 
 
@@ -30,8 +31,8 @@ def _weight(rank, first):
     return [first] + [0] * (rank - 1)
 
 
-def chain_doc(depth: int, width: int = WIDTH) -> dict:
-    """`width` parallel sl strings A_r -> A_r' with standard edges.
+def chain_doc(depth: int) -> dict:
+    """WIDTH parallel sl strings A_r -> A_r' with standard edges.
 
     The rank starts at 2 and grows by one on every fourth level and on the
     last three, so every string is an sl(infinity) constituent.  The ambient
@@ -42,19 +43,19 @@ def chain_doc(depth: int, width: int = WIDTH) -> dict:
         ranks.append(ranks[-1] + (1 if n >= depth - 4 or n % 4 == 3 else 0))
 
     def record(rank, j, first, mult):
-        return {"weights": [_weight(rank, first if i == j else 0) for i in range(width)],
+        return {"weights": [_weight(rank, first if i == j else 0) for i in range(WIDTH)],
                 "mult": mult}
 
     levels = []
     for r in ranks:
-        recs = [record(r, j, 1, 1) for j in range(width)] + [record(r, -1, 0, 1)]
-        levels.append({"components": [f"A{r}"] * width,
-                       "ambient": f"A{width * (r + 1)}",
+        recs = [record(r, j, 1, 1) for j in range(WIDTH)] + [record(r, -1, 0, 1)]
+        levels.append({"components": [f"A{r}"] * WIDTH,
+                       "ambient": f"A{WIDTH * (r + 1)}",
                        "ambient_branching": recs})
     edges = []
     for r, r_next in zip(ranks, ranks[1:]):
         branchings = []
-        for j in range(width):
+        for j in range(WIDTH):
             recs = [record(r, j, 1, 1)]
             if r_next > r:
                 recs.append(record(r, -1, 0, r_next - r))
@@ -71,9 +72,9 @@ def _clear_caches():
                     value.cache_clear()
 
 
-def _best(fn, repeat: int) -> tuple[float, object]:
+def _best(fn) -> tuple[float, object]:
     best, result = None, None
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         _clear_caches()
         start = time.perf_counter()
         result = fn()
@@ -82,7 +83,7 @@ def _best(fn, repeat: int) -> tuple[float, object]:
     return best, result
 
 
-def measure(path: str, repeat: int) -> dict[str, float]:
+def measure(path: str) -> dict[str, float]:
     def parse():
         return formats.system_from_doc(formats.load_json(path))
 
@@ -92,33 +93,27 @@ def measure(path: str, repeat: int) -> dict[str, float]:
         if code != 0:
             raise SystemExit(f"limit exited {code} on {path}")
 
-    parse_s, (levels, edges) = _best(parse, repeat)
-    labels_s, _ = _best(lambda: system.compute_labels(levels, edges), repeat)
+    parse_s, (levels, edges) = _best(parse)
+    labels_s, _ = _best(lambda: system.compute_labels(levels, edges))
     # decompose runs on a fresh graph each time, so no memo of an earlier
     # run is reused; the labels are not part of its time.
     graphs = []
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         graphs.append(system.compute_labels(levels, edges))
-    decompose_s, _ = _best(lambda: system.decompose(graphs.pop()), repeat)
-    limit_s, _ = _best(limit, repeat)
+    decompose_s, _ = _best(lambda: system.decompose(graphs.pop()))
+    limit_s, _ = _best(limit)
     return {"parse": parse_s, "compute_labels": labels_s, "decompose": decompose_s, "limit": limit_s}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--depths", default="40,80,160,320",
-                        help="comma-separated chain depths L")
-    parser.add_argument("--repeat", type=int, default=3, help="runs per timing; the best is printed")
-    args = parser.parse_args(argv)
-    depths = [int(x) for x in args.depths.split(",")]
+def main() -> int:
     print(f"lielimits {lielimits.__version__}, python {sys.version.split()[0]}, "
-          f"width {WIDTH}, best of {args.repeat}")
+          f"width {WIDTH}, best of {REPEAT}")
     print(f"{'L':>5} {'parse_s':>9} {'labels_s':>9} {'decomp_s':>9} {'limit_s':>9}")
     with tempfile.TemporaryDirectory() as tmp:
-        for depth in depths:
+        for depth in DEPTHS:
             path = Path(tmp) / f"chain{depth}.json"
             path.write_text(json.dumps(chain_doc(depth)))
-            t = measure(str(path), args.repeat)
+            t = measure(str(path))
             print(f"{depth:>5} {t['parse']:>9.3f} {t['compute_labels']:>9.3f} "
                   f"{t['decompose']:>9.3f} {t['limit']:>9.3f}", flush=True)
     return 0
