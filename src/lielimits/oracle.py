@@ -3,8 +3,11 @@
 Weight multiplicities come from the Freudenthal recursion over the
 saturated weight system, the trace-form index evaluates Tr pi(h)^2 / 2 on
 a long simple coroot h, and small tensor products are decomposed by
-iterated highest-weight extraction.  None of these touch the closed-form
-index formula, so agreement with it is evidence rather than tautology.
+iterated highest-weight extraction.  The weight system is a walk by
+mu - alpha_i and s_i mu that carries each weight's depth, and the
+recursion keeps a running string sum per positive root, so neither walks
+a whole string twice.  None of these touch the closed-form index formula,
+so agreement with it is evidence rather than tautology.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .algebras import (
     fundamental_weight,
     pairing,
     positive_roots,
+    weyl_dimension,
 )
 from .errors import InternalConsistencyError, ResourceBoundError
 
@@ -77,50 +81,56 @@ def _depth(alg: SimpleAlgebra, top: Weight, mu: Weight) -> int:
     return total
 
 
-def weight_system(alg: SimpleAlgebra, lam) -> set[Weight]:
-    """Saturated set of weights of the irreducible with highest weight lam."""
+def weight_system(alg: SimpleAlgebra, lam) -> dict[Weight, int]:
+    """Weights of the irreducible with highest weight lam, mapped to their
+    depth (the height of lam - mu), by a walk of mu - alpha_i and
+    s_i mu = mu - mu_i alpha_i for each i with mu_i > 0."""
     lam = check_dominant(alg, lam)
     cartan = cartan_matrix(alg)
-    seen = {lam}
-    frontier = [lam]
-    while frontier:
-        nxt = []
-        for mu in frontier:
-            for i in range(alg.rank):
-                for k in range(1, mu[i] + 1):
-                    down = tuple(x - k * a for x, a in zip(mu, cartan[i]))
-                    if down not in seen:
-                        seen.add(down)
-                        nxt.append(down)
-        frontier = nxt
-    return seen
+    depth = {lam: 0}
+    todo = [lam]
+    for mu in todo:
+        for i, row in enumerate(cartan):
+            if mu[i] > 0:
+                for k in {1, mu[i]}:
+                    down = tuple(x - k * a for x, a in zip(mu, row))
+                    if down not in depth:
+                        depth[down] = depth[mu] + k
+                        todo.append(down)
+    return depth
 
 
-@lru_cache(maxsize=None)
-def freudenthal(alg: SimpleAlgebra, lam: Weight, dim_bound: int = DEFAULT_DIM_BOUND) -> WeightMultiset:
-    """Exact weight multiplicities via the Freudenthal recursion.
-
-    Both sides of the recursion are integer pairings at the scale of
-    algebras.form_scale, so each multiplicity is one exact division.  The
-    string walks run on a successor table (weight id -> weight id per
-    positive root).
-    """
+def freudenthal(alg: SimpleAlgebra, lam, dim_bound: int = DEFAULT_DIM_BOUND) -> WeightMultiset:
+    """Exact weight multiplicities via the Freudenthal recursion."""
     lam = check_dominant(alg, lam)
     dim = dimension(alg, lam)
     if dim > dim_bound:
         raise ResourceBoundError(
             f"dimension {dim} of {lam} over {alg} exceeds the configured bound {dim_bound}"
         )
-    weights = sorted(weight_system(alg, lam), key=lambda mu: (_depth(alg, lam, mu), mu))
+    return _freudenthal(alg, lam)
+
+
+@lru_cache(maxsize=None)
+def _freudenthal(alg: SimpleAlgebra, lam: Weight) -> WeightMultiset:
+    """Memoized kernel of `freudenthal` for a weight it accepted.
+
+    Both sides of the recursion are integer pairings at the scale of
+    algebras.form_scale, so each multiplicity is one exact division.  The
+    weights run in depth order over a successor table (weight id -> weight
+    id per positive root); each root keeps the running string sum
+    T(mu) = m(mu + alpha) (mu + alpha, alpha) + T(mu + alpha).
+    """
+    depth = weight_system(alg, lam)
+    weights = sorted(depth, key=lambda mu: (depth[mu], mu))
     index = {mu: i for i, mu in enumerate(weights)}
 
     roots = positive_roots(alg)
-    # (mu, alpha) as a linear functional on the labels of mu, and (alpha, alpha)
-    forms, steps = [], []
+    # (mu, alpha) as a linear functional on the labels of mu
+    forms = []
     for alpha in roots:
         a = eps2(alg, alpha)
         forms.append([pairing(alg, omega, a) for omega, _ in _coweights(alg)])
-        steps.append(pairing(alg, a, a))
     successors = [
         [index.get(tuple(x + a for x, a in zip(mu, alpha)), -1) for mu in weights]
         for alpha in roots
@@ -131,33 +141,32 @@ def freudenthal(alg: SimpleAlgebra, lam: Weight, dim_bound: int = DEFAULT_DIM_BO
         return pairing(alg, shifted, shifted)
 
     top_norm = norm_shifted(lam)
-    mult = [0] * len(weights)
-    mult[0] = 1
-    for i in range(1, len(weights)):
-        mu = weights[i]
-        acc = 0
-        for ga, step, succ in zip(forms, steps, successors):
-            j = succ[i]
-            if j < 0:
-                continue
-            base = sum(c * x for c, x in zip(ga, mu))
-            k = 1
-            while j >= 0:
-                acc += mult[j] * (base + k * step)
-                j = succ[j]
-                k += 1
-        denom = top_norm - norm_shifted(mu)
-        if denom == 0:
-            raise InternalConsistencyError(f"Freudenthal denominator vanished at {mu}")
-        value, rest = divmod(2 * acc, denom)
-        if rest or value <= 0:
-            raise InternalConsistencyError(f"non-integral multiplicity {2 * acc}/{denom} at {mu}")
-        mult[i] = value
+    mult = [1] * len(weights)
+    # sums[r][i] = T(mu_i - alpha); sums[r][-1] = 0 is the sum above a string's top
+    sums = [[0] * (len(weights) + 1) for _ in roots]
+    for i, mu in enumerate(weights):
+        above = [s[succ[i]] for succ, s in zip(successors, sums)]
+        if i:
+            denom = top_norm - norm_shifted(mu)
+            if denom == 0:
+                raise InternalConsistencyError(f"Freudenthal denominator vanished at {mu}")
+            acc = 2 * sum(above)
+            value, rest = divmod(acc, denom)
+            if rest or value <= 0:
+                raise InternalConsistencyError(f"non-integral multiplicity {acc}/{denom} at {mu}")
+            mult[i] = value
+        for ga, t, s in zip(forms, above, sums):
+            s[i] = t + mult[i] * sum(c * x for c, x in zip(ga, mu))
+    dim = weyl_dimension(alg, lam)
     if sum(mult) != dim:
         raise InternalConsistencyError(
             f"multiplicities of {lam} over {alg} sum to {sum(mult)}, expected {dim}"
         )
     return WeightMultiset(alg, tuple(sorted(zip(weights, mult))))
+
+
+freudenthal.cache_info = _freudenthal.cache_info
+freudenthal.cache_clear = _freudenthal.cache_clear
 
 
 def _long_simple_root_position(alg: SimpleAlgebra) -> int:
@@ -172,7 +181,7 @@ def trace_index(alg: SimpleAlgebra, lam, dim_bound: int = DEFAULT_DIM_BOUND) -> 
     Evaluating a weight on that coroot reads off a single Dynkin label, so
     the trace is a plain sum over the Freudenthal multiset.
     """
-    ms = freudenthal(alg, tuple(lam), dim_bound)
+    ms = freudenthal(alg, lam, dim_bound)
     j = _long_simple_root_position(alg)
     trace = sum(m * mu[j] * mu[j] for mu, m in ms.entries)
     if trace % 2 != 0:
@@ -183,8 +192,8 @@ def trace_index(alg: SimpleAlgebra, lam, dim_bound: int = DEFAULT_DIM_BOUND) -> 
 def tensor_decompose(alg: SimpleAlgebra, lam, mu, dim_bound: int = DEFAULT_DIM_BOUND):
     """Decompose the tensor product of two irreducibles into a ModuleDecomposition.
 
-    Works by convolving the two weight multisets and repeatedly extracting
-    the summand of smallest depth; dimension is checked to be preserved.
+    Works by convolving the two weight multisets and extracting summands in
+    one sweep by depth; dimension is checked to be preserved.
     """
     from .index import ModuleDecomposition, SemisimpleAlgebra, Summand
 
@@ -206,14 +215,14 @@ def tensor_decompose(alg: SimpleAlgebra, lam, mu, dim_bound: int = DEFAULT_DIM_B
     top = tuple(a + b for a, b in zip(lam, mu))
     found: list[Summand] = []
     remaining = product_dim
-    while remaining > 0:
-        candidates = [w for w, m in product.items() if m > 0]
-        if not candidates:
-            raise InternalConsistencyError("tensor extraction ran out of weights early")
-        nu = min(candidates, key=lambda w: (_depth(alg, top, w), w))
+    # Extracting nu lowers only weights strictly below it, so one sweep in
+    # (depth, weight) order meets each summand's highest weight in turn.
+    for nu in sorted(product, key=lambda w: (_depth(alg, top, w), w)):
+        count = product[nu]
+        if count == 0:
+            continue
         if any(x < 0 for x in nu):
             raise InternalConsistencyError(f"extracted a non-dominant highest weight {nu}")
-        count = product[nu]
         for w, m in freudenthal(alg, nu, dim_bound).entries:
             new = product.get(w, 0) - count * m
             if new < 0:

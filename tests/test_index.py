@@ -25,6 +25,7 @@ from lielimits.index import (
     min_nondiagonal_index,
     restrict_to_factor,
 )
+from lielimits.oracle import freudenthal, trace_index
 
 A1 = SimpleAlgebra("A", 1)
 A2 = SimpleAlgebra("A", 2)
@@ -256,11 +257,13 @@ def test_summands_merge_and_sort():
 
 
 def test_memoized_kernels_keep_their_checks():
-    # Warm both caches first: 1.0 == 1 and hashes alike, so a cache consulted
+    # Warm the caches first: 1.0 == 1 and hashes alike, so a cache consulted
     # before validation would hand (1.0, 0) the answer of (1, 0).
     assert dimension(A2, (1, 0)) == 3
     assert index_of_irrep(A2, (1, 0)) == 1
+    assert freudenthal(A2, (1, 0)).total == 3
     assert weyl_dimension.cache_info().currsize and irrep_index.cache_info().currsize
+    assert freudenthal.cache_info().currsize
     for bad, error in (((1.0, 0), DomainError), ((-1, 0), DomainError),
                        ((1, 0, 0), DimensionMismatchError), ((1,), DimensionMismatchError)):
         with pytest.raises(error):
@@ -268,9 +271,15 @@ def test_memoized_kernels_keep_their_checks():
         with pytest.raises(error):
             index_of_irrep(A2, bad)
         with pytest.raises(error):
+            freudenthal(A2, bad)
+        with pytest.raises(error):
+            trace_index(A2, bad)
+        with pytest.raises(error):
             decomposition([A2], [((bad,), 1)])
     assert dimension(A2, [1, 0]) == 3
     assert index_of_irrep(A2, [1, 0]) == 1
+    assert freudenthal(A2, [1, 0]) is freudenthal(A2, (1, 0))
+    assert trace_index(A2, [1, 0]) == 1
     with pytest.raises(DomainError):
         decomposition([A2, A1], [(((1, 0), (-1,)), 1)])
     pair = decomposition([A2, A1], [(((1, 0), (1,)), 1)])

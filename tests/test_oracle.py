@@ -1,12 +1,96 @@
 import pytest
 
-from lielimits.algebras import SimpleAlgebra, dimension, dominant_weights_up_to_dim
+from lielimits.algebras import (
+    SimpleAlgebra,
+    cartan_matrix,
+    dimension,
+    dominant_weights_up_to_dim,
+    eps2,
+    pairing,
+    positive_roots,
+)
 from lielimits.errors import InternalConsistencyError, ResourceBoundError
 from lielimits.index import index_of_irrep, index_of_module
-from lielimits.oracle import _depth, freudenthal, tensor_decompose, trace_index, weight_system
+from lielimits.oracle import (
+    _coweights,
+    _depth,
+    freudenthal,
+    tensor_decompose,
+    trace_index,
+    weight_system,
+)
 
 A1 = SimpleAlgebra("A", 1)
 A2 = SimpleAlgebra("A", 2)
+
+
+def ref_weight_system(alg, lam):
+    """Reference: regenerate the whole i-string below every weight."""
+    cartan = cartan_matrix(alg)
+    seen = {lam}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for i in range(alg.rank):
+                for k in range(1, mu[i] + 1):
+                    down = tuple(x - k * a for x, a in zip(mu, cartan[i]))
+                    if down not in seen:
+                        seen.add(down)
+                        nxt.append(down)
+        frontier = nxt
+    return seen
+
+
+def ref_freudenthal(alg, lam):
+    """Reference: Freudenthal's recursion walking every string mu + k alpha."""
+    weights = sorted(ref_weight_system(alg, lam), key=lambda mu: (_depth(alg, lam, mu), mu))
+    index = {mu: i for i, mu in enumerate(weights)}
+    roots = positive_roots(alg)
+    forms, steps = [], []
+    for alpha in roots:
+        a = eps2(alg, alpha)
+        forms.append([pairing(alg, omega, a) for omega, _ in _coweights(alg)])
+        steps.append(pairing(alg, a, a))
+    successors = [
+        [index.get(tuple(x + a for x, a in zip(mu, alpha)), -1) for mu in weights]
+        for alpha in roots
+    ]
+
+    def norm_shifted(mu):
+        shifted = eps2(alg, [x + 1 for x in mu])
+        return pairing(alg, shifted, shifted)
+
+    top_norm = norm_shifted(lam)
+    mult = [1] * len(weights)
+    for i in range(1, len(weights)):
+        mu = weights[i]
+        acc = 0
+        for ga, step, succ in zip(forms, steps, successors):
+            base = sum(c * x for c, x in zip(ga, mu))
+            j, k = succ[i], 1
+            while j >= 0:
+                acc += mult[j] * (base + k * step)
+                j, k = succ[j], k + 1
+        value, rest = divmod(2 * acc, top_norm - norm_shifted(mu))
+        assert rest == 0 and value > 0
+        mult[i] = value
+    return dict(zip(weights, mult))
+
+
+DIFFERENTIAL_CASES = [
+    (alg, lam)
+    for alg in map(SimpleAlgebra.parse, ("A1", "A2", "A3", "A4", "B2", "B3", "C2", "C3", "D4"))
+    for lam in dominant_weights_up_to_dim(alg, 120)
+] + [(A1, (299,)), (A2, (12, 0))]
+
+
+def test_walk_and_string_sums_match_reference():
+    for alg, lam in DIFFERENTIAL_CASES:
+        depth = weight_system(alg, lam)
+        assert depth.keys() == ref_weight_system(alg, lam)
+        assert all(d == _depth(alg, lam, mu) for mu, d in depth.items())
+        assert freudenthal(alg, lam).as_dict() == ref_freudenthal(alg, lam)
 
 
 def test_freudenthal_a1_triplet():

@@ -64,7 +64,7 @@ def chain_doc(depth: int) -> dict:
     return {"format": formats.SYSTEM_FORMAT, "levels": levels, "edges": edges}
 
 
-def _clear_caches():
+def clear_caches():
     for name, module in sorted(sys.modules.items()):
         if module is not None and (name == "lielimits" or name.startswith("lielimits.")):
             for value in vars(module).values():
@@ -72,10 +72,10 @@ def _clear_caches():
                     value.cache_clear()
 
 
-def _best(fn) -> tuple[float, object]:
+def best_time(fn) -> tuple[float, object]:
     best, result = None, None
     for _ in range(REPEAT):
-        _clear_caches()
+        clear_caches()
         start = time.perf_counter()
         result = fn()
         elapsed = time.perf_counter() - start
@@ -93,15 +93,15 @@ def measure(path: str) -> dict[str, float]:
         if code != 0:
             raise SystemExit(f"limit exited {code} on {path}")
 
-    parse_s, (levels, edges) = _best(parse)
-    labels_s, _ = _best(lambda: system.compute_labels(levels, edges))
+    parse_s, (levels, edges) = best_time(parse)
+    labels_s, _ = best_time(lambda: system.compute_labels(levels, edges))
     # decompose runs on a fresh graph each time, so no memo of an earlier
     # run is reused; the labels are not part of its time.
     graphs = []
     for _ in range(REPEAT):
         graphs.append(system.compute_labels(levels, edges))
-    decompose_s, _ = _best(lambda: system.decompose(graphs.pop()))
-    limit_s, _ = _best(limit)
+    decompose_s, _ = best_time(lambda: system.decompose(graphs.pop()))
+    limit_s, _ = best_time(limit)
     return {"parse": parse_s, "compute_labels": labels_s, "decompose": decompose_s, "limit": limit_s}
 
 
