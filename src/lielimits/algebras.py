@@ -280,7 +280,11 @@ def dual_weight(alg: SimpleAlgebra, lam) -> Weight:
     Reversal for A_n, identity for B_n and C_n; for D_n the last two labels
     swap exactly when the rank is odd.
     """
-    lam = check_dominant(alg, lam)
+    return dual_labels(alg, check_dominant(alg, lam))
+
+
+def dual_labels(alg: SimpleAlgebra, lam: Weight) -> Weight:
+    """Kernel of `dual_weight` for a weight check_dominant accepted."""
     if alg.series == "A":
         return tuple(reversed(lam))
     if alg.series == "D" and alg.rank % 2 == 1:

@@ -12,16 +12,11 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import formats, oracle, socle, subspaces, system
 from .algebras import SimpleAlgebra, dimension
-from .errors import (
-    DomainError,
-    LieLimitsError,
-    NotStabilizedError,
-    ParseError,
-)
+from .errors import DomainError, LieLimitsError, NotStabilizedError, ParseError
 from .index import (
     Embedding,
     classify_embedding,
@@ -33,8 +28,6 @@ from .index import (
 
 @dataclass
 class RunConfig:
-    command: str
-    paths: tuple[str, ...] = ()
     output: str = "human"
     seed: int = 0
     dim_bound: int = oracle.DEFAULT_DIM_BOUND
@@ -45,65 +38,25 @@ class RunConfig:
             raise DomainError("resource bounds must be positive")
 
 
-def _add_common(parser, suppress: bool):
-    d = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--format", choices=("human", "json"),
-                        default=d if suppress else "human",
-                        help="output format (json is stable and re-parseable)")
-    parser.add_argument("--seed", type=int, default=d if suppress else 0,
-                        help="seed for randomized self-checks")
-    parser.add_argument("--dim-bound", type=int,
-                        default=d if suppress else oracle.DEFAULT_DIM_BOUND,
-                        help="dimension cap for oracle computations")
-    parser.add_argument("--enum-bound", type=int, default=d if suppress else 20,
-                        help="size cap for enumerative self-checks")
+# (flags, add_argument keywords).  Both parsers of a call take these with no
+# default, so an option after the command overrides one before it, and an
+# option given nowhere keeps RunConfig's default.
+_GLOBAL_OPTIONS = (
+    (("--format",), {"dest": "output", "choices": ("human", "json"),
+                     "help": "output format (json is stable and re-parseable)"}),
+    (("--seed",), {"type": int, "help": "seed for randomized self-checks"}),
+    (("--dim-bound",), {"type": int, "help": "dimension cap for oracle computations"}),
+    (("--enum-bound",), {"type": int, "help": "size cap for enumerative self-checks"}),
+)
+_FILE = (("path",), {"metavar": "FILE"})
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _parser(prog: str, description: str, arguments, **kw) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="lielimits",
-        description="Dynkin index calculus, direct-limit decomposition, socle "
-        "reports, and maximal stabilizer classification for finitary Lie algebras.",
+        prog=prog, description=description, argument_default=argparse.SUPPRESS, **kw
     )
-    _add_common(parser, suppress=False)
-    common = argparse.ArgumentParser(add_help=False)
-    _add_common(common, suppress=True)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
-
-    def add(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
-
-    p = add("index", help="Dynkin index of an irreducible or an embedding")
-    p.add_argument("algebra", nargs="?", help="algebra literal, e.g. A3")
-    p.add_argument("weight", nargs="?", help="comma-separated Dynkin labels, e.g. 1,0,2")
-    p.add_argument("--embedding", metavar="FILE", help="embedding file instead of a weight")
-
-    p = add("embed", help="index vector and classification of an embedding file")
-    p.add_argument("path", metavar="FILE")
-
-    p = add("limit", help="decompose a direct system prefix")
-    p.add_argument("path", metavar="FILE")
-
-    p = add("refine", help="nested simple ideals when the limit is simple")
-    p.add_argument("path", metavar="FILE")
-    p.add_argument("--constituent", type=int, default=None,
-                   help="restrict to one infinite constituent id")
-
-    p = add("socle", help="socle report of the natural modules")
-    p.add_argument("path", metavar="FILE")
-
-    p = add("invariants", help="standard invariants of the system")
-    p.add_argument("path", metavar="FILE")
-    p.add_argument("--subset", action="append", default=[],
-                   help="comma-separated constituent ids; repeatable")
-
-    p = add("maximal", help="maximality classification of a stabilizer")
-    p.add_argument("kind", choices=("gl", "sl", "so", "sp"))
-    p.add_argument("path", metavar="FILE", help="subspace descriptor file")
-
-    p = add("oracle", help="independent verification values")
-    p.add_argument("op", choices=("freudenthal", "trace", "tensor", "selftest"))
-    p.add_argument("args", nargs="*", help="algebra and weight(s) for the chosen op")
+    for flags, options in _GLOBAL_OPTIONS + arguments:
+        parser.add_argument(*flags, **options)
     return parser
 
 
@@ -313,9 +266,7 @@ def cmd_oracle(cfg: RunConfig, args) -> int:
         ]
         _emit(cfg, doc, lines)
         return 0
-    if args.op == "selftest":
-        return _oracle_selftest(cfg)
-    raise ParseError(f"unknown oracle op {args.op!r}")
+    return _oracle_selftest(cfg)  # the parser admits no other op
 
 
 def _oracle_selftest(cfg: RunConfig) -> int:
@@ -345,34 +296,65 @@ def _oracle_selftest(cfg: RunConfig) -> int:
     return 0
 
 
+# name -> (handler, help, arguments): dispatch, the command's parser and
+# the --help listing all read this one table.
 _COMMANDS = {
-    "index": cmd_index,
-    "embed": cmd_embed,
-    "limit": cmd_limit,
-    "refine": cmd_refine,
-    "socle": cmd_socle,
-    "invariants": cmd_invariants,
-    "maximal": cmd_maximal,
-    "oracle": cmd_oracle,
+    "index": (cmd_index, "Dynkin index of an irreducible or an embedding", (
+        (("algebra",), {"nargs": "?", "default": None, "help": "algebra literal, e.g. A3"}),
+        (("weight",), {"nargs": "?", "default": None,
+                       "help": "comma-separated Dynkin labels, e.g. 1,0,2"}),
+        (("--embedding",), {"metavar": "FILE", "default": None,
+                            "help": "embedding file instead of a weight"}),
+    )),
+    "embed": (cmd_embed, "index vector and classification of an embedding file", (_FILE,)),
+    "limit": (cmd_limit, "decompose a direct system prefix", (_FILE,)),
+    "refine": (cmd_refine, "nested simple ideals when the limit is simple", (
+        _FILE,
+        (("--constituent",), {"type": int, "default": None,
+                              "help": "restrict to one infinite constituent id"}),
+    )),
+    "socle": (cmd_socle, "socle report of the natural modules", (_FILE,)),
+    "invariants": (cmd_invariants, "standard invariants of the system", (
+        _FILE,
+        (("--subset",), {"action": "append", "default": [],
+                         "help": "comma-separated constituent ids; repeatable"}),
+    )),
+    "maximal": (cmd_maximal, "maximality classification of a stabilizer", (
+        (("kind",), {"choices": ("gl", "sl", "so", "sp")}),
+        (("path",), {"metavar": "FILE", "help": "subspace descriptor file"}),
+    )),
+    "oracle": (cmd_oracle, "independent verification values", (
+        (("op",), {"choices": ("freudenthal", "trace", "tensor", "selftest")}),
+        (("args",), {"nargs": "*", "default": (),
+                     "help": "algebra and weight(s) for the chosen op"}),
+    )),
 }
+
+_DESCRIPTION = """\
+Dynkin index calculus, direct-limit decomposition, socle reports, and maximal
+stabilizer classification for finitary Lie algebras."""
+_EPILOG = "commands:\n" + "\n".join(
+    f"  {name:<12}{help_text}" for name, (_, help_text, _) in _COMMANDS.items()
+) + "\n\n'lielimits COMMAND --help' lists a command's arguments."
+
+
+# argparse.PARSER takes the command name and every argument after it.
+_COMMAND = (("command",), {"nargs": argparse.PARSER, "choices": tuple(_COMMANDS),
+                           "help": "one of the commands below, then its arguments"})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    paths = tuple(
-        p for p in (getattr(args, "path", None), getattr(args, "embedding", None)) if p
-    )
-    cfg = RunConfig(
-        command=args.command,
-        paths=paths,
-        output=args.format,
-        seed=args.seed,
-        dim_bound=args.dim_bound,
-        enum_bound=args.enum_bound,
-    )
+    # Two small parsers: the global options and the command name, then the
+    # chosen command's own arguments.
+    args = _parser("lielimits", _DESCRIPTION, (_COMMAND,), epilog=_EPILOG,
+                   formatter_class=argparse.RawDescriptionHelpFormatter).parse_args(argv)
+    name, *rest = args.command
+    handler, help_text, arguments = _COMMANDS[name]
+    args = _parser(f"lielimits {name}", help_text, arguments).parse_args(rest, args)
     try:
-        return _COMMANDS[args.command](cfg, args)
+        cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
+                           if hasattr(args, f.name)})
+        return handler(cfg, args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import algebras
-from .algebras import SimpleAlgebra, Weight, check_dominant, dimension, dual_weight, weight_form
+from .algebras import SimpleAlgebra, Weight, check_dominant, dimension, dual_labels, weight_form
 from .errors import DimensionMismatchError, DomainError, InternalConsistencyError, ResourceBoundError
 
 
@@ -57,17 +57,24 @@ class ModuleDecomposition:
     summands: tuple[Summand, ...]
 
     def __post_init__(self):
-        merged: dict[tuple[Weight, ...], int] = {}
+        object.__setattr__(self, "summands", _merged(self._checked()))
+
+    def _checked(self):
+        factors = self.algebra.factors
         for s in self.summands:
-            if len(s.weights) != len(self.algebra.factors):
+            if len(s.weights) != len(factors):
                 raise DimensionMismatchError(
-                    f"summand has {len(s.weights)} weights for {len(self.algebra.factors)} factors"
+                    f"summand has {len(s.weights)} weights for {len(factors)} factors"
                 )
-            ws = tuple(check_dominant(f, w) for f, w in zip(self.algebra.factors, s.weights))
-            merged[ws] = merged.get(ws, 0) + s.mult
-        object.__setattr__(
-            self, "summands", tuple(Summand(w, m) for w, m in sorted(merged.items()))
-        )
+            yield tuple(map(check_dominant, factors, s.weights)), s.mult
+
+    @classmethod
+    def _trusted(cls, algebra: SemisimpleAlgebra, pairs) -> "ModuleDecomposition":
+        """From (weights, mult) pairs already validated over `algebra`: merged, not re-checked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "summands", _merged(pairs))
+        return self
 
     def summand_dim(self, s: Summand) -> int:
         """Dimension of one of this decomposition's (validated) summands."""
@@ -83,13 +90,19 @@ class ModuleDecomposition:
     def dual(self) -> "ModuleDecomposition":
         """Factorwise dual of every summand (same multiplicities)."""
         factors = self.algebra.factors
-        summands = tuple(
-            Summand(tuple(map(dual_weight, factors, s.weights)), s.mult) for s in self.summands
-        )
-        return ModuleDecomposition(self.algebra, summands)
+        pairs = ((tuple(map(dual_labels, factors, s.weights)), s.mult) for s in self.summands)
+        return ModuleDecomposition._trusted(self.algebra, pairs)
 
     def is_self_dual(self) -> bool:
         return self.dual() == self
+
+
+def _merged(pairs) -> tuple[Summand, ...]:
+    """One summand per distinct weight tuple, multiplicities added, sorted."""
+    merged: dict[tuple[Weight, ...], int] = {}
+    for ws, m in pairs:
+        merged[ws] = merged.get(ws, 0) + m
+    return tuple(Summand(w, m) for w, m in sorted(merged.items()))
 
 
 def _looks_like_weights(obj) -> bool:
@@ -189,8 +202,8 @@ def restrict_to_factor(decomp: ModuleDecomposition, factor: int) -> ModuleDecomp
     """The same module seen over a single factor: every tensor summand
     collapses to its weight at `factor`, multiplied by the other factors'
     dimensions."""
-    summands = tuple(Summand((w,), m) for w, m in _collapse(decomp, factor))
-    return ModuleDecomposition(SemisimpleAlgebra((decomp.algebra.factors[factor],)), summands)
+    algebra = SemisimpleAlgebra((decomp.algebra.factors[factor],))
+    return ModuleDecomposition._trusted(algebra, (((w,), m) for w, m in _collapse(decomp, factor)))
 
 
 def embedding_index(emb: Embedding) -> list[int]:
@@ -238,7 +251,7 @@ def classify_embedding(emb: Embedding):
         raise DomainError("classification is defined for embeddings of a simple algebra")
     alg = emb.source.factors[0]
     omega = alg.natural_weight
-    omega_dual = dual_weight(alg, omega)
+    omega_dual = dual_labels(alg, omega)
     zero = (0,) * alg.rank
     k = l = t = 0
     for s in emb.branching.summands:
@@ -323,7 +336,7 @@ def _restrict_summand(f: SimpleAlgebra, first: list[Embedding], s: Summand) -> M
             continue
         if w == k.natural_weight:
             parts.append(e.branching)
-        elif w == dual_weight(k, k.natural_weight):
+        elif w == dual_labels(k, k.natural_weight):
             parts.append(e.branching.dual())
         else:
             raise ResourceBoundError(f"middle weight {w} over {k} is not diagonal-compatible")
@@ -338,13 +351,12 @@ def _restrict_summand(f: SimpleAlgebra, first: list[Embedding], s: Summand) -> M
 def _tensor_over_simple(f, a: ModuleDecomposition, b: ModuleDecomposition) -> ModuleDecomposition:
     from . import oracle
 
-    out: list[Summand] = []
+    out = []
     for sa in a.summands:
         for sb in b.summands:
             product = oracle.tensor_decompose(f, sa.weights[0], sb.weights[0])
-            for sp in product.summands:
-                out.append(Summand(sp.weights, sp.mult * sa.mult * sb.mult))
-    return ModuleDecomposition(a.algebra, tuple(out))
+            out.extend((sp.weights, sp.mult * sa.mult * sb.mult) for sp in product.summands)
+    return ModuleDecomposition._trusted(a.algebra, out)
 
 
 def _composite_index_chain_rule(first: list[Embedding], second: Embedding) -> int:
@@ -370,7 +382,7 @@ def min_nondiagonal_index(alg: SimpleAlgebra, dim_bound: int) -> int:
     """Minimum index over dominant weights outside {0, natural, conatural}
     with dimension <= dim_bound; exhaustive by lexicographic enumeration."""
     omega = alg.natural_weight
-    excluded = {(0,) * alg.rank, omega, dual_weight(alg, omega)}
+    excluded = {(0,) * alg.rank, omega, dual_labels(alg, omega)}
     best = None
     for lam in algebras.dominant_weights_up_to_dim(alg, dim_bound):
         if lam in excluded:

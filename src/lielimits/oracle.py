@@ -195,7 +195,7 @@ def tensor_decompose(alg: SimpleAlgebra, lam, mu, dim_bound: int = DEFAULT_DIM_B
     Works by convolving the two weight multisets and extracting summands in
     one sweep by depth; dimension is checked to be preserved.
     """
-    from .index import ModuleDecomposition, SemisimpleAlgebra, Summand
+    from .index import ModuleDecomposition, SemisimpleAlgebra
 
     lam = check_dominant(alg, lam)
     mu = check_dominant(alg, mu)
@@ -213,7 +213,7 @@ def tensor_decompose(alg: SimpleAlgebra, lam, mu, dim_bound: int = DEFAULT_DIM_B
             product[key] = product.get(key, 0) + ml * mr
 
     top = tuple(a + b for a, b in zip(lam, mu))
-    found: list[Summand] = []
+    found = []
     remaining = product_dim
     # Extracting nu lowers only weights strictly below it, so one sweep in
     # (depth, weight) order meets each summand's highest weight in turn.
@@ -228,8 +228,8 @@ def tensor_decompose(alg: SimpleAlgebra, lam, mu, dim_bound: int = DEFAULT_DIM_B
             if new < 0:
                 raise InternalConsistencyError(f"negative multiplicity at {w} while extracting {nu}")
             product[w] = new
-        found.append(Summand((nu,), count))
+        found.append(((nu,), count))
         remaining -= count * dimension(alg, nu)
     if remaining != 0 or any(m != 0 for m in product.values()):
         raise InternalConsistencyError("tensor decomposition did not exhaust the product")
-    return ModuleDecomposition(SemisimpleAlgebra((alg,)), tuple(found))
+    return ModuleDecomposition._trusted(SemisimpleAlgebra((alg,)), found)

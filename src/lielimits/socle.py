@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebras import Weight, dual_weight
+from .algebras import Weight, dual_labels
 from .errors import DomainError, InternalConsistencyError, NotStabilizedError
 from .index import NATURAL_MODULE_INDEX, ModuleDecomposition
 from .system import TAIL_WINDOW, BratteliGraph, Constituent, decompose
@@ -76,7 +76,7 @@ def _pure_counts(decomp: ModuleDecomposition, j: int, where: str) -> tuple[int, 
     """Copies of the natural / conatural of factor j; errors on anything mixed."""
     alg = decomp.algebra.factors[j]
     omega = alg.natural_weight
-    omega_dual = dual_weight(alg, omega)
+    omega_dual = dual_labels(alg, omega)
     k = l = 0
     for s in decomp.summands:
         w = s.weights[j]
@@ -139,7 +139,7 @@ def trivial_dims(graph: BratteliGraph, constituent: Constituent) -> tuple[Extend
             top_level.conatural, top_j, f"level {top_n} (conatural)"
         )
         alg = graph.algebra_at((top_n, top_j))
-        self_dual = dual_weight(alg, alg.natural_weight) == alg.natural_weight
+        self_dual = dual_labels(alg, alg.natural_weight) == alg.natural_weight
         mirrored = (
             k_dual + l_dual == k + l if self_dual else (k_dual, l_dual) == (l, k)
         )

@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 from conftest import A, graph_from_fixture, load_fixture, run_cli
+from lielimits.cli import main
 from lielimits import formats
 from lielimits.errors import ParseError
 from lielimits.socle import socle_report, standard_invariants
@@ -384,3 +386,115 @@ def test_seeded_document_mutations_exit_cleanly(tmp_path):
             leaks.append(case + (f"exit {code}",))
     assert leaks == []
     assert {1, 2} <= codes  # the mutations reach both validation layers
+
+
+# -- the argument parser's contract ------------------------------------------
+
+COMMAND_HELP = {
+    "index": "Dynkin index of an irreducible or an embedding",
+    "embed": "index vector and classification of an embedding file",
+    "limit": "decompose a direct system prefix",
+    "refine": "nested simple ideals when the limit is simple",
+    "socle": "socle report of the natural modules",
+    "invariants": "standard invariants of the system",
+    "maximal": "maximality classification of a stabilizer",
+    "oracle": "independent verification values",
+}
+COMMAND_ARGUMENTS = {
+    "index": ("algebra", "weight", "--embedding FILE"),
+    "embed": ("FILE",),
+    "limit": ("FILE",),
+    "refine": ("FILE", "--constituent CONSTITUENT"),
+    "socle": ("FILE",),
+    "invariants": ("FILE", "--subset SUBSET"),
+    "maximal": ("{gl,sl,so,sp}", "FILE"),
+    "oracle": ("{freudenthal,trace,tensor,selftest}", "args"),
+}
+GLOBAL_OPTIONS = ("--format {human,json}", "--seed SEED", "--dim-bound DIM_BOUND",
+                  "--enum-bound ENUM_BOUND")
+
+
+def _help_text(capsys, monkeypatch, *argv):
+    monkeypatch.setenv("COLUMNS", "200")  # keep every help string on one line
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [(), ("bogus", "FILE"), ("maximal", "xx", "FILE"), ("--seed", "abc", "index", "A1", "1"),
+     ("limit",)],
+    ids=["no-command", "unknown-command", "maximal-bad-kind", "seed-not-int", "limit-no-path"],
+)
+def test_cli_usage_errors_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "usage: lielimits" in err
+
+
+def test_cli_help_lists_every_command(capsys, monkeypatch):
+    out = _help_text(capsys, monkeypatch, "--help")
+    for name, text in COMMAND_HELP.items():
+        assert any(line.split() == [name, *text.split()] for line in out.splitlines()), name
+    for option in GLOBAL_OPTIONS:
+        assert option in out
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_ARGUMENTS))
+def test_cli_command_help_names_its_arguments(capsys, monkeypatch, name):
+    out = _help_text(capsys, monkeypatch, name, "--help")
+    assert out.startswith(f"usage: lielimits {name} ")
+    for argument in COMMAND_ARGUMENTS[name] + GLOBAL_OPTIONS:
+        assert argument in out, argument
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("limit", fixture("s2.json")), ("index", "A2", "1,1"),
+     ("maximal", "so", fixture("dim2_nondeg.json")), ("oracle", "selftest")],
+    ids=["limit", "index", "maximal", "selftest"],
+)
+def test_cli_global_options_before_or_after_the_command(command):
+    options = ("--format", "json", "--seed", "4", "--dim-bound", "900", "--enum-bound", "6")
+    before = run_cli(*options, *command)
+    after = run_cli(*command, *options)
+    assert before[0] == 0 and before[1]
+    assert after == before
+
+
+def test_module_entry_point_help():
+    proc = subprocess.run([sys.executable, "-m", "lielimits", "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert all(name in proc.stdout for name in COMMAND_HELP)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--dim-bound", "0", "index", "A1", "1"), ("index", "A1", "1", "--dim-bound", "0"),
+     ("--enum-bound", "-1", "oracle", "selftest"), ("oracle", "selftest", "--enum-bound", "-1")],
+    ids=["dim-bound-before", "dim-bound-after", "enum-bound-before", "enum-bound-after"],
+)
+def test_cli_nonpositive_bounds_are_domain_errors(argv):
+    assert run_cli(*argv) == (1, "", "error: resource bounds must be positive\n")
+
+
+def test_one_call_builds_at_most_two_parsers(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (("limit", fixture("s1.json")),
+                 ("--format", "json", "maximal", "so", fixture("dim2_nondeg.json")),
+                 ("oracle", "selftest", "--enum-bound", "3")):
+        built.clear()
+        assert run_cli(*argv)[0] == 0
+        assert len(built) <= 2, built

@@ -1,5 +1,6 @@
 import pytest
 
+from lielimits import algebras, index
 from lielimits.algebras import (
     SimpleAlgebra,
     dimension,
@@ -284,3 +285,25 @@ def test_memoized_kernels_keep_their_checks():
         decomposition([A2, A1], [(((1, 0), (-1,)), 1)])
     pair = decomposition([A2, A1], [(((1, 0), (1,)), 1)])
     assert pair.total_dim == 6 and index_of_module(pair, 0) == 2
+
+
+def test_derived_decompositions_are_not_validated_again(monkeypatch):
+    decomp = decomposition([A2, A1, A3], [(((1, 0), (1,), (0, 0, 1)), 2),
+                                          (((0, 1), (0,), (1, 1, 0)), 1)])
+    calls = []
+    check = algebras.check_dominant
+
+    def counting_check(alg, weight):
+        calls.append((alg, weight))
+        return check(alg, weight)
+
+    monkeypatch.setattr(algebras, "check_dominant", counting_check)
+    monkeypatch.setattr(index, "check_dominant", counting_check)
+    dual = decomp.dual()
+    parts = [restrict_to_factor(decomp, j) for j in range(3)]
+    assert calls == []
+    assert [(s.weights, s.mult) for s in dual.summands] == [
+        (((0, 1), (1,), (1, 0, 0)), 2), (((1, 0), (0,), (0, 1, 1)), 1)]
+    assert [p.total_dim for p in parts] == [decomp.total_dim] * 3
+    decomposition([A2], [(((1, 0),), 1)])
+    assert calls == [(A2, (1, 0))]  # the public constructor still validates

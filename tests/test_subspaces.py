@@ -396,6 +396,14 @@ def test_not_maximal_cases():
     # the same plane is fine symplectically
     assert classify_maximal("sp", plane, SYMP).tag == "iiia"
 
+    # neither spanning vector is isotropic; the discriminant of the quadratic
+    # in t for the line a + t*c is 36, so the isotropic line is rational
+    plane = SubspaceDescriptor.span([{1: 1, 3: 1, 4: 1}, {2: 1, 3: 2, 4: 2}])
+    v = classify_maximal("so", plane, SYM)
+    assert v.tag == "NotMaximal"
+    assert v.witness is not None and v.witness.dim == 1
+    assert is_isotropic(v.witness, SYM)
+
     open_w = descriptor_intersection(
         SubspaceDescriptor.tail(2), SubspaceDescriptor.kernel([ALL_ONES])
     )

@@ -2,9 +2,17 @@ import random
 
 import pytest
 
-from conftest import A, graph_from_fixture, random_diagonal_system
+from conftest import A, graph_from_fixture, load_fixture, random_diagonal_system
+from lielimits import formats
+from lielimits.algebras import dimension, dual_weight
 from lielimits.errors import DimensionMismatchError, DomainError, NotStabilizedError
-from lielimits.index import SemisimpleAlgebra, decomposition
+from lielimits.index import (
+    ModuleDecomposition,
+    SemisimpleAlgebra,
+    Summand,
+    decomposition,
+    restrict_to_factor,
+)
 from lielimits.system import (
     BratteliGraph,
     EdgeSpec,
@@ -366,6 +374,29 @@ SYSTEM_FIXTURES = (
 @pytest.mark.parametrize("name", SYSTEM_FIXTURES)
 def test_closure_walk_matches_reference_on_fixtures(name):
     _assert_engine_matches_reference(graph_from_fixture(name))
+
+
+@pytest.mark.parametrize("name", SYSTEM_FIXTURES)
+def test_trusted_dual_and_restriction_match_validating_constructor(name):
+    # dual() and restrict_to_factor() skip re-validation; the public
+    # constructor, fed the same summands, must build the same decomposition.
+    levels, edges = formats.system_from_doc(load_fixture(name))
+    branchings = [lv.ambient_branching for lv in levels] + [b for e in edges for b in e.branchings]
+    for b in branchings:
+        factors = b.algebra.factors
+        assert b.dual() == ModuleDecomposition(b.algebra, tuple(
+            Summand(tuple(map(dual_weight, factors, s.weights)), s.mult) for s in b.summands
+        ))
+        for j, f in enumerate(factors):
+            reference = []
+            for s in b.summands:
+                mult = s.mult
+                for i, (g, w) in enumerate(zip(factors, s.weights)):
+                    if i != j:
+                        mult *= dimension(g, w)
+                reference.append(Summand((s.weights[j],), mult))
+            expected = ModuleDecomposition(SemisimpleAlgebra((f,)), tuple(reference))
+            assert restrict_to_factor(b, j) == expected
 
 
 def test_closure_walk_matches_reference_on_random_systems():
