@@ -230,11 +230,7 @@ def _oracle_algebra_weight(args, count):
     if len(args.args) != count:
         raise ParseError(f"oracle {args.op} expects {count} arguments")
     alg = formats.parse_algebra(args.args[0])
-    weights = [formats.parse_weight(w) for w in args.args[1:]]
-    for w in weights:
-        if len(w) != alg.rank:
-            raise ParseError(f"weight {w} does not match rank of {alg}")
-    return alg, weights
+    return alg, [_parse_weight_arg(alg, w) for w in args.args[1:]]
 
 
 def cmd_oracle(cfg: RunConfig, args) -> int:
@@ -249,18 +245,14 @@ def cmd_oracle(cfg: RunConfig, args) -> int:
     if args.op == "trace":
         alg, (weight,) = _oracle_algebra_weight(args, 2)
         value = oracle.trace_index(alg, weight, cfg.dim_bound)
-        doc = formats._report("oracle-trace", {"algebra": str(alg), "weight": list(weight),
-                                               "trace_index": value})
+        doc = formats.build_report("oracle-trace", algebra=alg, weight=weight, trace_index=value)
         _emit(cfg, doc, [f"trace index {value}"])
         return 0
     if args.op == "tensor":
         alg, (w1, w2) = _oracle_algebra_weight(args, 3)
         decomp = oracle.tensor_decompose(alg, w1, w2, cfg.dim_bound)
-        doc = formats._report(
-            "oracle-tensor",
-            {"algebra": str(alg), "factors": [list(w1), list(w2)],
-             "summands": formats.decomposition_to_doc(decomp)},
-        )
+        doc = formats.build_report("oracle-tensor", algebra=alg, factors=(w1, w2),
+                                   summands=decomp)
         lines = [
             f"{','.join(map(str, s.weights[0]))} x{s.mult}" for s in decomp.summands
         ]
@@ -290,8 +282,8 @@ def _oracle_selftest(cfg: RunConfig) -> int:
             print(f"FAIL {alg} {lam} {mu}: {by_sum} vs {by_rule}, trace_ok={trace_ok}",
                   file=sys.stderr)
             return 1
-        checked.append([str(alg), list(lam), list(mu), by_sum])
-    doc = formats._report("oracle-selftest", {"seed": cfg.seed, "checked": checked})
+        checked.append((alg, lam, mu, by_sum))
+    doc = formats.build_report("oracle-selftest", seed=cfg.seed, checked=checked)
     _emit(cfg, doc, [f"{len(checked)} consistency checks passed (seed {cfg.seed})"])
     return 0
 

@@ -6,8 +6,14 @@ Input documents:
   lielimits-embedding/1 one embedding given by its branching
 
 Output documents all carry format "lielimits-report/1" and a "kind" field;
-`parse_report` reconstructs the typed report, and serialization is stable
-(sorted keys) so equal reports print byte-identically.
+`parse_report` reconstructs the typed report of every kind, and
+serialization is stable (sorted keys) so equal reports print
+byte-identically.
+
+Every document and record is one table of fields (JSON key, attribute,
+codec).  The same table dumps an object and loads a document, and a load
+error names the JSON path of the field at fault, e.g.
+`system file: $.levels[0].ambient_branching[1].mult: ...`.
 
 Weights are lists of integers; rational numbers travel as strings like
 "-2/3"; algebra literals look like "A3".
@@ -16,565 +22,476 @@ Weights are lists of integers; rational numbers travel as strings like
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from fractions import Fraction
+from itertools import repeat
+from operator import attrgetter
+from types import SimpleNamespace
 
 from .algebras import SimpleAlgebra
 from .errors import ParseError
 from .index import Embedding, ModuleDecomposition, SemisimpleAlgebra, Summand
 from .oracle import WeightMultiset
-from .socle import (
-    ConstituentSocle,
-    ExtendedDim,
-    InvariantsReport,
-    IsotypicRow,
-    SocleReport,
-    SubsetInvariants,
-)
-from .subspaces import (
-    COMMUTATOR_TOKEN,
-    FORM_TOKENS,
-    EvConstFunctional,
-    SubspaceDescriptor,
-    Verdict,
-)
-from .system import BratteliGraph, Constituent, EdgeSpec, LevelSpec, RefinementReport
+from .socle import (ConstituentSocle, ExtendedDim, InvariantsReport, IsotypicRow, SocleReport,
+                    SubsetInvariants)
+from .subspaces import (COMMUTATOR_TOKEN, FORM_TOKENS, EvConstFunctional, SubspaceDescriptor,
+                        Verdict)
+from .system import Constituent, EdgeSpec, LevelSpec, RefinementReport
 
 SYSTEM_FORMAT = "lielimits-system/1"
 SUBSPACE_FORMAT = "lielimits-subspace/1"
 EMBEDDING_FORMAT = "lielimits-embedding/1"
 REPORT_FORMAT = "lielimits-report/1"
 
-
-def _fail(msg: str) -> ParseError:
-    return ParseError(msg)
-
-
-def _expect(doc, key, where):
-    if not isinstance(doc, dict) or key not in doc:
-        raise _fail(f"{where}: missing field {key!r}")
-    return doc[key]
+REQUIRED = object()  # the default of a field that must be present
+_INT_ONLY = frozenset({int})
+_STR_ONLY = frozenset({str})
 
 
-def _list(doc, key, where, default=None):
-    """A list-valued field; a missing field gives `default` when one is set."""
-    value = _expect(doc, key, where) if default is None or key in doc else default
-    if not isinstance(value, list):
-        raise _fail(f"{where}: field {key!r} must be a list, got {value!r}")
+# How one JSON value loads (raising ParseError) and dumps.  `default` is what
+# a missing key loads; a nullable codec reads JSON null as None; `item` is a
+# list's entry codec and `fields` a record's (key, attribute, codec) entries.
+Codec = namedtuple("Codec", "load dump default nullable item fields",
+                   defaults=(REQUIRED, False, None, ()))
+
+
+# -- errors name the JSON path of the field at fault --------------------------
+
+
+def _fail(message: str, *path) -> ParseError:
+    exc = ParseError(message)
+    exc.path = path
+    return exc
+
+
+def _within(exc: ParseError, *outer) -> ParseError:
+    exc.path = outer + getattr(exc, "path", ())
+    return exc
+
+
+def _parser(codec: Codec, what: str):
+    """The loader of a document: an error names `what` and the JSON path."""
+
+    def parse(doc):
+        try:
+            return codec.load(doc)
+        except ParseError as exc:
+            path = getattr(exc, "path", ())
+            where = "".join(
+                f".{p}" if isinstance(p, str) and p.isidentifier() else f"[{p!r}]" for p in path
+            )
+            raise _fail(f"{what}: ${where}: {exc}", *path) from exc
+
+    return parse
+
+
+# -- leaf codecs --------------------------------------------------------------
+
+
+def _same(value):
+    """The load or dump of a value kept as is; hot paths skip calling it."""
     return value
 
 
-def _optional(doc, key, where, default=None):
-    if not isinstance(doc, dict):
-        raise _fail(f"{where}: expected a map, got {doc!r}")
-    return doc.get(key, default)
+def _values(*values):
+    return values
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+def _checked(test, what: str, load=_same, dump=_same) -> Codec:
+    """A leaf codec for the JSON values that pass `test`."""
+
+    def checked(value):
+        if test(value):
+            return value if load is _same else load(value)
+        raise _fail(f"expected {what}, got {value!r}")
+
+    return Codec(checked, dump)
 
 
-def _all_ints(row) -> bool:
-    return all(_is_int(x) for x in row)
+def _one_of(*choices) -> Codec:
+    return _checked(lambda v: v in choices, " or ".join(map(repr, choices)))
 
 
-def _entries(doc, key, where, width, valid=None):
-    """A list field whose entries are lists of `width` items, each entry
-    accepted by `valid` when one is given."""
-    entries = _list(doc, key, where)
-    for pos, entry in enumerate(entries):
-        if not isinstance(entry, list) or len(entry) != width or (valid and not valid(entry)):
-            raise _fail(f"{where}: bad entry {pos} of {key!r}: {entry!r}")
-    return entries
+def _const(value) -> Codec:
+    """A field that always holds `value`: checked on load, never stored."""
+    return _one_of(value)._replace(dump=lambda _: value)
 
 
-def _check_format(doc, expected, where):
-    got = _expect(doc, "format", where)
-    if got != expected:
-        raise _fail(f"{where}: format {got!r}, expected {expected!r}")
+def _row(width=None) -> Codec:
+    """A list of integers (of `width` entries when given); loads a tuple."""
+    return _checked(
+        lambda v: type(v) is list and width in (None, len(v))
+        and _INT_ONLY.issuperset(map(type, v)),
+        f"a list of {width} integers" if width else "a list of integers", tuple, list,
+    )
+
+
+def _fraction(x) -> Fraction:
+    try:
+        return Fraction(x)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise _fail(f"bad rational {x!r}") from exc
+
+
+def _index(i) -> int:
+    try:
+        return int(i)
+    except ValueError as exc:
+        raise _fail(f"bad basis index {i!r}") from exc
 
 
 def parse_weight(text) -> tuple[int, ...]:
     """Weights come either as '1,0,2' strings or as integer lists."""
-    if isinstance(text, str):
-        try:
-            return tuple(int(p) for p in text.split(","))
-        except ValueError as exc:
-            raise _fail(f"bad weight literal {text!r}") from exc
-    if isinstance(text, (list, tuple)) and all(_is_int(x) for x in text):
-        return tuple(text)
-    raise _fail(f"bad weight {text!r}")
+    if not isinstance(text, str):
+        return ROW.load(text)
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError as exc:
+        raise ParseError(f"bad weight literal {text!r}") from exc
 
 
 def parse_algebra(text) -> SimpleAlgebra:
     if not isinstance(text, str):
-        raise _fail(f"bad algebra literal {text!r}")
+        raise ParseError(f"bad algebra literal {text!r}")
     return SimpleAlgebra.parse(text)
 
 
-def _parse_index(text, where) -> int:
+INT = _checked(lambda v: type(v) is int, "an integer")
+POSITIVE = _checked(lambda v: type(v) is int and v >= 1, "an integer >= 1")
+BOOL = _checked(lambda v: type(v) is bool, "true or false")
+STR = _checked(lambda v: type(v) is str, "a string")
+ROW = _row()
+ALGEBRA = Codec(parse_algebra, str)
+WEIGHT = Codec(parse_weight, list)  # input documents also take '1,0,2'
+RATIONAL = Codec(_fraction, str)  # input documents take numbers too
+RATIONAL_ROW = _checked(
+    lambda v: type(v) is list and _STR_ONLY.issuperset(map(type, v)), "a list of rational strings",
+    lambda v: tuple(map(_fraction, v)), lambda row: [str(x) for x in row],
+)
+_SPACE = _one_of("V", "V*")
+_GENERATOR = _checked(
+    lambda v: type(v) is dict, "an index->value map",
+    lambda v: {_index(i): _fraction(x) for i, x in v.items()},
+)
+
+
+# -- combinators --------------------------------------------------------------
+
+
+def opt(codec: Codec, default=None) -> Codec:
+    """A field that may be missing, and then loads `default`.  Its None value
+    is left out of the dump unless the codec is nullable."""
+    return codec._replace(default=default)
+
+
+def nullable(codec: Codec) -> Codec:
+    load, dump = codec.load, codec.dump
+    return codec._replace(load=lambda v: None if v is None else load(v), nullable=True,
+                          dump=dump if dump is _same else lambda v: None if v is None else dump(v))
+
+
+def _each(loads, values) -> tuple:
+    """values[i] loaded by loads[i]; an error names the position."""
+    out = []
     try:
-        return int(text)
-    except ValueError as exc:
-        raise _fail(f"{where}: bad basis index {text!r}") from exc
+        for load, value in zip(loads, values):
+            out.append(load(value))
+    except ParseError as exc:
+        raise _within(exc, len(out))
+    return tuple(out)
 
 
-def _parse_fraction(x, where) -> Fraction:
-    try:
-        return Fraction(x)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise _fail(f"{where}: bad rational {x!r}") from exc
+def listof(item: Codec) -> Codec:
+    """A JSON list of `item`s; loads a tuple."""
+    load_item, dump_item = item.load, item.dump
+
+    def load(value):
+        if type(value) is not list:
+            raise _fail(f"expected a list, got {value!r}")
+        return _each(repeat(load_item), value)
+
+    dump = list if dump_item is _same else lambda xs: [dump_item(x) for x in xs]
+    return Codec(load, dump, item=item)
 
 
-# -- module decompositions ----------------------------------------------------
+def fixed(*items: Codec) -> Codec:
+    """A JSON list of exactly one entry per codec; loads a tuple."""
+    loads, dumps = [c.load for c in items], [c.dump for c in items]
+
+    def load(value):
+        if type(value) is not list or len(value) != len(items):
+            raise _fail(f"expected a list of {len(items)} entries, got {value!r}")
+        return _each(loads, value)
+
+    return Codec(load, lambda xs: [x if f is _same else f(x) for f, x in zip(dumps, xs)])
 
 
-def decomposition_to_doc(decomp: ModuleDecomposition) -> list:
-    return [
-        {"weights": [list(w) for w in s.weights], "mult": s.mult} for s in decomp.summands
+def record(make, *fields) -> Codec:
+    """A JSON map with one entry per field: (key, codec), whose attribute is
+    the key, or (key, attribute, codec).  A dotted attribute reaches inside
+    the dumped object; attribute None marks a constant, which is not
+    passed on.  Loading calls make(*values) in table order, so `make` can
+    run the checks that span fields, naming paths relative to the record."""
+    fields = tuple((f[0], f[0], f[1]) if len(f) == 2 else f for f in fields)
+    loads = [(key, attr is not None, codec.load, codec.default) for key, attr, codec in fields]
+    dumps = [
+        (key, attrgetter(attr) if attr else lambda _: None,
+         None if codec.dump is _same else codec.dump, codec.nullable or not attr)
+        for key, attr, codec in fields
     ]
 
+    def load(doc):
+        if type(doc) is not dict:
+            raise _fail(f"expected a map, got {doc!r}")
+        values = []
+        for key, keep, load_field, default in loads:
+            if key in doc:
+                try:
+                    value = load_field(doc[key])
+                except ParseError as exc:
+                    raise _within(exc, key)
+            elif default is REQUIRED:
+                raise _fail(f"missing field {key!r}")
+            else:
+                value = default
+            if keep:
+                values.append(value)
+        return make(*values)
 
-def decomposition_from_doc(doc, factors, where) -> ModuleDecomposition:
-    if not isinstance(doc, list):
-        raise _fail(f"{where}: expected a list of summand records")
-    summands = []
-    for pos, rec in enumerate(doc):
-        weights = _expect(rec, "weights", f"{where}[{pos}]")
-        mult = rec.get("mult", 1)
-        if not _is_int(mult) or mult < 1:
-            raise _fail(f"{where}[{pos}]: bad multiplicity {mult!r}")
-        if not isinstance(weights, list) or len(weights) != len(factors):
-            raise _fail(
-                f"{where}[{pos}]: expected {len(factors)} weight lists, got {weights!r}"
-            )
-        summands.append(Summand(tuple(parse_weight(w) for w in weights), mult))
+    def dump(obj):
+        doc = {}
+        for key, get, dump_field, write_none in dumps:
+            value = get(obj)
+            if value is not None or write_none:
+                doc[key] = value if dump_field is None else dump_field(value)
+        return doc
+
+    return Codec(load, dump, fields=fields)
+
+
+def _keyed(width: int) -> Codec:
+    """A dict from (width-1)-tuples of integers to integers, as sorted rows."""
+    rows = listof(_row(width))
+    return rows._replace(
+        load=lambda v: {r[:-1]: r[-1] for r in rows.load(v)},
+        dump=lambda d: [[*k, v] for k, v in sorted(d.items())],
+    )
+
+
+# -- checks that span fields, run once their record has loaded ----------------
+
+
+def _decomposition(factors, summands, *at) -> ModuleDecomposition:
+    """Each summand has one weight per factor."""
+    for pos, s in enumerate(summands):
+        if len(s.weights) != len(factors):
+            raise _fail(f"expected {len(factors)} weight lists, one per factor, got "
+                        f"{len(s.weights)}", *at, pos, "weights")
     return ModuleDecomposition(SemisimpleAlgebra(tuple(factors)), tuple(summands))
 
 
-# -- system files -------------------------------------------------------------
+def _level(components, ambient, branching, conatural) -> LevelSpec:
+    branching = _decomposition(components, branching, "ambient_branching")
+    if conatural is not None:
+        conatural = _decomposition(components, conatural, "conatural_branching")
+    return LevelSpec(branching.algebra, ambient, branching, conatural)
+
+
+def _system(levels, edges):
+    """Some level, and per level gap at most one edge, with one branching
+    per component of the next level."""
+    if not levels:
+        raise _fail("expected a non-empty list", "levels")
+    specs = []
+    for n, branchings in enumerate(edges):
+        if n + 1 >= len(levels):
+            raise _fail("more edges than level gaps", "edges", n)
+        source, targets = levels[n].components.factors, levels[n + 1].components.factors
+        if len(branchings) != len(targets):
+            raise _fail(f"expected {len(targets)} branchings, one per component of the "
+                        "next level", "edges", n, "branchings")
+        specs.append(EdgeSpec(tuple(
+            _decomposition(source, b, "edges", n, "branchings", k) for k, b in enumerate(branchings)
+        )))
+    return levels, tuple(specs)
+
+
+def _embedding(source, target, branching) -> Embedding:
+    branching = _decomposition(source, branching, "branching")
+    return Embedding(branching.algebra, target, branching)
+
+
+def _descriptor(space, window, has_tail, rows) -> SubspaceDescriptor:
+    """Each row has `window` entries, the last one 0 when finite."""
+    for pos, row in enumerate(rows):
+        if len(row) != window:
+            raise _fail(f"expected {window} entries (the window), got {len(row)}", "rows", pos)
+        if not has_tail and row[-1] != 0:
+            raise _fail("a finite descriptor's row has a nonzero tail entry", "rows", pos)
+    return SubspaceDescriptor(space, window, rows, has_tail)
+
+
+# -- input documents ----------------------------------------------------------
+
+_SUMMAND_LIST = listof(record(Summand, ("weights", listof(WEIGHT)), ("mult", opt(POSITIVE, 1))))
+# Loads the summands; the record that knows the factors builds the decomposition.
+_SUMMANDS = _SUMMAND_LIST._replace(dump=lambda d: _SUMMAND_LIST.dump(d.summands))
+_COMPONENTS = ("components", "components.factors", listof(ALGEBRA))
+
+_SYSTEM = record(
+    _system,
+    ("format", None, _const(SYSTEM_FORMAT)),
+    ("levels", listof(record(
+        _level, _COMPONENTS, ("ambient", ALGEBRA),
+        ("ambient_branching", _SUMMANDS), ("conatural_branching", opt(_SUMMANDS)),
+    ))),
+    ("edges", opt(listof(record(_same, ("branchings", listof(_SUMMANDS)))), ())),
+)
+_EMBEDDING = record(
+    _embedding,
+    ("format", None, _const(EMBEDDING_FORMAT)),
+    ("source", "source.factors", listof(ALGEBRA)),
+    ("target", ALGEBRA),
+    ("branching", _SUMMANDS),
+)
+_TOKEN = record(
+    _same,
+    ("format", None, _const(SUBSPACE_FORMAT)),
+    ("token", _one_of(COMMUTATOR_TOKEN, *FORM_TOKENS)),
+)
+_SPAN = record(
+    # looked up on each call, so that a wrapper set on the class sees the call
+    lambda *fields: SubspaceDescriptor.build(*fields),
+    ("format", None, _const(SUBSPACE_FORMAT)),
+    ("space", opt(_SPACE, "V")),
+    ("generators", opt(listof(_GENERATOR), ())),
+    ("tail_from", opt(nullable(POSITIVE))),
+    ("kernels", opt(listof(record(
+        EvConstFunctional,
+        ("head", opt(listof(RATIONAL), ())), ("tail", opt(RATIONAL, Fraction(0))),
+    )), ())),
+)
+_DESCRIPTOR = record(
+    _descriptor,
+    ("space", _SPACE), ("window", POSITIVE), ("has_tail", BOOL), ("rows", listof(RATIONAL_ROW)),
+)
+
+
+# Each entry point is its table's walker.
+embedding_to_doc = _EMBEDDING.dump
+decomposition_to_doc = _SUMMANDS.dump
+descriptor_to_doc = _DESCRIPTOR.dump
+system_from_doc = _parser(_SYSTEM, "system file")
+embedding_from_doc = _parser(_EMBEDDING, "embedding file")
+descriptor_from_doc = _parser(_DESCRIPTOR, "descriptor")
 
 
 def system_to_doc(levels, edges) -> dict:
-    doc_levels = []
-    for lv in levels:
-        entry = {
-            "components": [str(f) for f in lv.components.factors],
-            "ambient": str(lv.ambient),
-            "ambient_branching": decomposition_to_doc(lv.ambient_branching),
-        }
-        if lv.conatural_branching is not None:
-            entry["conatural_branching"] = decomposition_to_doc(lv.conatural_branching)
-        doc_levels.append(entry)
-    doc_edges = [
-        {"branchings": [decomposition_to_doc(b) for b in e.branchings]} for e in edges
-    ]
-    return {"format": SYSTEM_FORMAT, "levels": doc_levels, "edges": doc_edges}
-
-
-def system_from_doc(doc) -> tuple[tuple[LevelSpec, ...], tuple[EdgeSpec, ...]]:
-    _check_format(doc, SYSTEM_FORMAT, "system file")
-    raw_levels = _expect(doc, "levels", "system file")
-    raw_edges = _list(doc, "edges", "system file", [])
-    if not isinstance(raw_levels, list) or not raw_levels:
-        raise _fail("system file: 'levels' must be a non-empty list")
-    levels = []
-    for n, entry in enumerate(raw_levels, start=1):
-        where = f"level {n}"
-        factors = [parse_algebra(a) for a in _list(entry, "components", where)]
-        ambient = parse_algebra(_expect(entry, "ambient", where))
-        branching = decomposition_from_doc(
-            _expect(entry, "ambient_branching", where), factors, f"{where}.ambient_branching"
-        )
-        conatural = None
-        if "conatural_branching" in entry:
-            conatural = decomposition_from_doc(
-                entry["conatural_branching"], factors, f"{where}.conatural_branching"
-            )
-        levels.append(
-            LevelSpec(SemisimpleAlgebra(tuple(factors)), ambient, branching, conatural)
-        )
-    edges = []
-    for n, entry in enumerate(raw_edges, start=1):
-        where = f"edge {n}"
-        if n >= len(levels):
-            raise _fail(f"{where}: more edges than level gaps")
-        raw = _expect(entry, "branchings", where)
-        source = levels[n - 1].components.factors
-        targets = levels[n].components.factors
-        if not isinstance(raw, list) or len(raw) != len(targets):
-            raise _fail(f"{where}: expected {len(targets)} branchings")
-        branchings = tuple(
-            decomposition_from_doc(b, source, f"{where}.branchings[{k}]")
-            for k, b in enumerate(raw)
-        )
-        edges.append(EdgeSpec(branchings))
-    return tuple(levels), tuple(edges)
-
-
-# -- embedding files ----------------------------------------------------------
-
-
-def embedding_to_doc(emb: Embedding) -> dict:
-    return {
-        "format": EMBEDDING_FORMAT,
-        "source": [str(f) for f in emb.source.factors],
-        "target": str(emb.target),
-        "branching": decomposition_to_doc(emb.branching),
-    }
-
-
-def embedding_from_doc(doc) -> Embedding:
-    _check_format(doc, EMBEDDING_FORMAT, "embedding file")
-    factors = [parse_algebra(a) for a in _list(doc, "source", "embedding file")]
-    target = parse_algebra(_expect(doc, "target", "embedding file"))
-    branching = decomposition_from_doc(
-        _expect(doc, "branching", "embedding file"), factors, "branching"
-    )
-    return Embedding(SemisimpleAlgebra(tuple(factors)), target, branching)
-
-
-# -- subspace files -----------------------------------------------------------
+    return _SYSTEM.dump(SimpleNamespace(levels=levels, edges=edges))
 
 
 def subspace_input_from_doc(doc):
-    """Returns a SubspaceDescriptor or a token string."""
-    _check_format(doc, SUBSPACE_FORMAT, "subspace file")
-    if "token" in doc:
-        token = doc["token"]
-        if token not in (COMMUTATOR_TOKEN, *FORM_TOKENS):
-            raise _fail(f"subspace file: unknown token {token!r}")
-        return token
-    space = doc.get("space", "V")
-    if space not in ("V", "V*"):
-        raise _fail(f"subspace file: bad space {space!r}")
-    generators = []
-    for pos, gen in enumerate(_list(doc, "generators", "subspace file", [])):
-        if not isinstance(gen, dict):
-            raise _fail(f"subspace file: generator {pos} must be an index->value map")
-        generators.append(
-            {_parse_index(i, f"generator {pos}"): _parse_fraction(v, f"generator {pos}")
-             for i, v in gen.items()}
-        )
-    tail_from = doc.get("tail_from")
-    if tail_from is not None and (not _is_int(tail_from) or tail_from < 1):
-        raise _fail(f"subspace file: bad tail_from {tail_from!r}")
-    kernels = []
-    for pos, ker in enumerate(_list(doc, "kernels", "subspace file", [])):
-        if not isinstance(ker, dict):
-            raise _fail(f"subspace file: kernel {pos} must be a head/tail map")
-        head = [
-            _parse_fraction(x, f"kernel {pos} head")
-            for x in _list(ker, "head", f"subspace file: kernel {pos}", [])
-        ]
-        tail = _parse_fraction(ker.get("tail", 0), f"kernel {pos} tail")
-        kernels.append(EvConstFunctional(tuple(head), tail))
-    try:
-        return SubspaceDescriptor.build(space, generators, tail_from, kernels)
-    except ValueError as exc:
-        raise _fail(f"subspace file: {exc}") from exc
-
-
-def descriptor_to_doc(w: SubspaceDescriptor) -> dict:
-    return {
-        "space": w.space,
-        "window": w.window,
-        "has_tail": w.has_tail,
-        "rows": [[str(x) for x in row] for row in w.rows],
-    }
-
-
-def descriptor_from_doc(doc, where="descriptor") -> SubspaceDescriptor:
-    space = _expect(doc, "space", where)
-    window = _expect(doc, "window", where)
-    has_tail = _expect(doc, "has_tail", where)
-    if space not in ("V", "V*"):
-        raise _fail(f"{where}: bad space {space!r}")
-    if not _is_int(window) or window < 1:
-        raise _fail(f"{where}: window must be an integer >= 1, got {window!r}")
-    if not isinstance(has_tail, bool):
-        raise _fail(f"{where}: has_tail must be true or false, got {has_tail!r}")
-    rows = []
-    for pos, row in enumerate(_list(doc, "rows", where)):
-        if not isinstance(row, list) or len(row) != window or not all(isinstance(x, str) for x in row):
-            raise _fail(f"{where}: row {pos} must be a list of {window} rational strings, got {row!r}")
-        row = [_parse_fraction(x, f"{where}: row {pos}") for x in row]
-        if not has_tail and row[-1] != 0:
-            raise _fail(f"{where}: row {pos} of a finite descriptor has a nonzero tail entry")
-        rows.append(row)
-    return SubspaceDescriptor(space, window, rows, has_tail)
+    """Returns a SubspaceDescriptor or, when the document names one, a token."""
+    table = _TOKEN if isinstance(doc, dict) and "token" in doc else _SPAN
+    return _parser(table, "subspace file")(doc)
 
 
 # -- reports ------------------------------------------------------------------
 
+_DIM = record(
+    ExtendedDim,
+    ("kind", STR), ("value", opt(nullable(INT))), ("lower_bound", opt(nullable(INT))),
+    ("tail_assumed", opt(BOOL, False)), ("evidence", opt(ROW, ())),
+)
+_DIMS = (("trivial", "dim_trivial", _DIM), ("trivial_dual", "dim_trivial_dual", _DIM))
 
-def _report(kind: str, payload: dict) -> dict:
-    return {"format": REPORT_FORMAT, "kind": kind, **payload}
-
-
-def extended_dim_to_doc(d: ExtendedDim) -> dict:
-    return {
-        "kind": d.kind,
-        "value": d.value,
-        "lower_bound": d.lower_bound,
-        "tail_assumed": d.tail_assumed,
-        "evidence": list(d.evidence),
-    }
-
-
-def extended_dim_from_doc(doc, where="dimension") -> ExtendedDim:
-    return ExtendedDim(
-        _expect(doc, "kind", where),
-        value=_optional(doc, "value", where),
-        lower_bound=_optional(doc, "lower_bound", where),
-        tail_assumed=_optional(doc, "tail_assumed", where, False),
-        evidence=tuple(_list(doc, "evidence", where, [])),
+_REPORT_FORMAT = ("format", None, _const(REPORT_FORMAT))
+# kind -> table; parse_report returns what the table's `make` builds.
+REPORTS = {
+    kind: record(make, _REPORT_FORMAT, ("kind", None, _const(kind)), *fields)
+    for kind, make, *fields in (
+        ("index", _values,
+         ("algebra", ALGEBRA), ("weight", ROW), ("index", INT), ("dimension", INT)),
+        ("embedding", _values,
+         ("source", listof(ALGEBRA)), ("target", ALGEBRA), ("index", ROW), ("classification", STR)),
+        ("limit", lambda levels, alpha, beta, sums, stab, constituents: (alpha, beta, constituents),
+         # levels, level_sums and stabilization are for display: checked when present
+         ("levels", opt(listof(record(_values, _COMPONENTS, ("ambient", ALGEBRA))), ())),
+         ("alpha", _keyed(3)), ("beta", _keyed(4)),
+         ("level_sums", opt(listof(fixed(ROW, ROW)), ())),
+         ("stabilization", opt(listof(fixed(ROW, nullable(INT))), ())),
+         ("constituents", listof(record(
+             Constituent, ("id", "cid", INT), ("kind", STR), ("algebra", opt(nullable(ALGEBRA))),
+             ("string", listof(_row(2))), ("tail_assumed", BOOL),
+         )))),
+        ("refinement", RefinementReport,
+         ("chain", listof(_row(2))), ("algebras", listof(ALGEBRA)),
+         ("standard_edges", listof(BOOL)), ("n0", INT)),
+        ("socle", SocleReport,
+         ("constituents", listof(record(
+             ConstituentSocle, ("id", "cid", INT), ("kind", STR), ("algebra", nullable(STR)),
+             ("k", INT), ("l", INT), *_DIMS,
+         ))),
+         ("finite_part", listof(record(
+             IsotypicRow, ("id", "cid", INT), ("algebra", STR), ("weight", ROW), ("mult", INT),
+         ))),
+         ("quotient", _DIM), ("quotient_dual", _DIM)),
+        ("invariants", InvariantsReport,
+         ("multiplicities", "multiplicity_pairs", listof(_row(3))),
+         ("subsets", listof(record(
+             SubsetInvariants, ("ids", ROW), *_DIMS, ("quotient", _DIM), ("quotient_dual", _DIM),
+         )))),
+        ("maximal", Verdict,
+         ("algebra", STR), ("tag", STR), ("maximal", BOOL), ("description", STR),
+         ("subspace", opt(nullable(_DESCRIPTOR))),
+         ("perp", "perp_space", opt(nullable(_DESCRIPTOR))),
+         ("witness", opt(nullable(_DESCRIPTOR))),
+         ("witness_vector", opt(nullable(listof(fixed(INT, STR)))))),
+        ("oracle", lambda algebra, entries, total: WeightMultiset(algebra, entries),
+         ("algebra", ALGEBRA), ("entries", listof(fixed(ROW, INT))), ("total", INT)),
+        ("oracle-trace", _values,
+         ("algebra", ALGEBRA), ("weight", ROW), ("trace_index", INT)),
+        ("oracle-tensor",
+         lambda algebra, factors, summands:
+             (algebra, factors, _decomposition((algebra,), summands, "summands")),
+         ("algebra", ALGEBRA), ("factors", fixed(ROW, ROW)), ("summands", _SUMMANDS)),
+        ("oracle-selftest", _values,
+         ("seed", INT), ("checked", listof(fixed(ALGEBRA, ROW, ROW, INT)))),
     )
+}
 
 
-def constituent_to_doc(c: Constituent) -> dict:
-    return {
-        "id": c.cid,
-        "kind": c.kind,
-        "algebra": str(c.algebra) if c.algebra else None,
-        "string": [list(v) for v in c.string],
-        "tail_assumed": c.tail_assumed,
-    }
-
-
-def constituent_from_doc(doc, where="constituent") -> Constituent:
-    algebra = _optional(doc, "algebra", where)
-    return Constituent(
-        _expect(doc, "id", where),
-        _expect(doc, "kind", where),
-        parse_algebra(algebra) if algebra else None,
-        tuple(tuple(v) for v in _entries(doc, "string", where, 2, _all_ints)),
-        _expect(doc, "tail_assumed", where),
-    )
+def build_report(kind: str, **values) -> dict:
+    """The `kind` report of the field values given by attribute name."""
+    return REPORTS[kind].dump(SimpleNamespace(**values))
 
 
 def index_report(algebra: SimpleAlgebra, weight, index: int, dim: int) -> dict:
-    return _report(
-        "index",
-        {"algebra": str(algebra), "weight": list(weight), "index": index, "dimension": dim},
-    )
+    return build_report("index", algebra=algebra, weight=weight, index=index, dimension=dim)
 
 
 def embedding_report(emb: Embedding, indices, classification) -> dict:
-    return _report(
-        "embedding",
-        {
-            "source": [str(f) for f in emb.source.factors],
-            "target": str(emb.target),
-            "index": list(indices),
-            "classification": str(classification),
-        },
-    )
+    return build_report("embedding", source=emb.source.factors, target=emb.target,
+                        index=indices, classification=str(classification))
 
 
-def limit_report(graph: BratteliGraph, constituents, sums, stab) -> dict:
-    return _report(
-        "limit",
-        {
-            "levels": [
-                {"components": [str(f) for f in lv.components.factors], "ambient": str(lv.ambient)}
-                for lv in graph.levels
-            ],
-            "alpha": [[n, j, v] for (n, j), v in sorted(graph.alpha.items())],
-            "beta": [[n, j, k, v] for (n, j, k), v in sorted(graph.beta.items())],
-            "level_sums": [[list(origin), values] for origin, values in sums],
-            "stabilization": [
-                [list(origin), m0] for origin, m0 in stab
-            ],
-            "constituents": [constituent_to_doc(c) for c in constituents],
-        },
-    )
+def limit_report(graph, constituents, sums, stab) -> dict:
+    return build_report("limit", levels=graph.levels, alpha=graph.alpha, beta=graph.beta,
+                        level_sums=sums, stabilization=stab, constituents=constituents)
 
 
-def refinement_report(r: RefinementReport) -> dict:
-    return _report(
-        "refinement",
-        {
-            "chain": [list(v) for v in r.chain],
-            "algebras": [str(a) for a in r.algebras],
-            "standard_edges": list(r.standard_edges),
-            "n0": r.n0,
-        },
-    )
-
-
-def socle_report_doc(rep: SocleReport) -> dict:
-    return _report(
-        "socle",
-        {
-            "constituents": [
-                {
-                    "id": row.cid,
-                    "kind": row.kind,
-                    "algebra": row.algebra,
-                    "k": row.k,
-                    "l": row.l,
-                    "trivial": extended_dim_to_doc(row.dim_trivial),
-                    "trivial_dual": extended_dim_to_doc(row.dim_trivial_dual),
-                }
-                for row in rep.constituents
-            ],
-            "finite_part": [
-                {"id": r.cid, "algebra": r.algebra, "weight": list(r.weight), "mult": r.mult}
-                for r in rep.finite_part
-            ],
-            "quotient": extended_dim_to_doc(rep.quotient),
-            "quotient_dual": extended_dim_to_doc(rep.quotient_dual),
-        },
-    )
-
-
-def invariants_report_doc(rep: InvariantsReport) -> dict:
-    return _report(
-        "invariants",
-        {
-            "multiplicities": [list(p) for p in rep.multiplicity_pairs],
-            "subsets": [
-                {
-                    "ids": list(row.ids),
-                    "trivial": extended_dim_to_doc(row.dim_trivial),
-                    "trivial_dual": extended_dim_to_doc(row.dim_trivial_dual),
-                    "quotient": extended_dim_to_doc(row.quotient),
-                    "quotient_dual": extended_dim_to_doc(row.quotient_dual),
-                }
-                for row in rep.subsets
-            ],
-        },
-    )
-
-
-def verdict_report(v: Verdict) -> dict:
-    return _report(
-        "maximal",
-        {
-            "algebra": v.algebra,
-            "tag": v.tag,
-            "maximal": v.maximal,
-            "description": v.description,
-            "subspace": descriptor_to_doc(v.subspace) if v.subspace else None,
-            "perp": descriptor_to_doc(v.perp_space) if v.perp_space else None,
-            "witness": descriptor_to_doc(v.witness) if v.witness else None,
-            "witness_vector": (
-                [[i, c] for i, c in v.witness_vector] if v.witness_vector else None
-            ),
-        },
-    )
-
-
-def multiset_report(ms: WeightMultiset) -> dict:
-    return _report(
-        "oracle",
-        {
-            "algebra": str(ms.algebra),
-            "entries": [[list(w), m] for w, m in ms.entries],
-            "total": ms.total,
-        },
-    )
+refinement_report = REPORTS["refinement"].dump
+socle_report_doc = REPORTS["socle"].dump
+invariants_report_doc = REPORTS["invariants"].dump
+verdict_report = REPORTS["maximal"].dump
+multiset_report = REPORTS["oracle"].dump
+_ENVELOPE = record(_same, _REPORT_FORMAT, ("kind", _one_of(*REPORTS)))
 
 
 def parse_report(doc):
-    """Rebuild the typed content of a report document (round-trip partner)."""
-    _check_format(doc, REPORT_FORMAT, "report")
-    kind = _expect(doc, "kind", "report")
-    where = f"{kind} report"
-
-    def field(key):
-        return _expect(doc, key, where)
-
-    def dims(rec, at, *keys):
-        return [extended_dim_from_doc(_expect(rec, k, at), f"{at}.{k}") for k in keys]
-
-    if kind == "index":
-        return (
-            parse_algebra(field("algebra")),
-            parse_weight(field("weight")),
-            field("index"),
-            field("dimension"),
-        )
-    if kind == "embedding":
-        return (
-            tuple(parse_algebra(a) for a in _list(doc, "source", where)),
-            parse_algebra(field("target")),
-            tuple(_list(doc, "index", where)),
-            field("classification"),
-        )
-    if kind == "limit":
-        return (
-            {(n, j): v for n, j, v in _entries(doc, "alpha", where, 3, _all_ints)},
-            {(n, j, k): v for n, j, k, v in _entries(doc, "beta", where, 4, _all_ints)},
-            tuple(
-                constituent_from_doc(c, f"{where}: constituent {pos}")
-                for pos, c in enumerate(_list(doc, "constituents", where))
-            ),
-        )
-    if kind == "refinement":
-        return RefinementReport(
-            tuple(tuple(v) for v in _entries(doc, "chain", where, 2, _all_ints)),
-            tuple(parse_algebra(a) for a in _list(doc, "algebras", where)),
-            tuple(bool(b) for b in _list(doc, "standard_edges", where)),
-            field("n0"),
-        )
-    if kind == "socle":
-        rows = []
-        for pos, r in enumerate(_list(doc, "constituents", where)):
-            at = f"{where}: constituent {pos}"
-            rows.append(ConstituentSocle(
-                *(_expect(r, k, at) for k in ("id", "kind", "algebra", "k", "l")),
-                *dims(r, at, "trivial", "trivial_dual"),
-            ))
-        finite = []
-        for pos, r in enumerate(_list(doc, "finite_part", where)):
-            at = f"{where}: finite part {pos}"
-            finite.append(IsotypicRow(
-                _expect(r, "id", at), _expect(r, "algebra", at),
-                tuple(_list(r, "weight", at)), _expect(r, "mult", at),
-            ))
-        return SocleReport(tuple(rows), tuple(finite), *dims(doc, where, "quotient", "quotient_dual"))
-    if kind == "invariants":
-        subsets = []
-        for pos, r in enumerate(_list(doc, "subsets", where)):
-            at = f"{where}: subset {pos}"
-            subsets.append(SubsetInvariants(
-                tuple(_list(r, "ids", at)),
-                *dims(r, at, "trivial", "trivial_dual", "quotient", "quotient_dual"),
-            ))
-        return InvariantsReport(
-            tuple(tuple(p) for p in _entries(doc, "multiplicities", where, 3)),
-            tuple(subsets),
-        )
-    if kind == "maximal":
-        def descriptor(key):
-            sub = _optional(doc, key, where)
-            return descriptor_from_doc(sub, f"{where}: {key}") if sub else None
-
-        witness_vector = None
-        if _optional(doc, "witness_vector", where):
-            witness_vector = tuple(
-                (i, c) for i, c in _entries(
-                    doc, "witness_vector", where, 2,
-                    lambda e: _is_int(e[0]) and isinstance(e[1], str),
-                )
-            )
-        return Verdict(
-            field("algebra"),
-            field("tag"),
-            field("maximal"),
-            field("description"),
-            subspace=descriptor("subspace"),
-            perp_space=descriptor("perp"),
-            witness=descriptor("witness"),
-            witness_vector=witness_vector,
-        )
-    if kind == "oracle":
-        return WeightMultiset(
-            parse_algebra(field("algebra")),
-            tuple((parse_weight(w), m) for w, m in _entries(doc, "entries", where, 2)),
-        )
-    raise _fail(f"report: unknown kind {kind!r}")
+    """Rebuild the typed content of a report document of any kind."""
+    kind = _parser(_ENVELOPE, "report")(doc)
+    return _parser(REPORTS[kind], f"{kind} report")(doc)
 
 
 def dumps(doc) -> str:
@@ -586,10 +503,10 @@ def load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
-        raise _fail(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _fail(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
 def fixture_path(name: str):
@@ -598,5 +515,5 @@ def fixture_path(name: str):
 
     path = Path(__file__).parent / "fixtures" / name
     if not path.exists():
-        raise _fail(f"no shipped fixture named {name!r}")
+        raise ParseError(f"no shipped fixture named {name!r}")
     return path

@@ -218,6 +218,179 @@ def test_malformed_reports_are_parse_errors(mutate):
         formats.parse_report(doc)
 
 
+# -- every report kind, field by field ---------------------------------------
+
+# One command per report kind, chosen so that every field of every record
+# of the kind's table occurs in its output.
+REPORT_COMMANDS = {
+    "index": ("index", "A2", "1,1"),
+    "embedding": ("embed", fixture("diag_a5_a11.json")),
+    "limit": ("limit", fixture("example1.json")),
+    "refinement": ("refine", fixture("s1.json")),
+    "socle": ("socle", fixture("example1.json")),
+    "invariants": ("invariants", fixture("s2.json"), "--subset", "0,1"),
+    "maximal": ("maximal", "gl", fixture("codim2_kernel.json")),
+    "oracle": ("oracle", "freudenthal", "A2", "1,1"),
+    "oracle-trace": ("oracle", "trace", "B2", "1,1"),
+    "oracle-tensor": ("oracle", "tensor", "A2", "1,0", "0,1"),
+    "oracle-selftest": ("oracle", "selftest", "--seed", "2", "--enum-bound", "4"),
+}
+
+
+def _json_report(kind):
+    code, out, err = run_cli("--format", "json", *REPORT_COMMANDS[kind])
+    assert (code, err) == (0, ""), err
+    return out
+
+
+def _json_path(loc):
+    return "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in loc)
+
+
+def _schema_names(codec, prefix=""):
+    """Dotted name of every field reachable in a table."""
+    for key, _, field in codec.fields:
+        yield prefix + key
+        inner = field.item if field.item is not None else field
+        yield from _schema_names(inner, f"{prefix}{key}.")
+
+
+def _document_fields(codec, node, loc=(), prefix=""):
+    """(location of the record, key, field codec, dotted name) of every field
+    of every record in a document."""
+    for key, _, field in codec.fields:
+        yield loc, key, field, prefix + key
+        value = node.get(key)
+        if isinstance(value, dict) and field.fields:
+            yield from _document_fields(field, value, loc + (key,), f"{prefix}{key}.")
+        elif isinstance(value, list) and field.item is not None and field.item.fields:
+            for i, entry in enumerate(value):
+                yield from _document_fields(field.item, entry, loc + (key, i), f"{prefix}{key}.")
+
+
+def _with(doc, loc, key, value=None, delete=False):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for k in loc:
+        node = node[k]
+    if delete:
+        del node[key]
+    else:
+        node[key] = value
+    return doc
+
+
+def _redumped(kind, typed):
+    """The document of a parsed-back report, dumped through the same table."""
+    if not isinstance(typed, tuple):
+        return formats.REPORTS[kind].dump(typed)
+    if kind == "limit":  # the typed limit report leaves out the fields shown for display
+        alpha, beta, constituents = typed
+        typed = ((), alpha, beta, (), (), constituents)
+    names = [attr for _, attr, _ in formats.REPORTS[kind].fields if attr]
+    return formats.build_report(kind, **dict(zip(names, typed)))
+
+
+def test_report_commands_cover_every_kind():
+    assert sorted(REPORT_COMMANDS) == sorted(formats.REPORTS)
+
+
+@pytest.mark.parametrize("kind", sorted(REPORT_COMMANDS))
+def test_every_cli_report_reparses(kind):
+    out = _json_report(kind)
+    doc = json.loads(out)
+    assert doc["kind"] == kind and formats.dumps(doc) == out
+    typed = formats.parse_report(doc)
+    if kind == "limit":
+        doc = {**doc, "levels": [], "level_sums": [], "stabilization": []}
+    assert _redumped(kind, typed) == doc
+
+
+@pytest.mark.parametrize("kind", sorted(REPORT_COMMANDS))
+def test_report_fields_per_schema(kind):
+    doc = json.loads(_json_report(kind))
+    table = formats.REPORTS[kind]
+    fields = list(_document_fields(table, doc))
+    assert {name for *_, name in fields} == set(_schema_names(table))
+    for loc, key, field, _ in fields:
+        where = _json_path(loc)
+        deleted = _with(doc, loc, key, delete=True)
+        if field.default is formats.REQUIRED:
+            with pytest.raises(ParseError) as exc:
+                formats.parse_report(deleted)
+            assert f"{where}: missing field {key!r}" in str(exc.value)
+        else:
+            explicit = _with(doc, loc, key, field.dump(field.default))
+            assert formats.parse_report(deleted) == formats.parse_report(explicit)
+        node = doc
+        for k in loc:
+            node = node[k]
+        other = "x" if isinstance(node[key], (list, dict)) else [1]
+        with pytest.raises(ParseError) as exc:
+            formats.parse_report(_with(doc, loc, key, other))
+        assert f"{_json_path(loc + (key,))}:" in str(exc.value)
+
+
+def test_parse_errors_name_the_json_path():
+    doc = load_fixture("s2.json")
+    doc["levels"][0]["ambient_branching"][1]["mult"] = "2"
+    with pytest.raises(ParseError, match=r"^system file: \$\.levels\[0\]\.ambient_branching\[1\]"
+                                         r"\.mult: expected an integer >= 1, got '2'$"):
+        formats.system_from_doc(doc)
+    doc = load_fixture("s2.json")
+    doc["edges"][0]["branchings"][0][0]["weights"].append([0])
+    with pytest.raises(ParseError, match=r"\$\.edges\[0\]\.branchings\[0\]\[0\]\.weights: "):
+        formats.system_from_doc(doc)
+
+
+# -- unreadable files and non-finite numbers ----------------------------------
+
+
+def _directory(tmp_path):
+    return tmp_path
+
+
+def _latin1_file(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"format": "lielimits-subspace/1", "space": "V\xe9"}'.encode("latin-1"))
+    return path
+
+
+def _deeply_nested_file(tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000)
+    return path
+
+
+@pytest.mark.parametrize("make", [_directory, _latin1_file, _deeply_nested_file],
+                         ids=["directory", "not-utf8", "deeply-nested"])
+def test_unreadable_files_are_parse_errors(tmp_path, make):
+    path = make(tmp_path)
+    code, out, err = run_cli("maximal", "gl", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: cannot read {path}: ")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['"generators": [{"1": Infinity}]', '"generators": [{"1": 1e999}]',
+     '"kernels": [{"head": [-Infinity], "tail": 0}]'],
+    ids=["infinity", "overflowing-float", "negative-infinity-head"],
+)
+def test_non_finite_rationals_are_parse_errors(tmp_path, text):
+    path = tmp_path / "subspace.json"
+    path.write_text('{"format": "lielimits-subspace/1", "tail_from": 3, %s}' % text)
+    code, out, err = run_cli("maximal", "gl", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: subspace file: $.") and "bad rational" in err
+
+
+def test_cli_weight_rank_is_checked_once():
+    message = "parse error: weight '1,1' has 2 labels, A1 has rank 1\n"
+    assert run_cli("index", "A1", "1,1") == (2, "", message)
+    assert run_cli("oracle", "trace", "A1", "1,1") == (2, "", message)
+
+
 def test_cli_eq4_violation_names_level(tmp_path):
     # consistent dimensions everywhere, but the labels break the sum law:
     # alpha_1 = 2 while the only edge carries beta = 1 onto alpha_2 = 1
