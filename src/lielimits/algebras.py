@@ -292,10 +292,6 @@ def dual_labels(alg: SimpleAlgebra, lam: Weight) -> Weight:
     return lam
 
 
-def is_self_dual(alg: SimpleAlgebra, lam) -> bool:
-    return dual_weight(alg, lam) == tuple(lam)
-
-
 def dominant_weights_up_to_dim(alg: SimpleAlgebra, bound: int) -> list[Weight]:
     """All dominant weights of dimension <= bound, in lexicographic order.
 

@@ -298,14 +298,15 @@ def _level(components, ambient, branching, conatural) -> LevelSpec:
 
 
 def _system(levels, edges):
-    """Some level, and per level gap at most one edge, with one branching
-    per component of the next level."""
+    """Some level, and per level gap one edge, with one branching per
+    component of the next level."""
     if not levels:
         raise _fail("expected a non-empty list", "levels")
+    if len(edges) != len(levels) - 1:
+        raise _fail(f"expected {len(levels) - 1} edges, one per level gap, got {len(edges)}",
+                    "edges")
     specs = []
     for n, branchings in enumerate(edges):
-        if n + 1 >= len(levels):
-            raise _fail("more edges than level gaps", "edges", n)
         source, targets = levels[n].components.factors, levels[n + 1].components.factors
         if len(branchings) != len(targets):
             raise _fail(f"expected {len(targets)} branchings, one per component of the "

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import algebras
-from .algebras import SimpleAlgebra, Weight, check_dominant, dimension, dual_labels, weight_form
+from .algebras import SimpleAlgebra, Weight, check_dominant, dual_labels, weight_form
 from .errors import DimensionMismatchError, DomainError, InternalConsistencyError, ResourceBoundError
 
 
@@ -273,12 +273,12 @@ def compose_index(first: list[Embedding], second: Embedding) -> int:
     """Index of a composite f -> k_1 + ... + k_l -> f'.
 
     `first` holds one Embedding per middle factor (all with the same simple
-    source f); `second` embeds the middle sum into f'.  Both sides of the
-    sum formula are computed and must agree exactly: the sum of per-factor
-    index products, and the index of the composite branching of the natural
-    module of f' over f (resolved through the oracle when every middle
-    weight is a natural, a conatural, or trivial; through the chain rule
-    per summand otherwise).
+    source f); `second` embeds the middle sum into f'.  The result is the
+    sum of per-factor index products.  The direct side, the index of the
+    composite branching of the natural module of f' over f through the
+    oracle, exists only for diagonal-compatible middles: every middle weight
+    of `second` a natural, a conatural, or trivial, with tensor products
+    inside the oracle's bound.  When it exists the two must agree exactly.
     """
     if not first:
         raise DomainError("need at least one middle factor")
@@ -298,7 +298,10 @@ def compose_index(first: list[Embedding], second: Embedding) -> int:
         li * sj for li, sj in zip(leg_index, embedding_index(second))
     )
 
-    side_direct = _composite_index(f, first, second)
+    try:
+        side_direct = _composite_index(f, first, second)
+    except ResourceBoundError:
+        return side_sum
     if side_sum != side_direct:
         raise DomainError(
             f"composite index mismatch: sum formula gives {side_sum}, direct computation "
@@ -309,14 +312,11 @@ def compose_index(first: list[Embedding], second: Embedding) -> int:
 
 def _composite_index(f: SimpleAlgebra, first: list[Embedding], second: Embedding) -> int:
     divisor = NATURAL_MODULE_INDEX[second.target.series]
-    try:
-        total = 0
-        for s in second.branching.summands:
-            restricted = _restrict_summand(f, first, s)
-            total += s.mult * index_of_module(restricted, 0)
-        quotient = Fraction(total, divisor)
-    except ResourceBoundError:
-        quotient = Fraction(_composite_index_chain_rule(first, second), divisor)
+    total = 0
+    for s in second.branching.summands:
+        restricted = _restrict_summand(f, first, s)
+        total += s.mult * index_of_module(restricted, 0)
+    quotient = Fraction(total, divisor)
     if quotient.denominator != 1:
         raise DomainError("composite branching index is not divisible by the target divisor")
     return int(quotient)
@@ -326,7 +326,7 @@ def _restrict_summand(f: SimpleAlgebra, first: list[Embedding], s: Summand) -> M
     """Restrict one tensor summand of the second branching down to f.
 
     Middle weights must be the natural, the conatural, or zero; anything
-    else has no structural restriction and trips the chain-rule fallback.
+    else has no structural restriction and leaves only the sum formula.
     """
     parts: list[ModuleDecomposition] = []
     for e, w in zip(first, s.weights):
@@ -357,25 +357,6 @@ def _tensor_over_simple(f, a: ModuleDecomposition, b: ModuleDecomposition) -> Mo
             product = oracle.tensor_decompose(f, sa.weights[0], sb.weights[0])
             out.extend((sp.weights, sp.mult * sa.mult * sb.mult) for sp in product.summands)
     return ModuleDecomposition._trusted(a.algebra, out)
-
-
-def _composite_index_chain_rule(first: list[Embedding], second: Embedding) -> int:
-    """I_f(natural of f') via the sum and tensor rules with per-factor chain rule."""
-    leg_index = [embedding_index(e)[0] for e in first]
-    total = Fraction(0)
-    for s in second.branching.summands:
-        dims = [dimension(k.target, w) for k, w in zip(first, s.weights)]
-        prod = 1
-        for d in dims:
-            prod *= d
-        term = Fraction(0)
-        for leg, (e, w, d) in zip(leg_index, zip(first, s.weights, dims)):
-            idx_middle = index_of_irrep(e.target, w)
-            term += Fraction(leg * idx_middle, d)
-        total += s.mult * prod * term
-    if total.denominator != 1:
-        raise InternalConsistencyError("chain-rule composite index is not an integer")
-    return int(total)
 
 
 def min_nondiagonal_index(alg: SimpleAlgebra, dim_bound: int) -> int:

@@ -17,8 +17,9 @@ constant functional whose S entry is its value on the whole tail), a finite
 space keeps the basis of U (dim rows).  Either way a row's S entry is its
 value at every index from M on, so widening the window repeats that entry,
 and the minimal window plus the rows make equality a tuple comparison.
-Perp swaps the two sides; sum and intersection concatenate rows or restrict
-the rows of one operand by those of the other.
+Perp swaps the two sides.  Sum and intersection are one rule: an
+intersection is a sum with the roles of the two sides swapped.  W is
+isotropic under a form exactly when W ⊆ W^perp.
 
 Perp is the annihilator under the gl pairing between V and V_*, or the
 orthogonal space under a fixed split form on V for the so/sp cases; the
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .errors import DomainError, InternalConsistencyError
 from .linalg import in_row_space, nullspace_basis, row_space_basis
@@ -262,16 +264,7 @@ class SubspaceDescriptor:
         return len(self.small) if self.has_tail else None
 
     def contains(self, vec) -> bool:
-        vec = vector(vec)
-        m = self.window
-        if self.has_tail:
-            return all(
-                sum((c * r[min(i, m) - 1] for i, c in vec.items()), Fraction(0)) == 0
-                for r in self.small
-            )
-        if any(i >= m for i in vec):
-            return False
-        return in_row_space([vec.get(i, Fraction(0)) for i in range(1, m + 1)], self.small)
+        return self.contains_space(SubspaceDescriptor.span([vec], self.space))
 
     def contains_space(self, other: "SubspaceDescriptor") -> bool:
         if other.space != self.space:
@@ -288,35 +281,35 @@ class SubspaceDescriptor:
         return all(in_row_space(f, b.small) for f in a.small)
 
 
-def _aligned(a: SubspaceDescriptor, b: SubspaceDescriptor, verb: str):
+def _combine(a: SubspaceDescriptor, b: SubspaceDescriptor, wide: bool) -> SubspaceDescriptor:
+    """Sum (wide) or intersection of two descriptors of one space.
+
+    A tail stores an annihilator and a finite space a basis, so a sum adds
+    the rows of two finite operands and meets those of two tails, and an
+    intersection does the reverse.  Mixed operands keep the rows of the one
+    whose kind the result has, restricted by the other's rows.
+    """
     if a.space != b.space:
-        raise DomainError(f"cannot {verb} subspaces of different spaces")
+        raise DomainError(f"cannot {'add' if wide else 'intersect'} subspaces of different spaces")
     m = max(a.window, b.window)
-    return a.at_window(m), b.at_window(m)
+    a, b = a.at_window(m), b.at_window(m)
+    has_tail = (a.has_tail or b.has_tail) if wide else (a.has_tail and b.has_tail)
+    if a.has_tail != b.has_tail:
+        keep, other = (a, b) if a.has_tail == has_tail else (b, a)
+        small = _restrict(keep.small, other.small)
+    elif a.has_tail != wide:
+        small = row_space_basis(list(a.small + b.small))
+    else:
+        small = _meet(a.small, b.small)
+    return SubspaceDescriptor._of(a.space, m, small, has_tail)
 
 
 def descriptor_sum(a: SubspaceDescriptor, b: SubspaceDescriptor) -> SubspaceDescriptor:
-    a, b = _aligned(a, b, "add")
-    if a.has_tail and b.has_tail:
-        small = _meet(a.small, b.small)
-    elif a.has_tail or b.has_tail:
-        t, f = (a, b) if a.has_tail else (b, a)
-        small = _restrict(t.small, f.small)
-    else:
-        small = row_space_basis(list(a.small + b.small))
-    return SubspaceDescriptor._of(a.space, a.window, small, a.has_tail or b.has_tail)
+    return _combine(a, b, True)
 
 
 def descriptor_intersection(a: SubspaceDescriptor, b: SubspaceDescriptor) -> SubspaceDescriptor:
-    a, b = _aligned(a, b, "intersect")
-    if a.has_tail and b.has_tail:
-        small = row_space_basis(list(a.small + b.small))
-    elif a.has_tail or b.has_tail:
-        t, f = (a, b) if a.has_tail else (b, a)
-        small = _restrict(f.small, t.small)
-    else:
-        small = _meet(a.small, b.small)
-    return SubspaceDescriptor._of(a.space, a.window, small, a.has_tail and b.has_tail)
+    return _combine(a, b, False)
 
 
 # -- forms and perps ---------------------------------------------------------
@@ -408,20 +401,11 @@ def double_perp_closed(w: SubspaceDescriptor, context=GL_PAIRING):
 
 
 def is_isotropic(w: SubspaceDescriptor, form: StandardForm) -> bool:
-    """The form vanishes identically on W.  Tail descriptors contain paired
-    basis vectors deep in the tail and are never isotropic."""
+    """The form vanishes identically on W, that is W ⊆ W^perp.  A tail's perp
+    is finite, so tail descriptors are never isotropic."""
     if w.space != "V":
         raise DomainError("isotropy is a property of subspaces of V")
-    if w.has_tail:
-        return False
-    w = _odd_window(w)
-    vecs = [list(r[:-1]) for r in w.small]
-    for a in vecs:
-        for b in vecs:
-            jb = _j_window(b, form.sign)
-            if sum((x * y for x, y in zip(a, jb)), Fraction(0)) != 0:
-                return False
-    return True
+    return perp(w, form).contains_space(w)
 
 
 # -- maximality classification ----------------------------------------------
@@ -558,25 +542,15 @@ def _isotropic_line(w: SubspaceDescriptor, form: StandardForm):
 def _rational_sqrt(q: Fraction):
     if q < 0:
         return None
-    num = _isqrt_exact(q.numerator)
-    den = _isqrt_exact(q.denominator)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
-
-def _isqrt_exact(n: int):
-    from math import isqrt
-
-    r = isqrt(n)
-    return r if r * r == n else None
+    root = Fraction(isqrt(q.numerator), isqrt(q.denominator))
+    return root if root * root == q else None
 
 
 def _classify_form(g_kind: str, w: SubspaceDescriptor, form: StandardForm) -> Verdict:
     _require_proper(w)
     p = perp(w, form)
     core = descriptor_intersection(w, p)
-    if is_isotropic(w, form):
+    if p.contains_space(w):
         closure = perp(p, form)
         if closure != w:
             raise InternalConsistencyError("isotropic descriptors are finite, hence closed")

@@ -327,16 +327,6 @@ def decompose(graph: BratteliGraph) -> list[Constituent]:
     return constituents
 
 
-def edge_restriction(graph: BratteliGraph, source, target) -> ModuleDecomposition:
-    """Branching of the target component's natural module over the single
-    source component (other factors collapsed into multiplicities)."""
-    (n, j), (m, k) = source, target
-    if m != n + 1:
-        raise DomainError("edge restriction needs consecutive levels")
-    branching = graph.edges[n - 1].branchings[k]
-    return restrict_to_factor(branching, j)
-
-
 @dataclass(frozen=True)
 class RefinementReport:
     """The nested simple ideals along the unique infinite string."""
@@ -368,7 +358,8 @@ def extract_refinement(graph: BratteliGraph, constituents=None, constituent_id=N
     string = infinite[0].string
     flags = []
     for v, w in zip(string, string[1:]):
-        restricted = edge_restriction(graph, v, w)
+        (n, j), (_, k) = v, w
+        restricted = restrict_to_factor(graph.edges[n - 1].branchings[k], j)
         emb = Embedding(
             SemisimpleAlgebra((graph.algebra_at(v),)), graph.algebra_at(w), restricted
         )

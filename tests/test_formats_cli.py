@@ -1,6 +1,7 @@
 import argparse
 import json
 import random
+import re
 import subprocess
 import sys
 
@@ -169,6 +170,42 @@ def test_cli_malformed_documents_are_parse_errors(tmp_path, command, name, mutat
     bad.write_text(json.dumps(doc))
     code, out, err = run_cli(*command, str(bad))
     assert (code, out) == (2, "") and err.startswith("parse error:")
+
+
+def _no_levels(doc):
+    doc["levels"] = []
+
+
+def _edge_missing(doc):
+    doc["edges"].pop()
+
+
+def _edge_extra(doc):
+    doc["edges"].append(doc["edges"][-1])
+
+
+def _branching_missing(doc):
+    doc["edges"][0]["branchings"].pop()
+
+
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (_no_levels, r"\$\.levels: expected a non-empty list"),
+        (_edge_missing, r"\$\.edges: expected 3 edges, one per level gap, got 2"),
+        (_edge_extra, r"\$\.edges: expected 3 edges, one per level gap, got 4"),
+        (_branching_missing, r"\$\.edges\[0\]\.branchings: expected 2 branchings"),
+    ],
+    ids=["no-levels", "edge-missing", "edge-extra", "branching-missing"],
+)
+def test_cli_system_shape_errors_name_the_field(tmp_path, mutate, message):
+    doc = load_fixture("s2.json")
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli("limit", str(bad))
+    assert (code, out) == (2, "")
+    assert re.search(message, err), err
 
 
 def _maximal_report():

@@ -5,7 +5,9 @@ from typing import NamedTuple
 import pytest
 
 from lielimits import linalg
-from lielimits.errors import DomainError
+from lielimits.algebras import SimpleAlgebra
+from lielimits.errors import DimensionMismatchError, DomainError
+from lielimits.index import ModuleDecomposition, SemisimpleAlgebra, Summand
 from lielimits.linalg import in_row_space, nullspace_basis, row_space_basis
 from lielimits.subspaces import (
     ALL_ONES,
@@ -21,6 +23,7 @@ from lielimits.subspaces import (
     perp,
     uniqueness_check,
     uniqueness_invariant,
+    vector,
 )
 
 SYM = StandardForm("symmetric")
@@ -434,6 +437,46 @@ def test_classification_domain_errors():
         classify_maximal("so", SubspaceDescriptor.tail(5))
     with pytest.raises(DomainError):
         classify_maximal("so", SubspaceDescriptor.tail(5), SYMP)
+
+
+_LINE = SubspaceDescriptor.span([{1: 1}])
+_DUAL_LINE = SubspaceDescriptor.span([{1: 1}], "V*")
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: vector({0: 1}), DomainError, "basis indices start at 1"),
+        (lambda: SubspaceDescriptor("V", 2, [[0, 1]], False), DomainError, "zero tail entry"),
+        (lambda: SubspaceDescriptor("W", 1, [], False), DomainError, "space must be"),
+        (lambda: SubspaceDescriptor.build(tail_from=0), DomainError, "tail_from must be >= 1"),
+        (lambda: SubspaceDescriptor.span([{3: 1}]).at_window(2), DomainError, "cannot shrink"),
+        (lambda: _LINE.contains_space(_DUAL_LINE), DomainError, "space mismatch"),
+        (lambda: StandardForm("x"), DomainError, "form kind must be"),
+        (lambda: perp(_LINE, "bogus"), DomainError, "unknown perp context"),
+        (lambda: perp(_DUAL_LINE, SYM), DomainError, "taken inside V"),
+        (lambda: is_isotropic(_DUAL_LINE, SYM), DomainError, "isotropy is a property"),
+        (lambda: classify_maximal("xx", _LINE), DomainError, "unknown algebra kind"),
+        (lambda: classify_maximal("gl", 42), DomainError, "expected a SubspaceDescriptor"),
+        (lambda: classify_maximal("sp", _LINE, SYM), DomainError, "requires the symplectic"),
+        (
+            lambda: ModuleDecomposition(
+                SemisimpleAlgebra((SimpleAlgebra("A", 1),)), (Summand(((1,), (0,))),)
+            ),
+            DimensionMismatchError,
+            "summand has 2 weights for 1 factors",
+        ),
+    ],
+    ids=[
+        "vector-index-0", "finite-tail-entry", "space-W", "tail-from-0", "shrink-window",
+        "contains-across-spaces", "form-kind", "perp-context", "form-perp-of-dual",
+        "isotropy-of-dual", "algebra-kind", "not-a-descriptor", "sp-symmetric-form",
+        "summand-weight-count",
+    ],
+)
+def test_public_api_guards(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_cases_mutually_exclusive_and_exhaustive(rng):
