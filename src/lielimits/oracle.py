@@ -4,16 +4,20 @@ Weight multiplicities come from the Freudenthal recursion over the
 saturated weight system, the trace-form index evaluates Tr pi(h)^2 / 2 on
 a long simple coroot h, and small tensor products are decomposed by
 iterated highest-weight extraction.  The weight system is a walk by
-mu - alpha_i and s_i mu that carries each weight's depth, and the
-recursion keeps a running string sum per positive root, so neither walks
-a whole string twice.  None of these touch the closed-form index formula,
-so agreement with it is evidence rather than tautology.
+mu - alpha_i and s_i mu that carries, for each weight, its depth, its
+norm |mu + rho|^2, its pairings with the positive roots and an integer
+code; all four are linear in mu, so each move updates them by a fixed
+step.  The recursion keeps a running string sum per positive root and
+finds the weight above by adding a root's code, so neither walks a whole
+string twice nor recomputes a form.  None of these touch the closed-form
+index formula, so agreement with it is evidence rather than tautology.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 from .algebras import (
     SimpleAlgebra,
@@ -81,23 +85,69 @@ def _depth(alg: SimpleAlgebra, top: Weight, mu: Weight) -> int:
     return total
 
 
-def weight_system(alg: SimpleAlgebra, lam) -> dict[Weight, int]:
-    """Weights of the irreducible with highest weight lam, mapped to their
-    depth (the height of lam - mu), by a walk of mu - alpha_i and
-    s_i mu = mu - mu_i alpha_i for each i with mu_i > 0."""
+def _radix(alg: SimpleAlgebra, lam: Weight) -> int:
+    """Radix of the weight code sum_j mu_j radix^j over the weights of lam.
+
+    Every weight mu has |mu| <= |lam|, so mu_j^2 <= 4 |lam|^2 / |alpha_j|^2
+    and |mu_j| <= bound.  Root labels lie in [-2, 2], so with radix
+    2 bound + 7 the labels of mu + alpha stay balanced digits: the code is
+    injective on weights and code(mu + alpha) = code(mu) + code(alpha).
+    """
+    a = eps2(alg, lam)
+    norm = pairing(alg, a, a)
+    return 2 * max(isqrt(4 * norm // step) for _, step in _coweights(alg)) + 7
+
+
+def _code(weight, radix: int) -> int:
+    return sum(x * radix**j for j, x in enumerate(weight))
+
+
+def weight_system(alg: SimpleAlgebra, lam) -> dict[int, tuple[Weight, int, int, tuple[int, ...]]]:
+    """Weights of the irreducible with highest weight lam, by a walk of
+    mu - alpha_i and s_i mu = mu - mu_i alpha_i for each i with mu_i > 0.
+
+    Maps code(mu) at _radix(alg, lam) to (mu, depth, norm, pairs): the
+    height of lam - mu, pairing(mu + rho, mu + rho) and the tuple of
+    pairing(mu, alpha) over positive_roots(alg).  All four are linear in
+    mu, so the walk carries them: a move by k alpha_i adds k to the depth
+    and takes k code(alpha_i) off the code and k pairing(alpha_i, alpha)
+    off each root pairing, and both moves take mu_i pairing(alpha_i,
+    alpha_i) off the norm.
+    """
     lam = check_dominant(alg, lam)
-    cartan = cartan_matrix(alg)
-    depth = {lam: 0}
-    todo = [lam]
-    for mu in todo:
-        for i, row in enumerate(cartan):
-            if mu[i] > 0:
-                for k in {1, mu[i]}:
-                    down = tuple(x - k * a for x, a in zip(mu, row))
-                    if down not in depth:
-                        depth[down] = depth[mu] + k
+    radix = _radix(alg, lam)
+    # pairing(mu, alpha) as a linear functional on the labels of mu
+    forms = [
+        [pairing(alg, omega, eps2(alg, alpha)) for omega, _ in _coweights(alg)]
+        for alpha in positive_roots(alg)
+    ]
+
+    def root_pairings(mu):
+        return tuple(sum(c * x for c, x in zip(form, mu)) for form in forms)
+
+    moves = [
+        (row, step, root_pairings(row), _code(row, radix))
+        for row, (_, step) in zip(cartan_matrix(alg), _coweights(alg))
+    ]
+    shifted = eps2(alg, [x + 1 for x in lam])
+    top = _code(lam, radix)
+    walk = {top: (lam, 0, pairing(alg, shifted, shifted), root_pairings(lam))}
+    todo = [top]
+    for code in todo:
+        mu, depth, norm, pairs = walk[code]
+        for m, (row, step, steps, shift) in zip(mu, moves):
+            if m > 0:
+                for k in {1, m}:
+                    down = code - k * shift
+                    if down not in walk:
+                        walk[down] = (
+                            tuple(x - k * a for x, a in zip(mu, row)),
+                            depth + k,
+                            norm - m * step,
+                            tuple(p - k * q for p, q in zip(pairs, steps)),
+                        )
                         todo.append(down)
-    return depth
+    return walk
 
 
 def freudenthal(alg: SimpleAlgebra, lam, dim_bound: int = DEFAULT_DIM_BOUND) -> WeightMultiset:
@@ -117,46 +167,34 @@ def _freudenthal(alg: SimpleAlgebra, lam: Weight) -> WeightMultiset:
 
     Both sides of the recursion are integer pairings at the scale of
     algebras.form_scale, so each multiplicity is one exact division.  The
-    weights run in depth order over a successor table (weight id -> weight
-    id per positive root); each root keeps the running string sum
-    T(mu) = m(mu + alpha) (mu + alpha, alpha) + T(mu + alpha).
+    weights run in depth order, reading the norm |mu + rho|^2 and the root
+    pairings (mu, alpha) that weight_system carried.  Each positive root
+    keeps the running string sum T(mu) = m(mu + alpha) (mu + alpha, alpha)
+    + T(mu + alpha), stored under code(mu + alpha) = code(mu) + code(alpha).
     """
-    depth = weight_system(alg, lam)
-    weights = sorted(depth, key=lambda mu: (depth[mu], mu))
-    index = {mu: i for i, mu in enumerate(weights)}
-
-    roots = positive_roots(alg)
-    # (mu, alpha) as a linear functional on the labels of mu
-    forms = []
-    for alpha in roots:
-        a = eps2(alg, alpha)
-        forms.append([pairing(alg, omega, a) for omega, _ in _coweights(alg)])
-    successors = [
-        [index.get(tuple(x + a for x, a in zip(mu, alpha)), -1) for mu in weights]
-        for alpha in roots
-    ]
-
-    def norm_shifted(mu):
-        shifted = eps2(alg, [x + 1 for x in mu])
-        return pairing(alg, shifted, shifted)
-
-    top_norm = norm_shifted(lam)
-    mult = [1] * len(weights)
-    # sums[r][i] = T(mu_i - alpha); sums[r][-1] = 0 is the sum above a string's top
-    sums = [[0] * (len(weights) + 1) for _ in roots]
-    for i, mu in enumerate(weights):
-        above = [s[succ[i]] for succ, s in zip(successors, sums)]
+    walk = weight_system(alg, lam)
+    radix = _radix(alg, lam)
+    shifts = [_code(alpha, radix) for alpha in positive_roots(alg)]
+    top_norm = walk[_code(lam, radix)][2]
+    weights, mult = [], []
+    # sums[r][code(mu)] = T(mu - alpha_r); a string's top finds no entry above it
+    sums = [{} for _ in shifts]
+    by_depth = sorted(walk.items(), key=lambda item: item[1][1])
+    for i, (code, (mu, _, norm, pairs)) in enumerate(by_depth):
+        above = [s.get(code + shift, 0) for shift, s in zip(shifts, sums)]
+        m = 1
         if i:
-            denom = top_norm - norm_shifted(mu)
+            denom = top_norm - norm
             if denom == 0:
                 raise InternalConsistencyError(f"Freudenthal denominator vanished at {mu}")
             acc = 2 * sum(above)
-            value, rest = divmod(acc, denom)
-            if rest or value <= 0:
+            m, rest = divmod(acc, denom)
+            if rest or m <= 0:
                 raise InternalConsistencyError(f"non-integral multiplicity {acc}/{denom} at {mu}")
-            mult[i] = value
-        for ga, t, s in zip(forms, above, sums):
-            s[i] = t + mult[i] * sum(c * x for c, x in zip(ga, mu))
+        for t, p, s in zip(above, pairs, sums):
+            s[code] = t + m * p
+        weights.append(mu)
+        mult.append(m)
     dim = weyl_dimension(alg, lam)
     if sum(mult) != dim:
         raise InternalConsistencyError(

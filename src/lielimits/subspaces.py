@@ -456,6 +456,8 @@ def classify_maximal(g_kind: str, w, form: StandardForm | None = None) -> Verdic
         raise DomainError(f"token {w!r} has no meaning for {g_kind}")
     if not isinstance(w, SubspaceDescriptor):
         raise DomainError("expected a SubspaceDescriptor or a recognized token")
+    # fold a widened window (at_window) back, so keys compare canonically
+    w = SubspaceDescriptor._of(w.space, w.window, w.small, w.has_tail)
 
     if g_kind in ("gl", "sl"):
         return _classify_gl_sl(g_kind, w)

@@ -12,8 +12,10 @@ from lielimits.algebras import (
 from lielimits.errors import InternalConsistencyError, ResourceBoundError
 from lielimits.index import index_of_irrep, index_of_module
 from lielimits.oracle import (
+    _code,
     _coweights,
     _depth,
+    _radix,
     freudenthal,
     tensor_decompose,
     trace_index,
@@ -87,10 +89,40 @@ DIFFERENTIAL_CASES = [
 
 def test_walk_and_string_sums_match_reference():
     for alg, lam in DIFFERENTIAL_CASES:
-        depth = weight_system(alg, lam)
+        walk = weight_system(alg, lam)
+        depth = {mu: d for mu, d, _, _ in walk.values()}
+        assert len(depth) == len(walk)
         assert depth.keys() == ref_weight_system(alg, lam)
         assert all(d == _depth(alg, lam, mu) for mu, d in depth.items())
         assert freudenthal(alg, lam).as_dict() == ref_freudenthal(alg, lam)
+
+
+def test_walk_carries_norm_pairings_and_codes():
+    for alg, lam in DIFFERENTIAL_CASES:
+        roots = positive_roots(alg)
+        radix = _radix(alg, lam)
+        walk = weight_system(alg, lam)
+        weights = {mu for mu, _, _, _ in walk.values()}
+        for code, (mu, _, norm, pairs) in walk.items():
+            shifted = eps2(alg, [x + 1 for x in mu])
+            assert norm == pairing(alg, shifted, shifted)
+            a = eps2(alg, mu)
+            assert pairs == tuple(pairing(alg, a, eps2(alg, alpha)) for alpha in roots)
+            assert code == _code(mu, radix)
+            for alpha in roots:
+                up = walk.get(code + _code(alpha, radix))
+                above = tuple(x + y for x, y in zip(mu, alpha))
+                assert (up[0] if up else None) == (above if above in weights else None)
+
+
+@pytest.mark.parametrize(
+    "literal,lam",
+    [("A1", (299,)), ("B3", (0, 0, 7)), ("C3", (0, 0, 5)), ("C3", (11, 0, 0)), ("D4", (0, 0, 0, 5))],
+)
+def test_freudenthal_at_largest_labels(literal, lam):
+    # the largest label of an irrep sets the radix of the weight code
+    alg = SimpleAlgebra.parse(literal)
+    assert freudenthal(alg, lam).as_dict() == ref_freudenthal(alg, lam)
 
 
 def test_freudenthal_a1_triplet():

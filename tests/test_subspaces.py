@@ -377,6 +377,16 @@ def test_classification_case_table():
     assert classify_maximal("sp", SubspaceDescriptor.span([{1: 1}]), SYMP).tag == "iiic"
 
 
+def test_widened_descriptor_classifies_as_canonical():
+    # at_window repeats the tail column; classification must fold it back
+    tail = SubspaceDescriptor.tail(3)
+    verdict = classify_maximal("gl", tail.at_window(5))
+    assert verdict.tag == "ic" and verdict.subspace == tail
+    line = SubspaceDescriptor.span([{1: 1}])
+    assert classify_maximal("sp", line.at_window(4), SYMP).tag == "iiic"
+    assert classify_maximal("so", line.at_window(4), SYM).tag == "iiic"
+
+
 def test_dual_side_kernel_is_ib():
     kernel_dual = SubspaceDescriptor.kernel([ALL_ONES], space="V*")
     verdict = classify_maximal("gl", kernel_dual)

@@ -8,7 +8,10 @@ For each irrep in CASES it prints the best of scale_chains.REPEAT runs of
 `oracle.trace_index`, each with the library's lru_caches cleared first, so
 every run computes the weight system and the Freudenthal multiplicities
 afresh.  The long A1 strings and the A2 (k, k) family show how the cost
-grows with string length; the B3 and D4 irreps have dimension over 10,000.
+grows with string length; B3 (0, 0, k) and C3 (0, 0, k) put all of lam on
+the short and on the long last simple root, the extremes of the label
+bound behind the weight code; B3 (1, 3, 1) and D4 (3, 2, 0, 0) have
+dimension over 10,000.
 Standard library only.
 """
 
@@ -21,6 +24,8 @@ from scale_chains import REPEAT, best_time
 CASES = (
     [("A1", (k,)) for k in (250, 500, 1000, 2000)]
     + [("A2", (k, k)) for k in (5, 10, 20)]
+    + [("B3", (0, 0, k)) for k in (4, 8, 10)]
+    + [("C3", (0, 0, k)) for k in (2, 4, 6)]
     + [("B3", (1, 3, 1)), ("D4", (3, 2, 0, 0))]
 )
 DIM_BOUND = 20_000
