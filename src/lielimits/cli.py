@@ -258,7 +258,9 @@ def cmd_oracle(cfg: RunConfig, args) -> int:
         ]
         _emit(cfg, doc, lines)
         return 0
-    return _oracle_selftest(cfg)  # the parser admits no other op
+    if args.args:  # selftest: the parser admits no other op
+        raise ParseError("oracle selftest expects 0 arguments")
+    return _oracle_selftest(cfg)
 
 
 def _oracle_selftest(cfg: RunConfig) -> int:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import prod
 
 from . import algebras
 from .algebras import SimpleAlgebra, Weight, check_dominant, dual_labels, weight_form
@@ -76,16 +77,15 @@ class ModuleDecomposition:
         object.__setattr__(self, "summands", _merged(pairs))
         return self
 
-    def summand_dim(self, s: Summand) -> int:
-        """Dimension of one of this decomposition's (validated) summands."""
-        d = 1
-        for f, w in zip(self.algebra.factors, s.weights):
-            d *= algebras.weyl_dimension(f, w)
-        return d
+    @cached_property
+    def dims(self) -> tuple[tuple[int, ...], ...]:
+        """Per summand, the Weyl dimension of its weight at every factor."""
+        factors = self.algebra.factors
+        return tuple(tuple(map(algebras.weyl_dimension, factors, s.weights)) for s in self.summands)
 
     @property
     def total_dim(self) -> int:
-        return sum(s.mult * self.summand_dim(s) for s in self.summands)
+        return sum(s.mult * prod(row) for s, row in zip(self.summands, self.dims))
 
     def dual(self) -> "ModuleDecomposition":
         """Factorwise dual of every summand (same multiplicities)."""
@@ -94,7 +94,9 @@ class ModuleDecomposition:
         return ModuleDecomposition._trusted(self.algebra, pairs)
 
     def is_self_dual(self) -> bool:
-        return self.dual() == self
+        factors = self.algebra.factors
+        pairs = [(s.weights, s.mult) for s in self.summands]
+        return sorted((tuple(map(dual_labels, factors, w)), m) for w, m in pairs) == pairs
 
 
 def _merged(pairs) -> tuple[Summand, ...]:
@@ -185,17 +187,10 @@ class Embedding:
 
 def _collapse(decomp: ModuleDecomposition, factor: int) -> list[tuple[Weight, int]]:
     """(weight at `factor`, mult * the other factors' dims) per summand."""
-    factors = decomp.algebra.factors
-    if not 0 <= factor < len(factors):
+    if not 0 <= factor < len(decomp.algebra.factors):
         raise DomainError(f"factor {factor} out of range for {decomp.algebra}")
-    out = []
-    for s in decomp.summands:
-        others = 1
-        for i, (f, w) in enumerate(zip(factors, s.weights)):
-            if i != factor:
-                others *= algebras.weyl_dimension(f, w)
-        out.append((s.weights[factor], s.mult * others))
-    return out
+    return [(s.weights[factor], s.mult * prod(row) // row[factor])
+            for s, row in zip(decomp.summands, decomp.dims)]
 
 
 def restrict_to_factor(decomp: ModuleDecomposition, factor: int) -> ModuleDecomposition:

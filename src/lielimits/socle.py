@@ -17,6 +17,7 @@ is exact for every fixture in scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .algebras import Weight, dual_labels
 from .errors import DomainError, InternalConsistencyError, NotStabilizedError
@@ -65,11 +66,15 @@ def _require_determined(constituents):
 
 def _trivial_mass(decomp: ModuleDecomposition, positions) -> int:
     """Total dimension of the summands trivial on every listed factor."""
-    total = 0
-    for s in decomp.summands:
-        if all(not any(s.weights[j]) for j in positions):
-            total += s.mult * decomp.summand_dim(s)
-    return total
+    return sum(s.mult * prod(row) for s, row in zip(decomp.summands, decomp.dims)
+               if not any(any(s.weights[j]) for j in positions))
+
+
+def _trivial_dims(graph: BratteliGraph, positions_by_level) -> tuple[ExtendedDim, ExtendedDim]:
+    """Trivial masses of V and V_* over the factors listed per level, as (n, positions)."""
+    levels = [(graph.levels[n - 1], positions) for n, positions in positions_by_level]
+    return (ExtendedDim.from_sequence(_trivial_mass(lv.ambient_branching, ps) for lv, ps in levels),
+            ExtendedDim.from_sequence(_trivial_mass(lv.conatural, ps) for lv, ps in levels))
 
 
 def _pure_counts(decomp: ModuleDecomposition, j: int, where: str) -> tuple[int, int]:
@@ -148,12 +153,7 @@ def trivial_dims(graph: BratteliGraph, constituent: Constituent) -> tuple[Extend
                 f"conatural override at level {top_n} carries multiplicities "
                 f"({k_dual},{l_dual}), expected the mirror of ({k},{l})"
             )
-    primal, dual = [], []
-    for n, j in constituent.string:
-        level = graph.levels[n - 1]
-        primal.append(_trivial_mass(level.ambient_branching, (j,)))
-        dual.append(_trivial_mass(level.conatural, (j,)))
-    return ExtendedDim.from_sequence(primal), ExtendedDim.from_sequence(dual)
+    return _trivial_dims(graph, ((n, (j,)) for n, j in constituent.string))
 
 
 @dataclass(frozen=True)
@@ -226,16 +226,14 @@ def socle_report(graph: BratteliGraph, constituents=None) -> SocleReport:
             for w in sorted(counts):
                 finite_rows.append(IsotypicRow(c.cid, str(alg), w, counts[w]))
 
-    primal = [_trivial_mass(lv.ambient_branching, range(len(lv.components.factors))) for lv in graph.levels]
-    dual = [
-        _trivial_mass(lv.conatural, range(len(lv.components.factors)))
-        for lv in graph.levels
-    ]
+    quotient, quotient_dual = _trivial_dims(
+        graph, ((n, range(len(lv.components.factors))) for n, lv in enumerate(graph.levels, 1))
+    )
     return SocleReport(
         constituents=tuple(rows),
         finite_part=tuple(finite_rows),
-        quotient=ExtendedDim.from_sequence(primal),
-        quotient_dual=ExtendedDim.from_sequence(dual),
+        quotient=quotient,
+        quotient_dual=quotient_dual,
     )
 
 
@@ -292,13 +290,8 @@ def standard_invariants(graph: BratteliGraph, constituents=None, subsets=None) -
     for J in chosen:
         strings = [dict(by_id[cid].string) for cid in J]
         start = max(s[0][0] for s in (by_id[cid].string for cid in J))
-        primal, dual = [], []
-        for n in range(start, graph.top + 1):
-            positions = [s[n] for s in strings]
-            level = graph.levels[n - 1]
-            primal.append(_trivial_mass(level.ambient_branching, positions))
-            dual.append(_trivial_mass(level.conatural, positions))
-        dim_n = ExtendedDim.from_sequence(primal)
-        dim_n_star = ExtendedDim.from_sequence(dual)
+        dim_n, dim_n_star = _trivial_dims(
+            graph, ((n, [s[n] for s in strings]) for n in range(start, graph.top + 1))
+        )
         rows.append(SubsetInvariants(J, dim_n, dim_n_star, dim_n, dim_n_star))
     return InvariantsReport(tuple(pairs), tuple(rows))

@@ -11,9 +11,10 @@ graph.
 
 The graph derives each vertex's successor list from beta once.  Everything
 about an origin (its forward closure, level sums and stabilization level
-m0) comes from one walk of that closure, level by level.  The walk is
-memoized on the graph, so `subdiagram`, `level_sums`, `stabilization`,
-`decompose` and the limit report all share it.
+m0) comes from its closure, built from the top level down and memoized on
+the graph.  Closures share their suffixes, so a W-wide chain of depth L
+decomposes in O(W*L); only `subdiagram`, `level_sums` and witness strings
+spell the layers out.
 
 Levels are numbered from 1; component positions j are 0-based.
 """
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 from .algebras import SimpleAlgebra
 from .errors import DimensionMismatchError, DomainError, InternalConsistencyError, NotStabilizedError
@@ -194,52 +194,75 @@ def compute_labels(levels, edges) -> BratteliGraph:
     return graph
 
 
-class Closure(NamedTuple):
-    """An origin's forward closure, walked once."""
+class Closure:
+    """One level of a forward closure, linked to the closure's levels above.
 
-    layers: tuple[tuple[int, ...], ...]  # component positions at levels n..top
-    sums: tuple[int, ...]  # a_m = sum of alpha over the layer at level m
-    m0: int | None  # stabilization level; None when the prefix is too short
+    `stable` is the first node of the longest suffix whose sums equal the top
+    sum and whose layers below the top have single out-edges; `end` is the top.
+    """
+
+    __slots__ = ("level", "layer", "total", "rest", "stable", "end")
+
+    def __init__(self, graph: BratteliGraph, level: int, layer: tuple[int, ...], rest: Closure | None):
+        self.level, self.layer, self.rest, self.stable, self.end = level, layer, rest, self, self
+        self.total = sum(graph.alpha[(level, j)] for j in layer)  # a_level
+        if rest is not None:
+            self.end = rest.end
+            if self.total < rest.total:
+                raise InternalConsistencyError(
+                    f"level sums increased after level {level}: {[v.total for v in self.nodes()]}")
+            if not (rest.stable is rest and self.total == self.end.total
+                    and all(len(graph.succ[(level, j)]) == 1 for j in layer)):
+                self.stable = rest.stable
+
+    def nodes(self):
+        node = self
+        while node is not None:
+            yield node
+            node = node.rest
+
+    @property
+    def m0(self) -> int | None:
+        """Stabilization level; None when the prefix is too short."""
+        if self.stable is self.end and self.end.total != 1 and self is not self.end:
+            return None
+        return self.stable.level
 
 
 def closure(graph: BratteliGraph, origin) -> Closure:
-    """Walk the origin's forward closure level by level (memoized on the graph).
+    """The origin's forward closure; the first call builds every vertex's, top down.
+
+    A vertex's closure is its own layer on top of the level-wise union of its
+    successors' closures: that closure itself when there is one successor,
+    else new layers up to the level from which the successors' closures are one.
 
     m0 is the least level from which the level sums stay constant through
     the top and every closure vertex below the top has exactly one outgoing
-    edge.  Both conditions hold on a suffix of levels, so m0 is found by
-    walking back from the top.  A candidate at the very top only counts when
+    edge.  Both hold on a suffix of levels, which each node extends by its
+    own level or inherits.  A candidate at the very top only counts when
     nothing could still change: a single-vertex subdiagram, or a top sum of 1
     (labels are positive, so the sequence cannot drop further).
     """
     origin = tuple(origin)
-    if origin in graph.walks:
-        return graph.walks[origin]
-    if origin not in graph.alpha:
+    if (1, 0) not in graph.walks:  # level 1 is built last
+        for n in range(graph.top, 0, -1):
+            for j in range(len(graph.components_at(n))):
+                heads, forks = {graph.walks[(n + 1, k)] for k, _ in graph.succ.get((n, j), ())}, []
+                while len(heads) > 1:
+                    forks.append(heads)
+                    heads = {node.rest for node in heads}
+                rest = next(iter(heads), None)
+                for level, nodes in reversed(list(enumerate(forks, n + 1))):
+                    rest = Closure(graph, level, tuple(sorted({k for v in nodes for k in v.layer})), rest)
+                graph.walks[(n, j)] = Closure(graph, n, (j,), rest)
+    if origin not in graph.walks:
         raise DomainError(f"no vertex {origin} in the graph")
-    n, top = origin[0], graph.top
-    layers = [(origin[1],)]
-    single = []  # per level n..top-1: every closure vertex has one out-edge
-    for m in range(n, top):
-        outs = [graph.succ[(m, j)] for j in layers[-1]]
-        single.append(all(len(o) == 1 for o in outs))
-        layers.append(tuple(sorted({k for o in outs for k, _ in o})))
-    sums = [sum(graph.alpha[(m, j)] for j in layer) for m, layer in enumerate(layers, start=n)]
-    if any(a < b for a, b in zip(sums, sums[1:])):
-        raise InternalConsistencyError(f"level sums increased at origin {origin}: {sums}")
-    m0 = top
-    while m0 > n and sums[m0 - 1 - n] == sums[-1] and single[m0 - 1 - n]:
-        m0 -= 1
-    if m0 == top and sums[-1] != 1 and n != top:
-        m0 = None
-    walk = graph.walks[origin] = Closure(tuple(layers), tuple(sums), m0)
-    return walk
+    return graph.walks[origin]
 
 
 def subdiagram(graph: BratteliGraph, origin) -> set[tuple[int, int]]:
     """Vertices reachable from the origin (the full forward closure)."""
-    layers = closure(graph, origin).layers
-    return {(m, j) for m, layer in enumerate(layers, start=origin[0]) for j in layer}
+    return {(node.level, j) for node in closure(graph, origin).nodes() for j in node.layer}
 
 
 def level_sums(graph: BratteliGraph, origin) -> list[int]:
@@ -247,7 +270,7 @@ def level_sums(graph: BratteliGraph, origin) -> list[int]:
 
     The sequence is monotone non-increasing on every validated graph.
     """
-    return list(closure(graph, origin).sums)
+    return [node.total for node in closure(graph, origin).nodes()]
 
 
 def stabilization(graph: BratteliGraph, origin) -> int | None:
@@ -273,9 +296,7 @@ class Constituent:
 def _classify_tail(graph: BratteliGraph, string) -> tuple[str, SimpleAlgebra | None, bool]:
     window = string[-min(TAIL_WINDOW, len(string)):]
     algs = [graph.algebra_at(v) for v in window]
-    betas = [
-        graph.beta[(v[0], v[1], w[1])] for v, w in zip(window, window[1:])
-    ]
+    betas = [graph.beta[(v[0], v[1], w[1])] for v, w in zip(window, window[1:])]
     if all(b == 1 for b in betas):
         # Natural dimensions, not ranks: so(2n) -> so(2n+1) grows while the
         # rank plateaus, and the dimension test coincides with rank growth
@@ -310,9 +331,9 @@ def decompose(graph: BratteliGraph) -> list[Constituent]:
         )
     # Each vertex of an origin's level-m0 layer starts a string: its own closure.
     starts_by_top: dict[tuple[int, int], list] = {}
-    for (n, _), walk in walks.items():
-        for j in walk.layers[walk.m0 - n]:
-            last = walks[(walk.m0, j)].layers[-1]
+    for walk in walks.values():
+        for j in walk.stable.layer:
+            last = walks[(walk.m0, j)].end.layer
             if len(last) != 1:
                 raise InternalConsistencyError(f"no unique continuation from {(walk.m0, j)}")
             starts_by_top.setdefault((graph.top, last[0]), []).append((walk.m0, j))
@@ -321,7 +342,7 @@ def decompose(graph: BratteliGraph) -> list[Constituent]:
     for cid, endpoint in enumerate(sorted(starts_by_top)):
         # strings differ at their start vertex, so the least start is the least string
         start = min(starts_by_top[endpoint])
-        witness = tuple((m, k) for m, (k,) in enumerate(walks[start].layers, start=start[0]))
+        witness = tuple((node.level, node.layer[0]) for node in walks[start].nodes())
         kind, algebra, assumed = _classify_tail(graph, witness)
         constituents.append(Constituent(cid, kind, algebra, witness, assumed))
     return constituents
@@ -360,9 +381,7 @@ def extract_refinement(graph: BratteliGraph, constituents=None, constituent_id=N
     for v, w in zip(string, string[1:]):
         (n, j), (_, k) = v, w
         restricted = restrict_to_factor(graph.edges[n - 1].branchings[k], j)
-        emb = Embedding(
-            SemisimpleAlgebra((graph.algebra_at(v),)), graph.algebra_at(w), restricted
-        )
+        emb = Embedding(SemisimpleAlgebra((graph.algebra_at(v),)), graph.algebra_at(w), restricted)
         flags.append(isinstance(classify_embedding(emb), Standard))
     n0 = string[0][0]
     for pos, flag in enumerate(flags):

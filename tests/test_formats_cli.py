@@ -503,6 +503,14 @@ def test_cli_oracle_ops():
     assert code == 0
 
 
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_cli_oracle_selftest_rejects_arguments(fmt):
+    # like `oracle trace A1 3 extra`: surplus operands are a usage error
+    expected = (2, "", "parse error: oracle selftest expects 0 arguments\n")
+    assert run_cli("--format", fmt, "oracle", "selftest", "foo", "bar") == expected
+    assert run_cli("--format", fmt, "oracle", "trace", "A1", "3", "extra")[0] == 2
+
+
 def test_cli_invariants_subsets():
     code, out, _ = run_cli("invariants", fixture("s2.json"), "--subset", "0,1")
     assert code == 0 and "J=[0, 1]" in out

@@ -1,3 +1,6 @@
+import random
+from math import prod
+
 import pytest
 
 from lielimits import algebras, index
@@ -14,8 +17,11 @@ from lielimits.index import (
     Diagonal,
     Embedding,
     General,
+    ModuleDecomposition,
     SemisimpleAlgebra,
     Standard,
+    Summand,
+    _collapse,
     classify_embedding,
     compose_index,
     decomposition,
@@ -307,3 +313,34 @@ def test_derived_decompositions_are_not_validated_again(monkeypatch):
     assert [p.total_dim for p in parts] == [decomp.total_dim] * 3
     decomposition([A2], [(((1, 0),), 1)])
     assert calls == [(A2, (1, 0))]  # the public constructor still validates
+
+
+def _random_decomposition(rng):
+    """Up to three factors, small weights; half the time closed under duals."""
+    pool = [A1, A2, A3, SimpleAlgebra("B", 2), SimpleAlgebra("C", 3), SimpleAlgebra("D", 5)]
+    factors = tuple(rng.choice(pool) for _ in range(rng.randint(1, 3)))
+    summands = []
+    for _ in range(rng.randint(1, 4)):
+        weights = tuple(tuple(rng.choice((0, 0, 1, 2)) for _ in range(f.rank)) for f in factors)
+        summands.append(Summand(weights, rng.randint(1, 3)))
+        if rng.random() < 0.5:
+            summands.append(Summand(tuple(map(dual_weight, factors, weights)), summands[-1].mult))
+    return ModuleDecomposition(SemisimpleAlgebra(factors), tuple(summands))
+
+
+def test_dimension_table_matches_weyl_dimensions():
+    rng = random.Random(3131)
+    self_dual = set()
+    for _ in range(300):
+        decomp = _random_decomposition(rng)
+        factors = decomp.algebra.factors
+        dims = [[dimension(f, w) for f, w in zip(factors, s.weights)] for s in decomp.summands]
+        assert decomp.total_dim == sum(s.mult * prod(row) for s, row in zip(decomp.summands, dims))
+        for j in range(len(factors)):
+            assert _collapse(decomp, j) == [
+                (s.weights[j], s.mult * prod(d for i, d in enumerate(row) if i != j))
+                for s, row in zip(decomp.summands, dims)
+            ]
+        assert decomp.is_self_dual() == (decomp.dual() == decomp)
+        self_dual.add(decomp.is_self_dual())
+    assert self_dual == {True, False}

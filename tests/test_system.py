@@ -1,8 +1,9 @@
+import json
 import random
 
 import pytest
 
-from conftest import A, graph_from_fixture, load_fixture, random_diagonal_system
+from conftest import A, graph_from_fixture, load_fixture, random_diagonal_system, run_cli
 from lielimits import formats
 from lielimits.algebras import dimension, dual_weight
 from lielimits.errors import DimensionMismatchError, DomainError, NotStabilizedError
@@ -407,6 +408,37 @@ def test_closure_walk_matches_reference_on_random_systems():
         _assert_engine_matches_reference(g)
         outcomes.add(all(stabilization(g, v) is not None for v in g.vertices()))
     assert outcomes == {True, False}  # both stable and too-short prefixes ran
+
+
+def test_closure_walk_matches_reference_on_deep_random_systems():
+    # deeper systems put forks above shared single-successor suffixes
+    rng = random.Random(7171)
+    shared = 0
+    for _ in range(100):
+        g = compute_labels(*random_diagonal_system(rng, max_levels=12))
+        _assert_engine_matches_reference(g)
+        forks = [v for v in g.vertices() if len(g.out_edges(*v)) > 1]
+        shared += any(node is g.walks[(node.level, node.layer[0])]
+                      for v in forks for node in g.walks[v].rest.nodes())
+    assert shared >= 5  # forks whose union reached one successor's closure
+
+
+def test_deep_chain_commands_run(tmp_path):
+    # a 2000-level A1 chain with standard edges: closures must not recurse
+    level = {"components": ["A1"], "ambient": "A1",
+             "ambient_branching": [{"weights": [[1]], "mult": 1}]}
+    edge = {"branchings": [[{"weights": [[1]], "mult": 1}]]}
+    doc = {"format": formats.SYSTEM_FORMAT, "levels": [level] * 2000, "edges": [edge] * 1999}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    (c,) = decompose(compute_labels(*formats.system_from_doc(doc)))
+    assert c.kind == "FiniteSimple" and len(c.string) == 2000
+    code, out, _ = run_cli("--format", "json", "socle", str(path))
+    report = json.loads(out)
+    assert code == 0 and report["constituents"] == []
+    assert [row["id"] for row in report["finite_part"]] == [0]
+    code, out, _ = run_cli("--format", "json", "invariants", str(path))
+    assert code == 0 and json.loads(out)["multiplicities"] == []
 
 
 def test_closure_walk_is_memoized_per_graph():

@@ -7,7 +7,9 @@ Run from the repo root:
 For each depth L in DEPTHS it writes one system document to a temp dir and
 prints the best of REPEAT runs of: parse (load_json + system_from_doc),
 compute_labels, decompose, and the whole `lielimits --format json limit`
-command in process.  Every run starts with the library's lru_caches cleared,
+and `lielimits --format json socle` commands in process.  `limit` prints
+every origin's level sums, W*L^2/2 numbers, so it cannot grow linearly in
+L; `socle` can.  Every run starts with the library's lru_caches cleared,
 as a fresh command does.  Standard library only.
 """
 
@@ -87,11 +89,11 @@ def measure(path: str) -> dict[str, float]:
     def parse():
         return formats.system_from_doc(formats.load_json(path))
 
-    def limit():
+    def command(name):
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["--format", "json", "limit", path])
+            code = cli.main(["--format", "json", name, path])
         if code != 0:
-            raise SystemExit(f"limit exited {code} on {path}")
+            raise SystemExit(f"{name} exited {code} on {path}")
 
     parse_s, (levels, edges) = best_time(parse)
     labels_s, _ = best_time(lambda: system.compute_labels(levels, edges))
@@ -101,21 +103,23 @@ def measure(path: str) -> dict[str, float]:
     for _ in range(REPEAT):
         graphs.append(system.compute_labels(levels, edges))
     decompose_s, _ = best_time(lambda: system.decompose(graphs.pop()))
-    limit_s, _ = best_time(limit)
-    return {"parse": parse_s, "compute_labels": labels_s, "decompose": decompose_s, "limit": limit_s}
+    limit_s, _ = best_time(lambda: command("limit"))
+    socle_s, _ = best_time(lambda: command("socle"))
+    return {"parse": parse_s, "compute_labels": labels_s, "decompose": decompose_s,
+            "limit": limit_s, "socle": socle_s}
 
 
 def main() -> int:
     print(f"lielimits {lielimits.__version__}, python {sys.version.split()[0]}, "
           f"width {WIDTH}, best of {REPEAT}")
-    print(f"{'L':>5} {'parse_s':>9} {'labels_s':>9} {'decomp_s':>9} {'limit_s':>9}")
+    print(f"{'L':>5} {'parse_s':>9} {'labels_s':>9} {'decomp_s':>9} {'limit_s':>9} {'socle_s':>9}")
     with tempfile.TemporaryDirectory() as tmp:
         for depth in DEPTHS:
             path = Path(tmp) / f"chain{depth}.json"
             path.write_text(json.dumps(chain_doc(depth)))
             t = measure(str(path))
-            print(f"{depth:>5} {t['parse']:>9.3f} {t['compute_labels']:>9.3f} "
-                  f"{t['decompose']:>9.3f} {t['limit']:>9.3f}", flush=True)
+            print(f"{depth:>5} {t['parse']:>9.4f} {t['compute_labels']:>9.4f} "
+                  f"{t['decompose']:>9.4f} {t['limit']:>9.4f} {t['socle']:>9.4f}", flush=True)
     return 0
 
 
