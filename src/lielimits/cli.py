@@ -10,13 +10,14 @@ explicit --seed.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from dataclasses import dataclass, fields
 
 from . import formats, oracle, socle, subspaces, system
 from .algebras import SimpleAlgebra, dimension
-from .errors import DomainError, LieLimitsError, NotStabilizedError, ParseError
+from .errors import DomainError, LieLimitsError, NotStabilizedError, ParseError, ResourceBoundError
 from .index import (
     Embedding,
     classify_embedding,
@@ -85,14 +86,26 @@ def cmd_index(cfg: RunConfig, args) -> int:
     weight = _parse_weight_arg(alg, args.weight)
     value = index_of_irrep(alg, weight)
     dim = dimension(alg, weight)
-    doc = formats.index_report(alg, weight, value, dim)
-    _emit(cfg, doc, [
-        f"algebra   {alg}",
-        f"weight    {','.join(map(str, weight))}",
-        f"dimension {dim}",
-        f"index     {value}",
-    ])
+    try:
+        lines = [
+            f"algebra   {alg}",
+            f"weight    {','.join(map(str, weight))}",
+            f"dimension {dim}",
+            f"index     {value}",
+        ]
+    except ValueError:  # past sys.get_int_max_str_digits, which json obeys too
+        raise ResourceBoundError(
+            f"the dimension has {_digits(dim)} digits and the index {_digits(value)}, "
+            "more than Python prints"
+        ) from None
+    _emit(cfg, formats.index_report(alg, weight, value, dim), lines)
     return 0
+
+
+def _digits(n: int) -> int:
+    """Decimal digits of n > 0, without printing it."""
+    k = int(n.bit_length() * math.log10(2))
+    return k + 1 if n >= 10**k else k
 
 
 def _report_embedding(cfg: RunConfig, emb: Embedding) -> int:

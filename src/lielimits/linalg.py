@@ -1,81 +1,91 @@
-"""Exact rational linear algebra on small dense matrices.
+"""Exact rational linear algebra on sparse rows.
 
-Matrices are lists of lists of Fraction; all routines are pure and return
-fresh objects.  Everything here is elimination-based and exact, no pivot
-tolerance games.
+A row is a dict from column (1, 2, ...) to its nonzero Fraction entries;
+absent columns are 0, and a row's pivot is its least key.  All routines are
+pure: they never change a row they are given and return fresh rows.  The
+work of each is proportional to the stored entries it touches, not to the
+number of columns, and everything is elimination-based and exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-Matrix = list[list[Fraction]]
-Vector = list[Fraction]
+Row = dict[int, Fraction]
 
 
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form.  Returns (rref matrix, pivot column list).
+def _add(v: Row, f: Fraction, row: Row) -> None:
+    """v += f * row in place, dropping the entries that cancel."""
+    for c, x in row.items():
+        y = v.get(c, 0) + f * x
+        if y:
+            v[c] = y
+        else:
+            v.pop(c, None)
 
-    Zero rows are kept at the bottom so the caller can slice them off.
+
+def dot(a: Row, b: Row) -> Fraction:
+    return sum((x * b[c] for c, x in a.items() if c in b), Fraction(0))
+
+
+def lincomb(coeffs: Row, rows) -> Row:
+    """sum of coeffs[j] * rows[j - 1] for j = 1..len(rows); later keys are ignored."""
+    out: Row = {}
+    for j, r in enumerate(rows, 1):
+        if j in coeffs:
+            _add(out, coeffs[j], r)
+    return out
+
+
+def rref(rows: list[Row]) -> list[Row]:
+    """Reduced row echelon basis of the row space, ordered by pivot; [] for
+    the zero space.
+
+    Each row is reduced against the basis so far, scaled to pivot 1 and then
+    cleared from the earlier basis rows.  A basis row is 0 at every other
+    pivot, so one pass over the basis reduces a row completely.
     """
-    m = [row[:] for row in m]
-    if not m:
-        return m, []
-    rows, cols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pr is None:
+    basis: dict[int, Row] = {}
+    for row in rows:
+        v = dict(row)
+        for p, b in basis.items():
+            if p in v:
+                _add(v, -v[p], b)
+        if not v:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+        p = min(v)
+        inv = Fraction(1) / v[p]
+        v = {c: x * inv for c, x in v.items()}
+        for b in basis.values():
+            if p in b:
+                _add(b, -b[p], v)
+        basis[p] = v
+    return [basis[p] for p in sorted(basis)]
 
 
-def row_space_basis(m: Matrix) -> Matrix:
-    """Canonical (RREF) basis of the row space; empty list for the zero space."""
-    red, pivots = rref(m)
-    return [red[i] for i in range(len(pivots))]
-
-
-def nullspace_basis(m: Matrix, cols: int) -> Matrix:
-    """RREF basis of {x : m @ x = 0} inside Q^cols (m given as rows of functionals).
+def nullspace_basis(rows, cols: int) -> list[Row]:
+    """RREF basis of {x in Q^cols : r . x = 0 for every row r}.
 
     Elimination runs with the columns reversed, so each solution is 1 at its
     free column, 0 at every other free column and nonzero only at later pivot
     columns: listed by free column, the basis is already reduced.  The cost is
-    that of one elimination of m plus writing the output.
+    that of one elimination of the rows plus writing the output.
     """
-    red, pivots = rref([list(reversed(row)) for row in m])
-    pivot_set = set(pivots)
-    basis = []
-    for fc in reversed(range(cols)):
-        if fc in pivot_set:
-            continue
-        v = [Fraction(0)] * cols
-        v[cols - 1 - fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[cols - 1 - pc] = -red[r][fc]
-        basis.append(v)
-    return basis
+    flip = cols + 1
+    red = {flip - min(r): r for r in rref([{flip - c: x for c, x in r.items()} for r in rows])}
+    basis = {f: {f: Fraction(1)} for f in range(1, flip) if f not in red}
+    for p, r in red.items():
+        for c, x in r.items():
+            if flip - c != p:
+                basis[flip - c][p] = -x
+    return list(basis.values())
 
 
-def in_row_space(v: Vector, basis_rref: Matrix) -> bool:
+def in_row_space(v: Row, basis) -> bool:
     """Membership test against an RREF basis."""
-    v = [Fraction(x) for x in v]
-    for row in basis_rref:
-        pc = next(i for i, x in enumerate(row) if x != 0)
-        if v[pc] != 0:
-            f = v[pc]
-            v = [a - f * b for a, b in zip(v, row)]
-    return all(x == 0 for x in v)
+    v = dict(v)
+    for row in basis:
+        p = min(row)
+        if p in v:
+            _add(v, -v[p], row)
+    return not v

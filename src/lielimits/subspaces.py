@@ -11,12 +11,13 @@ An infinite-dimensional ("tail") descriptor is exactly the preimage of a
 subspace U of the model under mu: x -> (x_1, ..., x_{M-1}, sum_{i>=M} x_i);
 a finite-dimensional one is a window subspace U whose S coordinate is 0.
 
-A descriptor stores the small side of U as reduced row echelon rows of
-length M: a tail keeps the annihilator of U (codim rows, each an eventually
-constant functional whose S entry is its value on the whole tail), a finite
-space keeps the basis of U (dim rows).  Either way a row's S entry is its
-value at every index from M on, so widening the window repeats that entry,
-and the minimal window plus the rows make equality a tuple comparison.
+A descriptor stores the small side of U as sparse reduced row echelon rows
+over the columns 1..M (see `linalg`): a tail keeps the annihilator of U
+(codim rows, each an eventually constant functional whose S entry is its
+value on the whole tail), a finite space keeps the basis of U (dim rows).
+Either way a row's S entry is its value at every index from M on, so
+widening the window repeats that entry, and the minimal window plus the
+rows make equality a comparison of sorted entries.
 Perp swaps the two sides.  Sum and intersection are one rule: an
 intersection is a sum with the roles of the two sides swapped.  W is
 isotropic under a form exactly when W ⊆ W^perp.
@@ -30,12 +31,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import isqrt
 
+from . import linalg
 from .errors import DomainError, InternalConsistencyError
-from .linalg import in_row_space, nullspace_basis, row_space_basis
 
-Coords = dict[int, Fraction]
+# A finitely supported vector is a sparse row: coordinate i at key i.
+Coords = linalg.Row
 
 
 def vector(entries) -> Coords:
@@ -80,31 +83,25 @@ class EvConstFunctional:
 ALL_ONES = EvConstFunctional((), Fraction(1))
 
 
-def _dot(a, b) -> Fraction:
-    return sum((x * y for x, y in zip(a, b) if x), Fraction(0))
-
-
-def _lincomb(coeffs, rows) -> list[Fraction]:
-    terms = [(t, r) for t, r in zip(coeffs, rows) if t]
-    return [sum((t * r[j] for t, r in terms), Fraction(0)) for j in range(len(rows[0]))]
-
-
-def _restrict(rows, conditions) -> list[list[Fraction]]:
+def _restrict(rows, conditions) -> list[Coords]:
     """RREF rows spanning the x in rowspace(rows) with c . x = 0 for every condition c."""
     if not rows:
         return []
-    values = [[_dot(c, r) for r in rows] for c in conditions]
-    return row_space_basis([_lincomb(t, rows) for t in nullspace_basis(values, len(rows))])
+    values = [{j: x for j, r in enumerate(rows, 1) if (x := linalg.dot(c, r))} for c in conditions]
+    return linalg.rref([linalg.lincomb(t, rows) for t in linalg.nullspace_basis(values, len(rows))])
 
 
-def _meet(a, b) -> list[list[Fraction]]:
+def _meet(a, b) -> list[Coords]:
     """RREF rows spanning rowspace(a) ∩ rowspace(b): from each relation
     sum s_i a_i + sum t_j b_j = 0, the common vector sum s_i a_i."""
     if not a or not b:
         return []
-    columns = [list(col) for col in zip(*a, *b)]
-    relations = nullspace_basis(columns, len(a) + len(b))
-    return row_space_basis([_lincomb(t[: len(a)], a) for t in relations])
+    columns: dict[int, Coords] = {}
+    for j, r in enumerate((*a, *b), 1):
+        for c, x in r.items():
+            columns.setdefault(c, {})[j] = x
+    relations = linalg.nullspace_basis(list(columns.values()), len(a) + len(b))
+    return linalg.rref([linalg.lincomb(t, a) for t in relations])
 
 
 class SubspaceDescriptor:
@@ -114,25 +111,24 @@ class SubspaceDescriptor:
         space: "V" or "V*".
         window: M; coordinates 1..M-1 explicit, the tail starts at M.
         has_tail: infinite-dimensional iff True.
-        small: RREF rows of length M.  With a tail, the annihilator of the
-            model subspace U: x lies in W iff every row vanishes on mu(x).
-            Without, the basis of U (S entry 0): x must live inside the
-            window and in the row space.
+        small: sparse RREF rows over the columns 1..M.  With a tail, the
+            annihilator of the model subspace U: x lies in W iff every row
+            vanishes on mu(x).  Without, the basis of U (no S entry): x must
+            live inside the window and in the row space.
 
-    The constructor takes a basis of U itself, as `rows` gives it and
-    reports print it.
+    The constructor takes a basis of U itself as dense rows of length M, as
+    `rows` gives it and reports print it.
     """
 
     __slots__ = ("space", "window", "small", "has_tail")
 
     def __init__(self, space: str, window: int, rows, has_tail: bool):
         rows = [[Fraction(x) for x in r] for r in rows]
-        if has_tail:
-            small = nullspace_basis(rows, window)
-        else:
-            small = row_space_basis(rows)
-            if any(r[-1] != 0 for r in small):
-                raise DomainError("rows of a finite descriptor must have a zero tail entry")
+        if any(len(r) != window or (r[-1] and not has_tail) for r in rows):
+            raise DomainError(f"each row needs {window} entries (the window), and the rows "
+                              "of a finite descriptor a zero tail entry")
+        rows = [{c: x for c, x in enumerate(r, 1) if x} for r in rows]
+        small = linalg.nullspace_basis(rows, window) if has_tail else linalg.rref(rows)
         self._set(space, window, small, has_tail)
 
     def _set(self, space, window, small, has_tail):
@@ -142,11 +138,13 @@ class SubspaceDescriptor:
         if space not in ("V", "V*"):
             raise DomainError(f"space must be 'V' or 'V*', got {space!r}")
         cut = window - 1
-        while cut > 0 and all(r[cut - 1] == r[-1] for r in small):
+        while cut > 0 and all(r.get(cut) == r.get(window) for r in small):
             cut -= 1
         self.space = space
         self.window = cut + 1
-        self.small = tuple(tuple(r[:cut]) + (r[-1],) for r in small)
+        self.small = tuple(
+            {min(c, cut + 1): x for c, x in r.items() if c <= cut or c == window} for r in small
+        )
         self.has_tail = has_tail
 
     @staticmethod
@@ -172,19 +170,15 @@ class SubspaceDescriptor:
             + [len(k.head) + 1 for k in kers]
             + [1]
         )
-        zero = Fraction(0)
-        span = [[g.get(i, zero) for i in range(1, window)] + [zero] for g in gens]
-        conditions = [[k.value_at(i) for i in range(1, window)] + [k.tail] for k in kers]
+        conditions = [{i: x for i in range(1, window + 1) if (x := k.value_at(i))} for k in kers]
         if tail_from is None:
-            small = _restrict(span, conditions)
+            small = _restrict(gens, conditions)
         else:
             # span + tail is annihilated by the functionals on the head
             # 1..tail_from-1 that kill every generator; add the kernels.
             head = tail_from - 1
-            pad = [zero] * (window - head)
-            small = row_space_basis(
-                [a + pad for a in nullspace_basis([r[:head] for r in span], head)] + conditions
-            )
+            lead = [{i: x for i, x in g.items() if i <= head} for g in gens]
+            small = linalg.rref(linalg.nullspace_basis(lead, head) + conditions)
         return SubspaceDescriptor._of(space, window, small, tail_from is not None)
 
     @staticmethod
@@ -211,7 +205,8 @@ class SubspaceDescriptor:
     # -- canonical form ----------------------------------------------------
 
     def _key(self):
-        return (self.space, self.has_tail, self.window, self.small)
+        return (self.space, self.has_tail, self.window,
+                tuple(tuple(sorted(r.items())) for r in self.small))
 
     def __eq__(self, other):
         return isinstance(other, SubspaceDescriptor) and self._key() == other._key()
@@ -224,13 +219,18 @@ class SubspaceDescriptor:
         rank = self.window - len(self.small) if self.has_tail else len(self.small)
         return f"SubspaceDescriptor({self.space}, window={self.window}, {kind}, rank={rank})"
 
+    def _basis(self) -> list[Coords]:
+        """Sparse RREF basis of the model subspace U of Q^M; a tail derives
+        it from its annihilator."""
+        if self.has_tail:
+            return linalg.nullspace_basis(self.small, self.window)
+        return list(self.small)
+
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        """RREF basis of the model subspace U of Q^M; a tail derives it from
-        its annihilator."""
-        if not self.has_tail:
-            return self.small
-        return tuple(tuple(r) for r in nullspace_basis(self.small, self.window))
+        """The basis of U as dense rows of length M, as reports print it."""
+        columns, zeros = range(1, self.window + 1), repeat(Fraction(0))
+        return tuple(tuple(map(r.get, columns, zeros)) for r in self._basis())
 
     # -- window alignment ---------------------------------------------------
 
@@ -241,7 +241,11 @@ class SubspaceDescriptor:
         out = SubspaceDescriptor.__new__(SubspaceDescriptor)
         out.space = self.space
         out.window = window
-        out.small = tuple(r[:-1] + r[-1:] * (window - self.window + 1) for r in self.small)
+        widened = range(self.window + 1, window + 1)
+        out.small = tuple(
+            {**r, **dict.fromkeys(widened, r[self.window])} if self.window in r else r
+            for r in self.small
+        )
         out.has_tail = self.has_tail
         return out
 
@@ -274,11 +278,11 @@ class SubspaceDescriptor:
         m = max(self.window, other.window)
         a, b = self.at_window(m), other.at_window(m)
         if not a.has_tail:
-            return all(in_row_space(r, a.small) for r in b.small)
+            return all(linalg.in_row_space(r, a.small) for r in b.small)
         if not b.has_tail:
-            return all(_dot(f, r) == 0 for f in a.small for r in b.small)
+            return all(linalg.dot(f, r) == 0 for f in a.small for r in b.small)
         # U_b inside U_a iff the annihilator of U_a lies in that of U_b
-        return all(in_row_space(f, b.small) for f in a.small)
+        return all(linalg.in_row_space(f, b.small) for f in a.small)
 
 
 def _combine(a: SubspaceDescriptor, b: SubspaceDescriptor, wide: bool) -> SubspaceDescriptor:
@@ -298,7 +302,7 @@ def _combine(a: SubspaceDescriptor, b: SubspaceDescriptor, wide: bool) -> Subspa
         keep, other = (a, b) if a.has_tail == has_tail else (b, a)
         small = _restrict(keep.small, other.small)
     elif a.has_tail != wide:
-        small = row_space_basis(list(a.small + b.small))
+        small = linalg.rref([*a.small, *b.small])
     else:
         small = _meet(a.small, b.small)
     return SubspaceDescriptor._of(a.space, m, small, has_tail)
@@ -329,37 +333,17 @@ class StandardForm:
     def sign(self) -> int:
         return 1 if self.kind == "symmetric" else -1
 
-    def pair_basis(self, i: int, j: int) -> Fraction:
-        if j == i + 1 and i % 2 == 1:
-            return Fraction(1)
-        if i == j + 1 and j % 2 == 1:
-            return Fraction(self.sign)
-        return Fraction(0)
+    def j(self, x: Coords) -> Coords:
+        """The musical map: v_{2i-1} -> v_{2i} and v_{2i} -> sign * v_{2i-1},
+        so that pairing(x, y) = dot(j(x), y)."""
+        sign = self.sign
+        return {c + 1 if c % 2 else c - 1: v if c % 2 else sign * v for c, v in x.items()}
 
     def pairing(self, x: Coords, y: Coords) -> Fraction:
-        total = Fraction(0)
-        for i, c in x.items():
-            partner = i + 1 if i % 2 == 1 else i - 1
-            d = y.get(partner)
-            if d:
-                total += c * d * self.pair_basis(i, partner)
-        return total
+        return linalg.dot(self.j(x), y)
 
 
 GL_PAIRING = "gl"
-
-
-def _odd_window(w: SubspaceDescriptor) -> SubspaceDescriptor:
-    # Form computations need the window to close under the basis pairing.
-    return w if w.window % 2 == 1 else w.at_window(w.window + 1)
-
-
-def _j_window(row, sign: int):
-    """Apply the musical map of the split form to a window vector."""
-    out = list(row)
-    for i in range(0, len(row) - 1, 2):
-        out[i], out[i + 1] = sign * row[i + 1], row[i]
-    return [Fraction(x) for x in out]
 
 
 def perp(w: SubspaceDescriptor, context=GL_PAIRING) -> SubspaceDescriptor:
@@ -380,12 +364,13 @@ def perp(w: SubspaceDescriptor, context=GL_PAIRING) -> SubspaceDescriptor:
         if w.space != "V":
             raise DomainError("form-orthogonal complements are taken inside V")
         target = "V"
-        w = _odd_window(w)
+        if w.window % 2 == 0:  # J must not pair an explicit column with S
+            w = w.at_window(w.window + 1)
     rows = w.small
     if w.has_tail:
-        rows = _restrict(rows, [[Fraction(0)] * (w.window - 1) + [Fraction(1)]])
+        rows = _restrict(rows, [{w.window: Fraction(1)}])
     if context != GL_PAIRING:
-        rows = row_space_basis([_j_window(r[:-1], context.sign) + [Fraction(0)] for r in rows])
+        rows = linalg.rref([context.j(r) for r in rows])
     return SubspaceDescriptor._of(target, w.window, rows, not w.has_tail)
 
 
@@ -479,14 +464,9 @@ def _require_proper(w: SubspaceDescriptor):
 
 
 def _gap_vector(larger: SubspaceDescriptor, smaller: SubspaceDescriptor):
+    # a basis row at window m is the vector with its S entry at coordinate m
     m = max(larger.window, smaller.window)
-    for row in larger.at_window(m).rows:
-        vec: Coords = {i + 1: c for i, c in enumerate(row[:-1]) if c}
-        if row[-1]:
-            vec[m] = row[-1]
-        if not smaller.contains(vec):
-            return vec
-    return None
+    return next((row for row in larger.at_window(m)._basis() if not smaller.contains(row)), None)
 
 
 def _classify_gl_sl(g_kind: str, w: SubspaceDescriptor) -> Verdict:
@@ -518,12 +498,8 @@ def _classify_gl_sl(g_kind: str, w: SubspaceDescriptor) -> Verdict:
 
 def _isotropic_line(w: SubspaceDescriptor, form: StandardForm):
     """A rational isotropic line inside a 2-dimensional nondegenerate W, if any."""
-    rows = [list(r[:-1]) for r in _odd_window(w).small]
-
-    def b(x, y):
-        return sum((a * c for a, c in zip(x, _j_window(y, form.sign))), Fraction(0))
-
-    a, c = rows
+    b = form.pairing
+    a, c = w.small
     if b(a, a) == 0:
         line = a
     elif b(c, c) == 0:
@@ -536,9 +512,8 @@ def _isotropic_line(w: SubspaceDescriptor, form: StandardForm):
         if root is None:
             return None
         t = (-qb + root) / (2 * qa)
-        line = [x + t * y for x, y in zip(a, c)]
-    vec = {i + 1: x for i, x in enumerate(line) if x}
-    return SubspaceDescriptor.span([vec])
+        line = linalg.lincomb({1: Fraction(1), 2: t}, (a, c))
+    return SubspaceDescriptor.span([line])
 
 
 def _rational_sqrt(q: Fraction):

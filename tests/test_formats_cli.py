@@ -107,9 +107,29 @@ def test_cli_index():
     assert code == 0 and "Standard" in out
 
 
-def test_cli_embed_and_classification():
+def test_cli_embed_and_classification(tmp_path):
     code, out, _ = run_cli("embed", fixture("diag_a5_a11.json"))
     assert code == 0 and "Diagonal(k=1, l=1, t=0)" in out
+    # a two-factor source gets one index per factor and no single class
+    path = tmp_path / "two_factors.json"
+    path.write_text(formats.dumps({
+        "format": formats.EMBEDDING_FORMAT, "source": ["A1", "A2"], "target": "A4",
+        "branching": [{"weights": [[1], [0, 0]]}, {"weights": [[0], [1, 0]]}],
+    }))
+    code, out, _ = run_cli("embed", str(path))
+    assert code == 0 and "index           [1, 1]" in out and "classification  per-factor" in out
+    code, out, _ = run_cli("--format", "json", "embed", str(path))
+    assert code == 0 and json.loads(out)["classification"] == "per-factor"
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_cli_index_too_long_to_print(fmt):
+    # dim and index of A200 (1, ..., 1) have over 6,000 digits, more than
+    # the interpreter's default limit for printing an int
+    code, out, err = run_cli("--format", fmt, "index", "A200", ",".join(["1"] * 200))
+    assert (code, out) == (1, "")
+    message = "the dimension has 6051 digits and the index 6053, more than Python prints"
+    assert err == f"error: {message}\n"
 
 
 def test_cli_limit_kinds():
@@ -124,6 +144,10 @@ def test_cli_exit_codes():
     assert code == 3 and "insufficient prefix" in err
     code, _, err = run_cli("index", "A1", "1,1")
     assert code == 2
+    for argv in (("index",), ("index", "A1")):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert err == "parse error: index needs an algebra and a weight, or --embedding FILE\n"
     code, _, err = run_cli("index", "A1", "-1")
     assert code == 1
     code, _, err = run_cli("limit", fixture("commutator.json"))

@@ -236,6 +236,7 @@ def test_extended_dim_from_sequence():
     assert ExtendedDim.from_sequence([1, 2, 3]).kind == "countable"
     undet = ExtendedDim.from_sequence([1, 2, 2, 3])
     assert undet.kind == "undetermined" and undet.lower_bound == 3
+    assert str(undet) == "undetermined_at_horizon(>= 3)"
     with pytest.raises(DomainError):
         ExtendedDim.from_sequence([])
 

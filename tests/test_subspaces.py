@@ -7,8 +7,7 @@ import pytest
 from lielimits import linalg
 from lielimits.algebras import SimpleAlgebra
 from lielimits.errors import DimensionMismatchError, DomainError
-from lielimits.index import ModuleDecomposition, SemisimpleAlgebra, Summand
-from lielimits.linalg import in_row_space, nullspace_basis, row_space_basis
+from lielimits.index import ModuleDecomposition, SemisimpleAlgebra, Summand, decomposition
 from lielimits.subspaces import (
     ALL_ONES,
     COMMUTATOR_TOKEN,
@@ -25,6 +24,8 @@ from lielimits.subspaces import (
     uniqueness_invariant,
     vector,
 )
+from lielimits.system import compute_labels
+from ref_linalg import in_row_space, nullspace_basis, row_space_basis
 
 SYM = StandardForm("symmetric")
 SYMP = StandardForm("symplectic")
@@ -458,6 +459,7 @@ _DUAL_LINE = SubspaceDescriptor.span([{1: 1}], "V*")
     [
         (lambda: vector({0: 1}), DomainError, "basis indices start at 1"),
         (lambda: SubspaceDescriptor("V", 2, [[0, 1]], False), DomainError, "zero tail entry"),
+        (lambda: SubspaceDescriptor("V", 2, [[0, 0, 1]], False), DomainError, "needs 2 entries"),
         (lambda: SubspaceDescriptor("W", 1, [], False), DomainError, "space must be"),
         (lambda: SubspaceDescriptor.build(tail_from=0), DomainError, "tail_from must be >= 1"),
         (lambda: SubspaceDescriptor.span([{3: 1}]).at_window(2), DomainError, "cannot shrink"),
@@ -476,12 +478,20 @@ _DUAL_LINE = SubspaceDescriptor.span([{1: 1}], "V*")
             DimensionMismatchError,
             "summand has 2 weights for 1 factors",
         ),
+        (lambda: SemisimpleAlgebra(()), DomainError, "needs at least one simple factor"),
+        (lambda: compute_labels([], []), DomainError, "a system needs at least one level"),
+        (
+            lambda: decomposition([SimpleAlgebra("A", 1)], ["x"]),
+            DomainError,
+            "cannot read summand record 'x'",
+        ),
     ],
     ids=[
-        "vector-index-0", "finite-tail-entry", "space-W", "tail-from-0", "shrink-window",
-        "contains-across-spaces", "form-kind", "perp-context", "form-perp-of-dual",
+        "vector-index-0", "finite-tail-entry", "row-length", "space-W", "tail-from-0",
+        "shrink-window", "contains-across-spaces", "form-kind", "perp-context", "form-perp-of-dual",
         "isotropy-of-dual", "algebra-kind", "not-a-descriptor", "sp-symmetric-form",
-        "summand-weight-count",
+        "summand-weight-count", "semisimple-no-factors", "system-no-levels",
+        "unreadable-summand-record",
     ],
 )
 def test_public_api_guards(call, error, message):
@@ -558,7 +568,8 @@ def test_small_side_matches_big_side_reference(rng):
 
 def test_long_head_kernel_keeps_eliminations_small(monkeypatch):
     # A tail of codimension k and a span of dimension d in a window of M
-    # never need an elimination larger than (k + d + 1) x M cells.
+    # never need an elimination larger than (k + d + 1) x M cells (rows
+    # times the largest column).
     rng = random.Random(200)
     window = 201
     cells = []
@@ -566,7 +577,7 @@ def test_long_head_kernel_keeps_eliminations_small(monkeypatch):
 
     def counting_rref(m):
         if m:
-            cells.append(len(m) * len(m[0]))
+            cells.append(len(m) * max((max(r) for r in m if r), default=0))
         return rref(m)
 
     monkeypatch.setattr(linalg, "rref", counting_rref)
@@ -590,3 +601,22 @@ def test_long_head_kernel_keeps_eliminations_small(monkeypatch):
     verdict = classify_maximal("so", degenerate, SYM)
     assert verdict.tag == "NotMaximal" and verdict.witness == SubspaceDescriptor.span([{200: 1}])
     assert cells and max(cells) <= (2 + 3 + 1) * window
+
+
+def test_span_eliminations_touch_only_stored_entries(monkeypatch):
+    # Classifying a 3-vector span at window 201 hands rref no row with more
+    # stored entries than the span's own rows, however wide the window.
+    entries = []
+    rref = linalg.rref
+
+    def counting_rref(m):
+        entries.extend(len(r) for r in m)
+        return rref(m)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    w = SubspaceDescriptor.span([{1: 1}, {3: 1, 200: 2}, {5: 1}])
+    assert w.window == 201
+    assert classify_maximal("gl", w).tag == "ic"
+    assert classify_maximal("so", w, SYM).tag == "iiic"
+    assert classify_maximal("sp", w, SYMP).tag == "iiic"
+    assert entries and max(entries) <= 3
