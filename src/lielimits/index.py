@@ -45,9 +45,9 @@ class Summand:
     mult: int = 1
 
     def __post_init__(self):
+        if not (type(self.mult) is int and self.mult >= 1):
+            raise DomainError(f"multiplicity must be an integer >= 1, got {self.mult!r}")
         object.__setattr__(self, "weights", tuple(tuple(w) for w in self.weights))
-        if self.mult < 1:
-            raise DomainError(f"multiplicity must be positive, got {self.mult}")
 
 
 @dataclass(frozen=True)
@@ -58,23 +58,23 @@ class ModuleDecomposition:
     summands: tuple[Summand, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "summands", _merged(self._checked()))
-
-    def _checked(self):
         factors = self.algebra.factors
-        for s in self.summands:
+        summands = tuple(self.summands)
+        for s in summands:
             if len(s.weights) != len(factors):
                 raise DimensionMismatchError(
                     f"summand has {len(s.weights)} weights for {len(factors)} factors"
                 )
-            yield tuple(map(check_dominant, factors, s.weights)), s.mult
+            for alg, w in zip(factors, s.weights):
+                check_dominant(alg, w)
+        object.__setattr__(self, "summands", _merged(summands))
 
     @classmethod
-    def _trusted(cls, algebra: SemisimpleAlgebra, pairs) -> "ModuleDecomposition":
-        """From (weights, mult) pairs already validated over `algebra`: merged, not re-checked."""
+    def _trusted(cls, algebra: SemisimpleAlgebra, summands) -> "ModuleDecomposition":
+        """From summands already validated over `algebra`: merged, not re-checked."""
         self = object.__new__(cls)
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "summands", _merged(pairs))
+        object.__setattr__(self, "summands", _merged(summands))
         return self
 
     @cached_property
@@ -90,8 +90,9 @@ class ModuleDecomposition:
     def dual(self) -> "ModuleDecomposition":
         """Factorwise dual of every summand (same multiplicities)."""
         factors = self.algebra.factors
-        pairs = ((tuple(map(dual_labels, factors, s.weights)), s.mult) for s in self.summands)
-        return ModuleDecomposition._trusted(self.algebra, pairs)
+        return ModuleDecomposition._trusted(self.algebra, (
+            Summand(tuple(map(dual_labels, factors, s.weights)), s.mult) for s in self.summands
+        ))
 
     def is_self_dual(self) -> bool:
         factors = self.algebra.factors
@@ -99,37 +100,29 @@ class ModuleDecomposition:
         return sorted((tuple(map(dual_labels, factors, w)), m) for w, m in pairs) == pairs
 
 
-def _merged(pairs) -> tuple[Summand, ...]:
-    """One summand per distinct weight tuple, multiplicities added, sorted."""
-    merged: dict[tuple[Weight, ...], int] = {}
-    for ws, m in pairs:
-        merged[ws] = merged.get(ws, 0) + m
-    return tuple(Summand(w, m) for w, m in sorted(merged.items()))
-
-
-def _looks_like_weights(obj) -> bool:
-    return (
-        isinstance(obj, (list, tuple))
-        and bool(obj)
-        and all(isinstance(w, (list, tuple)) for w in obj)
-    )
+def _merged(summands) -> tuple[Summand, ...]:
+    """One summand per distinct weight tuple, multiplicities added, sorted.
+    A weight tuple met once keeps its summand; only a merge builds one."""
+    merged: dict[tuple[Weight, ...], Summand] = {}
+    for s in summands:
+        seen = merged.get(s.weights)
+        merged[s.weights] = s if seen is None else Summand(seen.weights, seen.mult + s.mult)
+    return tuple(s for _, s in sorted(merged.items()))
 
 
 def decomposition(factors, records) -> ModuleDecomposition:
-    """Convenience constructor.  Each record is a Summand, a per-factor
-    weight list like ((1, 0), (0, 0)), or a pair (weights, mult)."""
-    algebra = SemisimpleAlgebra(tuple(factors))
+    """Convenience constructor.  Each record is a Summand or a pair
+    (weights, mult) with one weight per factor, like (((1, 0), (0, 0)), 2)."""
     summands = []
     for rec in records:
-        if isinstance(rec, Summand):
-            summands.append(rec)
-        elif len(rec) == 2 and isinstance(rec[1], int) and _looks_like_weights(rec[0]):
-            summands.append(Summand(tuple(rec[0]), rec[1]))
-        elif _looks_like_weights(rec):
-            summands.append(Summand(tuple(rec), 1))
-        else:
-            raise DomainError(f"cannot read summand record {rec!r}")
-    return ModuleDecomposition(algebra, tuple(summands))
+        if not isinstance(rec, Summand):
+            try:
+                weights, mult = rec
+                rec = Summand(weights, mult)
+            except (TypeError, ValueError):
+                raise DomainError(f"cannot read summand record {rec!r}") from None
+        summands.append(rec)
+    return ModuleDecomposition(SemisimpleAlgebra(tuple(factors)), summands)
 
 
 # Index of the natural module per series; the divisor in embedding_index.
@@ -198,7 +191,8 @@ def restrict_to_factor(decomp: ModuleDecomposition, factor: int) -> ModuleDecomp
     collapses to its weight at `factor`, multiplied by the other factors'
     dimensions."""
     algebra = SemisimpleAlgebra((decomp.algebra.factors[factor],))
-    return ModuleDecomposition._trusted(algebra, (((w,), m) for w, m in _collapse(decomp, factor)))
+    collapsed = _collapse(decomp, factor)
+    return ModuleDecomposition._trusted(algebra, (Summand((w,), m) for w, m in collapsed))
 
 
 def embedding_index(emb: Embedding) -> list[int]:
@@ -350,7 +344,7 @@ def _tensor_over_simple(f, a: ModuleDecomposition, b: ModuleDecomposition) -> Mo
     for sa in a.summands:
         for sb in b.summands:
             product = oracle.tensor_decompose(f, sa.weights[0], sb.weights[0])
-            out.extend((sp.weights, sp.mult * sa.mult * sb.mult) for sp in product.summands)
+            out.extend(Summand(sp.weights, sp.mult * sa.mult * sb.mult) for sp in product.summands)
     return ModuleDecomposition._trusted(a.algebra, out)
 
 

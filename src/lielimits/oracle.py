@@ -233,7 +233,7 @@ def tensor_decompose(alg: SimpleAlgebra, lam, mu, dim_bound: int = DEFAULT_DIM_B
     Works by convolving the two weight multisets and extracting summands in
     one sweep by depth; dimension is checked to be preserved.
     """
-    from .index import ModuleDecomposition, SemisimpleAlgebra
+    from .index import ModuleDecomposition, SemisimpleAlgebra, Summand
 
     lam = check_dominant(alg, lam)
     mu = check_dominant(alg, mu)
@@ -266,7 +266,7 @@ def tensor_decompose(alg: SimpleAlgebra, lam, mu, dim_bound: int = DEFAULT_DIM_B
             if new < 0:
                 raise InternalConsistencyError(f"negative multiplicity at {w} while extracting {nu}")
             product[w] = new
-        found.append(((nu,), count))
+        found.append(Summand((nu,), count))
         remaining -= count * dimension(alg, nu)
     if remaining != 0 or any(m != 0 for m in product.values()):
         raise InternalConsistencyError("tensor decomposition did not exhaust the product")

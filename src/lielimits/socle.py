@@ -127,32 +127,34 @@ def multiplicities(graph: BratteliGraph, constituent: Constituent) -> tuple[int,
             f"(k+l) = {k + l} does not match the embedding index "
             f"{graph.alpha[top_vertex]} of {top_vertex}"
         )
+    _check_override(graph, top_vertex)
     return k, l
+
+
+def _check_override(graph: BratteliGraph, vertex) -> None:
+    """A level's conatural override must mirror the primal multiplicities at
+    `vertex`: k copies of the conatural and l copies of the natural."""
+    n, j = vertex
+    level = graph.levels[n - 1]
+    if level.conatural_branching is None:
+        return
+    k, l = _pure_counts(level.ambient_branching, j, f"level {n}")
+    k_dual, l_dual = _pure_counts(level.conatural, j, f"level {n} (conatural)")
+    alg = graph.algebra_at(vertex)
+    self_dual = dual_labels(alg, alg.natural_weight) == alg.natural_weight
+    mirrored = k_dual + l_dual == k + l if self_dual else (k_dual, l_dual) == (l, k)
+    if not mirrored:
+        raise DomainError(
+            f"conatural override at level {n} carries multiplicities "
+            f"({k_dual},{l_dual}), expected the mirror of ({k},{l})"
+        )
 
 
 def trivial_dims(graph: BratteliGraph, constituent: Constituent) -> tuple[ExtendedDim, ExtendedDim]:
     """Dimensions of the trivial parts of V and V_* over one constituent."""
     if not constituent.is_infinite():
         raise DomainError("trivial parts are tracked for infinite constituents")
-    top_n, top_j = constituent.string[-1]
-    top_level = graph.levels[top_n - 1]
-    if top_level.conatural_branching is not None:
-        # a dual-side override must mirror the primal multiplicities:
-        # k copies of the conatural and l copies of the natural
-        k, l = _pure_counts(top_level.ambient_branching, top_j, f"level {top_n}")
-        k_dual, l_dual = _pure_counts(
-            top_level.conatural, top_j, f"level {top_n} (conatural)"
-        )
-        alg = graph.algebra_at((top_n, top_j))
-        self_dual = dual_labels(alg, alg.natural_weight) == alg.natural_weight
-        mirrored = (
-            k_dual + l_dual == k + l if self_dual else (k_dual, l_dual) == (l, k)
-        )
-        if not mirrored:
-            raise DomainError(
-                f"conatural override at level {top_n} carries multiplicities "
-                f"({k_dual},{l_dual}), expected the mirror of ({k},{l})"
-            )
+    _check_override(graph, constituent.string[-1])
     return _trivial_dims(graph, ((n, (j,)) for n, j in constituent.string))
 
 

@@ -497,6 +497,19 @@ def test_cli_socle_example4():
     assert "k=1 l=0" in out and "dim N=finite(1)" in out and "dim N*=finite(0)" in out
 
 
+@pytest.mark.parametrize("command", ["socle", "invariants"])
+def test_cli_unmirrored_conatural_override_is_domain_error(tmp_path, command):
+    # the override claims the natural where the primal branching's one
+    # natural needs the conatural on the dual side
+    doc = load_fixture("example4.json")
+    doc["levels"][4]["conatural_branching"] = [{"mult": 1, "weights": [[1, 0, 0, 0, 0]]}]
+    bad = tmp_path / "bad_override.json"
+    bad.write_text(json.dumps(doc))
+    message = ("error: conatural override at level 5 carries multiplicities (1,0), "
+               "expected the mirror of (1,0)\n")
+    assert run_cli(command, str(bad)) == (1, "", message)
+
+
 def test_cli_maximal_cases():
     for name, kind, expect in (
         ("codim1_kernel.json", "gl", "ib"),

@@ -485,13 +485,30 @@ _DUAL_LINE = SubspaceDescriptor.span([{1: 1}], "V*")
             DomainError,
             "cannot read summand record 'x'",
         ),
+        (lambda: Summand(((1,),), 1.5), DomainError, "multiplicity must be an integer >= 1"),
+        (
+            lambda: decomposition([SimpleAlgebra("A", 1)], [(((1,),), True)]),
+            DomainError,
+            "multiplicity must be an integer >= 1, got True",
+        ),
+        (
+            lambda: decomposition([SimpleAlgebra("A", 1)], [42]),
+            DomainError,
+            "cannot read summand record 42",
+        ),
+        (
+            lambda: decomposition([SimpleAlgebra("A", 1)] * 2, [((1,), (0,))]),
+            DomainError,
+            "multiplicity must be an integer >= 1",
+        ),
     ],
     ids=[
         "vector-index-0", "finite-tail-entry", "row-length", "space-W", "tail-from-0",
         "shrink-window", "contains-across-spaces", "form-kind", "perp-context", "form-perp-of-dual",
         "isotropy-of-dual", "algebra-kind", "not-a-descriptor", "sp-symmetric-form",
         "summand-weight-count", "semisimple-no-factors", "system-no-levels",
-        "unreadable-summand-record",
+        "unreadable-summand-record", "fractional-multiplicity", "bool-multiplicity",
+        "record-without-length", "bare-weights-record",
     ],
 )
 def test_public_api_guards(call, error, message):

@@ -400,6 +400,39 @@ def test_trusted_dual_and_restriction_match_validating_constructor(name):
             assert restrict_to_factor(b, j) == expected
 
 
+def _summand_records(doc):
+    for level in doc["levels"]:
+        yield from level["ambient_branching"]
+        yield from level.get("conatural_branching") or ()
+    for edge in doc["edges"]:
+        for branching in edge["branchings"]:
+            yield from branching
+
+
+@pytest.mark.parametrize("name", SYSTEM_FIXTURES)
+def test_parsing_builds_each_summand_once(name, monkeypatch):
+    # one Summand per record, and the decompositions keep the codec's own
+    doc = load_fixture(name)
+    built = []
+    post_init = Summand.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Summand, "__post_init__", counted)
+    levels, edges = formats.system_from_doc(doc)
+    assert len(built) == len(list(_summand_records(doc)))
+    assert len(built) == {"s3.json": 19, "example4.json": 23}.get(name, len(built))
+    monkeypatch.undo()
+    branchings = [lv.ambient_branching for lv in levels] + [b for e in edges for b in e.branchings]
+    assert {id(s) for b in branchings for s in b.summands} <= set(map(id, built))
+    for b in branchings:
+        backwards = b.summands[::-1]
+        from_generator = ModuleDecomposition(b.algebra, (s for s in backwards))
+        assert from_generator == ModuleDecomposition(b.algebra, backwards) == b
+
+
 def test_closure_walk_matches_reference_on_random_systems():
     rng = random.Random(4040)
     outcomes = set()
