@@ -33,6 +33,7 @@ Weight = tuple[int, ...]
 SERIES = ("A", "B", "C", "D")
 
 _RANK_FLOOR = {"A": 1, "B": 2, "C": 1, "D": 4}
+_INT_ONLY = frozenset({int})
 
 
 @dataclass(frozen=True, order=True)
@@ -81,19 +82,20 @@ class SimpleAlgebra:
 
 
 def check_weight(alg: SimpleAlgebra, weight) -> Weight:
+    """The weight as a tuple of `alg.rank` labels, each an exact int (not a bool)."""
     weight = tuple(weight)
     if len(weight) != alg.rank:
         raise DimensionMismatchError(
             f"weight {weight} has length {len(weight)}, expected rank {alg.rank} of {alg}"
         )
-    if not all(isinstance(x, int) for x in weight):
+    if not _INT_ONLY.issuperset(map(type, weight)):
         raise DomainError(f"weight {weight} must consist of integers")
     return weight
 
 
 def check_dominant(alg: SimpleAlgebra, weight) -> Weight:
     weight = check_weight(alg, weight)
-    if any(x < 0 for x in weight):
+    if min(weight) < 0:
         raise DomainError(f"weight {weight} is not dominant")
     return weight
 

@@ -46,6 +46,7 @@ REPORT_FORMAT = "lielimits-report/1"
 REQUIRED = object()  # the default of a field that must be present
 _INT_ONLY = frozenset({int})
 _STR_ONLY = frozenset({str})
+_ESCAPE = json.encoder.encode_basestring_ascii  # the C escaper json.dumps uses
 
 
 # How one JSON value loads (raising ParseError) and dumps.  `default` is what
@@ -496,8 +497,34 @@ def parse_report(doc):
 
 
 def dumps(doc) -> str:
-    """Stable serialization: equal documents give byte-identical text."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Stable serialization: equal documents give byte-identical text, the
+    bytes of json.dumps(doc, indent=2, sort_keys=True) and a newline."""
+    return _text(doc, "\n") + "\n"
+
+
+def _text(value, indent: str) -> str:
+    """`value` as JSON whose closing bracket follows `indent`, a newline and
+    spaces.  A list of only ints or only strings is one join."""
+    if isinstance(value, (list, tuple)):
+        brackets, inner, kinds = "[]", indent + "  ", set(map(type, value))
+        if kinds == _INT_ONLY or kinds == _STR_ONLY:
+            items = map(int.__repr__ if kinds == _INT_ONLY else _ESCAPE, value)
+        else:
+            items = [_text(v, inner) for v in value]
+    elif isinstance(value, dict):
+        if not _STR_ONLY.issuperset(map(type, value)):
+            raise TypeError(f"JSON keys must be strings, got {list(value)!r}")
+        brackets, inner = "{}", indent + "  "
+        items = [f"{_ESCAPE(k)}: {_text(v, inner)}" for k, v in sorted(value.items())]
+    elif isinstance(value, str):
+        return _ESCAPE(value)
+    elif value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    elif isinstance(value, int):
+        return int.__repr__(value)
+    else:
+        raise TypeError(f"{type(value).__name__} {value!r} is not written as JSON")
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{indent}{brackets[1]}" if value else brackets
 
 
 def load_json(path):

@@ -10,12 +10,11 @@ target's natural module, fixed per series as {A: 1, B: 2, C: 1, D: 2}
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import prod
 
 from . import algebras
-from .algebras import SimpleAlgebra, Weight, check_dominant, dual_labels, weight_form
+from .algebras import SimpleAlgebra, Weight, check_dominant, dual_labels, eps2, form_scale, pairing
 from .errors import DimensionMismatchError, DomainError, InternalConsistencyError, ResourceBoundError
 
 
@@ -32,9 +31,6 @@ class SemisimpleAlgebra:
 
     def __str__(self) -> str:
         return "+".join(str(f) for f in self.factors)
-
-    def __len__(self) -> int:
-        return len(self.factors)
 
 
 @dataclass(frozen=True)
@@ -81,7 +77,21 @@ class ModuleDecomposition:
     def dims(self) -> tuple[tuple[int, ...], ...]:
         """Per summand, the Weyl dimension of its weight at every factor."""
         factors = self.algebra.factors
-        return tuple(tuple(map(algebras.weyl_dimension, factors, s.weights)) for s in self.summands)
+        return tuple(tuple(algebras.weyl_dimension(f, w) if any(w) else 1
+                           for f, w in zip(factors, s.weights)) for s in self.summands)
+
+    @cached_property
+    def indices(self) -> tuple[int, ...]:
+        """Per factor, the index of the whole module seen through it: the sum
+        of mult * (the other factors' dims) * index(weight at that factor)."""
+        factors = self.algebra.factors
+        out = [0] * len(factors)
+        for s, row in zip(self.summands, self.dims):
+            size = s.mult * prod(row)
+            for j, w in enumerate(s.weights):
+                if any(w):
+                    out[j] += size // row[j] * irrep_index(factors[j], w)
+        return tuple(out)
 
     @property
     def total_dim(self) -> int:
@@ -137,11 +147,11 @@ def index_of_irrep(alg: SimpleAlgebra, lam) -> int:
 @lru_cache(maxsize=None)
 def irrep_index(alg: SimpleAlgebra, lam: Weight) -> int:
     """Memoized kernel of `index_of_irrep` for a weight check_dominant accepted."""
-    shifted = tuple(x + 2 for x in lam)
-    value = Fraction(algebras.weyl_dimension(alg, lam), alg.dim) * weight_form(alg, lam, shifted)
-    if value.denominator != 1 or value < 0:
-        raise InternalConsistencyError(f"index of {lam} over {alg} is not an integer >= 0: {value}")
-    return int(value)
+    norm = pairing(alg, eps2(alg, lam), eps2(alg, [x + 2 for x in lam]))
+    value, rest = divmod(algebras.weyl_dimension(alg, lam) * norm, alg.dim * form_scale(alg))
+    if rest or value < 0:
+        raise InternalConsistencyError(f"index of {lam} over {alg} is not an integer >= 0: {value} rem {rest}")
+    return value
 
 
 def index_of_module(decomp: ModuleDecomposition, factor: int) -> int:
@@ -151,7 +161,8 @@ def index_of_module(decomp: ModuleDecomposition, factor: int) -> int:
     `factor`); this is exactly the direct-sum and tensor-product rules
     combined.
     """
-    return sum(m * irrep_index(decomp.algebra.factors[factor], w) for w, m in _collapse(decomp, factor))
+    _check_factor(decomp, factor)
+    return decomp.indices[factor]
 
 
 @dataclass(frozen=True)
@@ -178,10 +189,14 @@ class Embedding:
             )
 
 
-def _collapse(decomp: ModuleDecomposition, factor: int) -> list[tuple[Weight, int]]:
-    """(weight at `factor`, mult * the other factors' dims) per summand."""
+def _check_factor(decomp: ModuleDecomposition, factor: int) -> None:
     if not 0 <= factor < len(decomp.algebra.factors):
         raise DomainError(f"factor {factor} out of range for {decomp.algebra}")
+
+
+def _collapse(decomp: ModuleDecomposition, factor: int) -> list[tuple[Weight, int]]:
+    """(weight at `factor`, mult * the other factors' dims) per summand."""
+    _check_factor(decomp, factor)
     return [(s.weights[factor], s.mult * prod(row) // row[factor])
             for s, row in zip(decomp.summands, decomp.dims)]
 
@@ -199,8 +214,7 @@ def embedding_index(emb: Embedding) -> list[int]:
     """Per-source-factor Dynkin index of the embedding."""
     divisor = NATURAL_MODULE_INDEX[emb.target.series]
     out = []
-    for j in range(len(emb.source.factors)):
-        raw = index_of_module(emb.branching, j)
+    for j, raw in enumerate(emb.branching.indices):
         if raw % divisor != 0:
             raise DomainError(
                 f"module index {raw} of factor {j} is not divisible by the natural-module "
@@ -305,10 +319,10 @@ def _composite_index(f: SimpleAlgebra, first: list[Embedding], second: Embedding
     for s in second.branching.summands:
         restricted = _restrict_summand(f, first, s)
         total += s.mult * index_of_module(restricted, 0)
-    quotient = Fraction(total, divisor)
-    if quotient.denominator != 1:
+    quotient, rest = divmod(total, divisor)
+    if rest:
         raise DomainError("composite branching index is not divisible by the target divisor")
-    return int(quotient)
+    return quotient
 
 
 def _restrict_summand(f: SimpleAlgebra, first: list[Embedding], s: Summand) -> ModuleDecomposition:

@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import A, graph_from_fixture, load_fixture, run_cli
 from lielimits.cli import main
@@ -753,3 +755,57 @@ def test_one_call_builds_at_most_two_parsers(monkeypatch):
         built.clear()
         assert run_cli(*argv)[0] == 0
         assert len(built) <= 2, built
+
+
+# -- the report writer writes json's indented bytes ----------------------------
+
+
+def _json_reference(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-2**70, 2**70)
+           | st.text() | st.sampled_from(['"', "\\", "\n\t\x00\x1f", "é", " ", "😀"]))
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+                   | st.lists(st.integers(), max_size=5) | st.lists(st.text(), max_size=5)
+                   | st.dictionaries(st.text(max_size=5), inner, max_size=5)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_DOCUMENTS)
+def test_dumps_writes_the_bytes_of_json_indent_2(doc):
+    assert formats.dumps(doc) == _json_reference(doc)
+
+
+def _fixture_commands():
+    """limit, refine, socle and invariants on every system fixture, maximal
+    under every kind on every subspace fixture, and embed on the embeddings."""
+    for path in sorted(formats.fixture_path("s1.json").parent.glob("*.json")):
+        kind = json.loads(path.read_text())["format"]
+        if kind == formats.SYSTEM_FORMAT:
+            yield from ((command, str(path)) for command in ("limit", "refine", "socle", "invariants"))
+        elif kind == formats.SUBSPACE_FORMAT:
+            yield from (("maximal", algebra, str(path)) for algebra in ("gl", "sl", "so", "sp"))
+        else:
+            yield "embed", str(path)
+
+
+def test_every_fixture_report_is_written_as_json_writes_it():
+    kinds = set()
+    for command in _fixture_commands():
+        code, out, err = run_cli("--format", "json", *command)
+        if code == 0:
+            doc = json.loads(out)
+            kinds.add(doc["kind"])
+            assert out == formats.dumps(doc) == _json_reference(doc), command
+    assert kinds == {"limit", "refinement", "socle", "invariants", "maximal", "embedding"}
+
+
+@pytest.mark.parametrize("doc", [1.5, [1, 2.0], {"a": {1: 2}}, {1: "x"}, {"a": object()}])
+def test_dumps_rejects_what_reports_never_hold(doc):
+    with pytest.raises(TypeError):
+        formats.dumps(doc)

@@ -1,8 +1,10 @@
+import json
 import random
 from math import prod
 
 import pytest
 
+from conftest import graph_from_fixture, run_cli
 from lielimits import algebras, index
 from lielimits.algebras import (
     SimpleAlgebra,
@@ -11,7 +13,8 @@ from lielimits.algebras import (
     dual_weight,
     weyl_dimension,
 )
-from lielimits.errors import DimensionMismatchError, DomainError, ResourceBoundError
+from lielimits.errors import (DimensionMismatchError, DomainError, InternalConsistencyError,
+                              ResourceBoundError)
 from lielimits.index import (
     NATURAL_MODULE_INDEX,
     Diagonal,
@@ -271,7 +274,7 @@ def test_memoized_kernels_keep_their_checks():
     assert freudenthal(A2, (1, 0)).total == 3
     assert weyl_dimension.cache_info().currsize and irrep_index.cache_info().currsize
     assert freudenthal.cache_info().currsize
-    for bad, error in (((1.0, 0), DomainError), ((-1, 0), DomainError),
+    for bad, error in (((1.0, 0), DomainError), ((True, 0), DomainError), ((-1, 0), DomainError),
                        ((1, 0, 0), DimensionMismatchError), ((1,), DimensionMismatchError)):
         with pytest.raises(error):
             dimension(A2, bad)
@@ -341,6 +344,79 @@ def test_dimension_table_matches_weyl_dimensions():
                 (s.weights[j], s.mult * prod(d for i, d in enumerate(row) if i != j))
                 for s, row in zip(decomp.summands, dims)
             ]
+            assert decomp.indices[j] == index_of_module(decomp, j) == sum(
+                m * index_of_irrep(factors[j], w) for w, m in _collapse(decomp, j))
         assert decomp.is_self_dual() == (decomp.dual() == decomp)
         self_dual.add(decomp.is_self_dual())
     assert self_dual == {True, False}
+
+
+def test_trivial_weights_never_reach_a_kernel(monkeypatch):
+    weyl_dimension.cache_clear()
+    irrep_index.cache_clear()
+    seen = []
+
+    def counted(kernel):
+        def call(alg, lam):
+            seen.append((kernel.__name__, lam))
+            return kernel(alg, lam)
+        return call
+
+    monkeypatch.setattr(algebras, "weyl_dimension", counted(weyl_dimension))
+    monkeypatch.setattr(index, "irrep_index", counted(irrep_index))
+    graph = graph_from_fixture("s3.json")
+    assert graph.alpha and {name for name, _ in seen} == {"weyl_dimension", "irrep_index"}
+    assert all(any(lam) for _, lam in seen)
+
+
+def test_irrep_index_guard_fires_on_a_wrong_kernel(monkeypatch):
+    irrep_index.cache_clear()
+    monkeypatch.setattr(algebras, "weyl_dimension", lambda alg, lam: -1)
+    code, out, err = run_cli("index", "A2", "1,0")
+    irrep_index.cache_clear()
+    assert (code, out) == (1, "")
+    assert "index of (1, 0) over A2 is not an integer >= 0" in err
+
+
+def test_natural_index_table_guard_fires(monkeypatch):
+    monkeypatch.setitem(NATURAL_MODULE_INDEX, "C", 2)
+    with pytest.raises(InternalConsistencyError, match="table broken for C1: got 1"):
+        index._assert_natural_index_table()
+
+
+def test_branching_over_another_algebra_is_rejected():
+    with pytest.raises(DomainError, match="over the source algebra"):
+        Embedding(SemisimpleAlgebra((A2,)), A2, decomposition([A1], [(((2,),), 1)]))
+
+
+def test_cli_embed_prints_a_general_classification(tmp_path):
+    path = tmp_path / "adjoint.json"
+    path.write_text(json.dumps({"format": "lielimits-embedding/1", "source": ["A1"],
+                                "target": "A2", "branching": [{"weights": [[2]]}]}))
+    code, out, err = run_cli("embed", str(path))
+    assert (code, err) == (0, "")
+    assert "index           [4]" in out and "classification  General" in out
+
+
+def test_compose_index_argument_errors():
+    leg = simple_embedding(A1, A2, [(((1,),), 1), (((0,),), 1)])
+    other = simple_embedding(A2, A3, [(((1, 0),), 1), (((0, 0),), 1)])
+    with pytest.raises(DomainError, match="at least one middle factor"):
+        compose_index([], other)
+    with pytest.raises(DomainError, match="share one simple source"):
+        compose_index([leg, other], other)
+
+
+def test_compose_index_guards_fire_on_a_wrong_module_index(monkeypatch):
+    # A1 -> A2 by natural + trivial, then A2 -> B3 by natural + conatural +
+    # trivial: both sides are 1.
+    first = [simple_embedding(A1, A2, [(((1,),), 1), (((0,),), 1)])]
+    second = simple_embedding(A2, SimpleAlgebra("B", 3),
+                              [(((1, 0),), 1), (((0, 1),), 1), (((0, 0),), 1)])
+    assert compose_index(first, second) == 1
+    monkeypatch.setattr(index, "index_of_module", lambda decomp, factor: 0)
+    with pytest.raises(DomainError, match="sum formula gives 1, direct computation gives 0"):
+        compose_index(first, second)
+    monkeypatch.setattr(index, "index_of_module", lambda decomp, factor: 1)
+    with pytest.raises(DomainError, match="not divisible by the target divisor"):
+        compose_index(first, second)

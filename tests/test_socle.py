@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import A, graph_from_fixture, run_cli
-from lielimits import formats
+from lielimits import formats, socle
 from lielimits.errors import DomainError, NotStabilizedError
 from lielimits.index import SemisimpleAlgebra, decomposition
 from lielimits.socle import (
@@ -68,6 +68,19 @@ def test_multiplicities_requires_infinite_kind():
     g, cs = analyzed("s3.json")
     with pytest.raises(DomainError):
         multiplicities(g, cs[0])
+    with pytest.raises(DomainError, match="tracked for infinite constituents"):
+        trivial_dims(g, cs[0])
+
+
+def test_multiplicities_guard_fires_on_wrong_counts(monkeypatch):
+    def one_more(decomp, j, where):
+        k, l = _pure_counts(decomp, j, where)
+        return k + 1, l
+
+    monkeypatch.setattr(socle, "_pure_counts", one_more)
+    code, out, err = run_cli("socle", str(formats.fixture_path("s1.json")))
+    assert (code, out) == (1, "")
+    assert "does not match the embedding index" in err
 
 
 def test_pure_counts_rejects_mixed_summands():
