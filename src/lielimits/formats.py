@@ -24,12 +24,13 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from fractions import Fraction
-from itertools import repeat
+from functools import lru_cache
+from itertools import chain, repeat
 from operator import attrgetter
 from types import SimpleNamespace
 
 from .algebras import SimpleAlgebra
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .index import Embedding, ModuleDecomposition, SemisimpleAlgebra, Summand
 from .oracle import WeightMultiset
 from .socle import (ConstituentSocle, ExtendedDim, InvariantsReport, IsotypicRow, SocleReport,
@@ -46,7 +47,9 @@ REPORT_FORMAT = "lielimits-report/1"
 REQUIRED = object()  # the default of a field that must be present
 _INT_ONLY = frozenset({int})
 _STR_ONLY = frozenset({str})
+_LIST_ONLY = frozenset({list})
 _ESCAPE = json.encoder.encode_basestring_ascii  # the C escaper json.dumps uses
+_algebra = lru_cache(maxsize=1024)(SimpleAlgebra.parse)  # one object per literal
 
 
 # How one JSON value loads (raising ParseError) and dumps.  `default` is what
@@ -154,7 +157,7 @@ def parse_weight(text) -> tuple[int, ...]:
 def parse_algebra(text) -> SimpleAlgebra:
     if not isinstance(text, str):
         raise ParseError(f"bad algebra literal {text!r}")
-    return SimpleAlgebra.parse(text)
+    return _algebra(text)
 
 
 INT = _checked(lambda v: type(v) is int, "an integer")
@@ -167,7 +170,7 @@ WEIGHT = Codec(parse_weight, list)  # input documents also take '1,0,2'
 RATIONAL = Codec(_fraction, str)  # input documents take numbers too
 RATIONAL_ROW = _checked(
     lambda v: type(v) is list and _STR_ONLY.issuperset(map(type, v)), "a list of rational strings",
-    lambda v: tuple(map(_fraction, v)), lambda row: [str(x) for x in row],
+    lambda v: tuple(map(_fraction, v)),
 )
 _SPACE = _one_of("V", "V*")
 _GENERATOR = _checked(
@@ -229,14 +232,14 @@ def fixed(*items: Codec) -> Codec:
 
 def record(make, *fields) -> Codec:
     """A JSON map with one entry per field: (key, codec), whose attribute is
-    the key, or (key, attribute, codec).  A dotted attribute reaches inside
-    the dumped object; attribute None marks a constant, which is not
+    the key, or (key, attribute, codec).  A dotted attribute reaches inside the
+    dumped object, a function one reads from it, and None marks a constant, not
     passed on.  Loading calls make(*values) in table order, so `make` can
     run the checks that span fields, naming paths relative to the record."""
     fields = tuple((f[0], f[0], f[1]) if len(f) == 2 else f for f in fields)
     loads = [(key, attr is not None, codec.load, codec.default) for key, attr, codec in fields]
     dumps = [
-        (key, attrgetter(attr) if attr else lambda _: None,
+        (key, attr if callable(attr) else attrgetter(attr) if attr else lambda _: None,
          None if codec.dump is _same else codec.dump, codec.nullable or not attr)
         for key, attr, codec in fields
     ]
@@ -282,19 +285,25 @@ def _keyed(width: int) -> Codec:
 # -- checks that span fields, run once their record has loaded ----------------
 
 
-def _decomposition(factors, summands, *at) -> ModuleDecomposition:
-    """Each summand has one weight per factor."""
-    for pos, s in enumerate(summands):
-        if len(s.weights) != len(factors):
-            raise _fail(f"expected {len(factors)} weight lists, one per factor, got "
-                        f"{len(s.weights)}", *at, pos, "weights")
-    return ModuleDecomposition(SemisimpleAlgebra(tuple(factors)), tuple(summands))
+def _decomposition(over, summands, *at) -> ModuleDecomposition:
+    """Over `over`, an algebra or its factors.  The library checks the weight counts; they are
+    read again here only when it refused the branching, so that a count error names its path."""
+    try:
+        return ModuleDecomposition(over if isinstance(over, SemisimpleAlgebra)
+                                   else SemisimpleAlgebra(over), summands)
+    except DomainError:
+        width = len(getattr(over, "factors", over))
+        for pos, s in enumerate(summands):
+            if len(s.weights) != width:
+                raise _fail(f"expected {width} weight lists, one per factor, got "
+                            f"{len(s.weights)}", *at, pos, "weights") from None
+        raise
 
 
 def _level(components, ambient, branching, conatural) -> LevelSpec:
     branching = _decomposition(components, branching, "ambient_branching")
     if conatural is not None:
-        conatural = _decomposition(components, conatural, "conatural_branching")
+        conatural = _decomposition(branching.algebra, conatural, "conatural_branching")
     return LevelSpec(branching.algebra, ambient, branching, conatural)
 
 
@@ -308,7 +317,7 @@ def _system(levels, edges):
                     "edges")
     specs = []
     for n, branchings in enumerate(edges):
-        source, targets = levels[n].components.factors, levels[n + 1].components.factors
+        source, targets = levels[n].components, levels[n + 1].components.factors
         if len(branchings) != len(targets):
             raise _fail(f"expected {len(targets)} branchings, one per component of the "
                         "next level", "edges", n, "branchings")
@@ -323,6 +332,16 @@ def _embedding(source, target, branching) -> Embedding:
     return Embedding(branching.algebra, target, branching)
 
 
+def _basis_text(d: SubspaceDescriptor) -> list[list[str]]:
+    """U's dense basis rows as reports print them, str only of the stored entries."""
+    basis = d.basis()
+    rows = [["0"] * d.window for _ in basis]
+    for row, r in zip(rows, basis):
+        for c, x in r.items():
+            row[c - 1] = str(x)
+    return rows
+
+
 def _descriptor(space, window, has_tail, rows) -> SubspaceDescriptor:
     """Each row has `window` entries, the last one 0 when finite."""
     for pos, row in enumerate(rows):
@@ -333,9 +352,30 @@ def _descriptor(space, window, has_tail, rows) -> SubspaceDescriptor:
     return SubspaceDescriptor(space, window, rows, has_tail)
 
 
+def _summand(doc) -> Summand:
+    """The one loader of the summand record below (mult 1 when missing, other keys ignored):
+    integer list weights are checked in bulk; WEIGHT reads '1,0,2' or names the fault."""
+    if type(doc) is not dict or "weights" not in doc:
+        raise _fail("missing field 'weights'" if type(doc) is dict else f"expected a map, got {doc!r}")
+    weights, mult = doc["weights"], doc.get("mult", 1)
+    if (type(weights) is list and _LIST_ONLY.issuperset(map(type, weights))
+            and _INT_ONLY.issuperset(map(type, chain.from_iterable(weights)))):
+        weights = tuple(map(tuple, weights))
+    else:
+        try:
+            weights = _WEIGHTS.load(weights)
+        except ParseError as exc:
+            raise _within(exc, "weights")
+    if not (type(mult) is int and mult >= 1):
+        raise _fail(f"expected an integer >= 1, got {mult!r}", "mult")
+    return Summand(weights, mult)
+
+
 # -- input documents ----------------------------------------------------------
 
-_SUMMAND_LIST = listof(record(Summand, ("weights", listof(WEIGHT)), ("mult", opt(POSITIVE, 1))))
+_WEIGHTS = listof(WEIGHT)
+_SUMMAND_LIST = listof(
+    record(Summand, ("weights", _WEIGHTS), ("mult", opt(POSITIVE, 1)))._replace(load=_summand))
 # Loads the summands; the record that knows the factors builds the decomposition.
 _SUMMANDS = _SUMMAND_LIST._replace(dump=lambda d: _SUMMAND_LIST.dump(d.summands))
 _COMPONENTS = ("components", "components.factors", listof(ALGEBRA))
@@ -375,7 +415,7 @@ _SPAN = record(
 )
 _DESCRIPTOR = record(
     _descriptor,
-    ("space", _SPACE), ("window", POSITIVE), ("has_tail", BOOL), ("rows", listof(RATIONAL_ROW)),
+    ("space", _SPACE), ("window", POSITIVE), ("has_tail", BOOL), ("rows", _basis_text, listof(RATIONAL_ROW)),
 )
 
 

@@ -10,7 +10,7 @@ target's natural module, fixed per series as {A: 1, B: 2, C: 1, D: 2}
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import prod
 
 from . import algebras
@@ -20,14 +20,16 @@ from .errors import DimensionMismatchError, DomainError, InternalConsistencyErro
 
 @dataclass(frozen=True)
 class SemisimpleAlgebra:
-    """An ordered direct sum of classical simple algebras."""
+    """An ordered direct sum of classical simple algebras.  `self_dual`: whether -w0 = 1 on
+    every factor (A1, B, C, even-rank D), i.e. `dual_labels` fixes distinct labels."""
 
     factors: tuple[SimpleAlgebra, ...]
 
     def __post_init__(self):
         if not self.factors:
             raise DomainError("a semisimple algebra needs at least one simple factor")
-        object.__setattr__(self, "factors", tuple(self.factors))
+        self.__dict__.update(factors=tuple(self.factors), self_dual=all(
+            dual_labels(f, w := tuple(range(f.rank))) == w for f in self.factors))
 
     def __str__(self) -> str:
         return "+".join(str(f) for f in self.factors)
@@ -43,12 +45,13 @@ class Summand:
     def __post_init__(self):
         if not (type(self.mult) is int and self.mult >= 1):
             raise DomainError(f"multiplicity must be an integer >= 1, got {self.mult!r}")
-        object.__setattr__(self, "weights", tuple(tuple(w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(map(tuple, self.weights)))
 
 
 @dataclass(frozen=True)
 class ModuleDecomposition:
-    """A finite multiset of irreducible summands over a semisimple algebra."""
+    """A finite multiset of irreducible summands over a semisimple algebra.  `dims` (per summand,
+    each factor's Weyl dimension), `indices` (per factor) and `total_dim` come from one pass."""
 
     algebra: SemisimpleAlgebra
     summands: tuple[Summand, ...]
@@ -73,38 +76,37 @@ class ModuleDecomposition:
         object.__setattr__(self, "summands", _merged(summands))
         return self
 
-    @cached_property
-    def dims(self) -> tuple[tuple[int, ...], ...]:
-        """Per summand, the Weyl dimension of its weight at every factor."""
+    def __getattr__(self, name):
+        """All three in one pass over the summands; a trivial weight calls no kernel."""
+        if name not in ("dims", "indices", "total_dim"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         factors = self.algebra.factors
-        return tuple(tuple(algebras.weyl_dimension(f, w) if any(w) else 1
-                           for f, w in zip(factors, s.weights)) for s in self.summands)
-
-    @cached_property
-    def indices(self) -> tuple[int, ...]:
-        """Per factor, the index of the whole module seen through it: the sum
-        of mult * (the other factors' dims) * index(weight at that factor)."""
-        factors = self.algebra.factors
-        out = [0] * len(factors)
-        for s, row in zip(self.summands, self.dims):
+        dims, indices, total = [], [0] * len(factors), 0
+        for s in self.summands:
+            row = tuple(algebras.weyl_dimension(f, w) if any(w) else 1 for f, w in zip(factors, s.weights))
             size = s.mult * prod(row)
             for j, w in enumerate(s.weights):
                 if any(w):
-                    out[j] += size // row[j] * irrep_index(factors[j], w)
-        return tuple(out)
-
-    @property
-    def total_dim(self) -> int:
-        return sum(s.mult * prod(row) for s, row in zip(self.summands, self.dims))
+                    indices[j] += size // row[j] * irrep_index(factors[j], w)
+            dims.append(row)
+            total += size
+        self.__dict__.update(dims=tuple(dims), indices=tuple(indices), total_dim=total)
+        return self.__dict__[name]
 
     def dual(self) -> "ModuleDecomposition":
-        """Factorwise dual of every summand (same multiplicities)."""
-        factors = self.algebra.factors
-        return ModuleDecomposition._trusted(self.algebra, (
-            Summand(tuple(map(dual_labels, factors, s.weights)), s.mult) for s in self.summands
-        ))
+        """Factorwise dual of every summand; dual weights keep their dimensions and indices."""
+        if self.algebra.self_dual:
+            return self
+        duals = {tuple(map(dual_labels, self.algebra.factors, s.weights)): (s.mult, row)
+                 for s, row in zip(self.summands, self.dims)}
+        out = ModuleDecomposition._trusted(self.algebra, (Summand(w, m) for w, (m, _) in duals.items()))
+        out.__dict__.update(dims=tuple(duals[s.weights][1] for s in out.summands),
+                            indices=self.indices, total_dim=self.total_dim)
+        return out
 
     def is_self_dual(self) -> bool:
+        if self.algebra.self_dual:
+            return True
         factors = self.algebra.factors
         pairs = [(s.weights, s.mult) for s in self.summands]
         return sorted((tuple(map(dual_labels, factors, w)), m) for w, m in pairs) == pairs
@@ -117,7 +119,7 @@ def _merged(summands) -> tuple[Summand, ...]:
     for s in summands:
         seen = merged.get(s.weights)
         merged[s.weights] = s if seen is None else Summand(seen.weights, seen.mult + s.mult)
-    return tuple(s for _, s in sorted(merged.items()))
+    return tuple(map(merged.__getitem__, sorted(merged)))
 
 
 def decomposition(factors, records) -> ModuleDecomposition:
@@ -205,8 +207,8 @@ def restrict_to_factor(decomp: ModuleDecomposition, factor: int) -> ModuleDecomp
     """The same module seen over a single factor: every tensor summand
     collapses to its weight at `factor`, multiplied by the other factors'
     dimensions."""
-    algebra = SemisimpleAlgebra((decomp.algebra.factors[factor],))
     collapsed = _collapse(decomp, factor)
+    algebra = SemisimpleAlgebra((decomp.algebra.factors[factor],))
     return ModuleDecomposition._trusted(algebra, (Summand((w,), m) for w, m in collapsed))
 
 

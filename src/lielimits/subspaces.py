@@ -219,7 +219,7 @@ class SubspaceDescriptor:
         rank = self.window - len(self.small) if self.has_tail else len(self.small)
         return f"SubspaceDescriptor({self.space}, window={self.window}, {kind}, rank={rank})"
 
-    def _basis(self) -> list[Coords]:
+    def basis(self) -> list[Coords]:
         """Sparse RREF basis of the model subspace U of Q^M; a tail derives
         it from its annihilator."""
         if self.has_tail:
@@ -230,7 +230,7 @@ class SubspaceDescriptor:
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         """The basis of U as dense rows of length M, as reports print it."""
         columns, zeros = range(1, self.window + 1), repeat(Fraction(0))
-        return tuple(tuple(map(r.get, columns, zeros)) for r in self._basis())
+        return tuple(tuple(map(r.get, columns, zeros)) for r in self.basis())
 
     # -- window alignment ---------------------------------------------------
 
@@ -466,7 +466,7 @@ def _require_proper(w: SubspaceDescriptor):
 def _gap_vector(larger: SubspaceDescriptor, smaller: SubspaceDescriptor):
     # a basis row at window m is the vector with its S entry at coordinate m
     m = max(larger.window, smaller.window)
-    return next((row for row in larger.at_window(m)._basis() if not smaller.contains(row)), None)
+    return next((row for row in larger.at_window(m).basis() if not smaller.contains(row)), None)
 
 
 def _classify_gl_sl(g_kind: str, w: SubspaceDescriptor) -> Verdict:

@@ -80,9 +80,7 @@ class LevelSpec:
     @cached_property
     def conatural(self) -> ModuleDecomposition:
         """The dual-side branching, computed once per level."""
-        if self.conatural_branching is not None:
-            return self.conatural_branching
-        return self.ambient_branching.dual()
+        return self.conatural_branching or self.ambient_branching.dual()
 
 
 @dataclass(frozen=True)

@@ -234,6 +234,72 @@ def test_cli_system_shape_errors_name_the_field(tmp_path, mutate, message):
     assert re.search(message, err), err
 
 
+# -- the summand codec's contract ----------------------------------------------
+
+# The summand lists the table below mutates: a level's and an edge's branching.
+SUMMAND_LISTS = {
+    "ambient": (("levels", 1, "ambient_branching"), "$.levels[1].ambient_branching"),
+    "edge": (("edges", 1, "branchings", 0), "$.edges[1].branchings[0]"),
+}
+
+
+def _second(change):
+    """A mutation of the list's second summand record."""
+    return lambda summands: [summands[0], change(dict(summands[1]))]
+
+
+def _first_label(value):
+    def change(rec):
+        first, *rest = rec["weights"]
+        return {**rec, "weights": [[value, *first[1:]], *rest]}
+    return _second(change)
+
+
+# name -> (mutation of the summand list, exit code, message after the list's path);
+# exit 0 means the output equals that of the unmutated file.
+SUMMAND_MUTATIONS = {
+    "not-a-list": (lambda s: {"weights": [[1, 0], [0, 0]]}, 2,
+                   ": expected a list, got {'weights': [[1, 0], [0, 0]]}"),
+    "entry-not-a-map": (lambda s: [s[0], 5], 2, "[1]: expected a map, got 5"),
+    "missing-weights": (_second(lambda r: {"mult": r["mult"]}), 2, "[1]: missing field 'weights'"),
+    "weights-not-a-list": (_second(lambda r: {**r, "weights": "1,0"}), 2,
+                           "[1].weights: expected a list, got '1,0'"),
+    "label-1.5": (_first_label(1.5), 2,
+                  "[1].weights[0]: expected a list of integers, got [1.5, 0]"),
+    "label-true": (_first_label(True), 2,
+                   "[1].weights[0]: expected a list of integers, got [True, 0]"),
+    "label-x": (_first_label("x"), 2,
+                "[1].weights[0]: expected a list of integers, got ['x', 0]"),
+    "string-weights": (_second(lambda r: {**r, "weights": [",".join(map(str, w)) for w in r["weights"]]}),
+                       0, None),
+    "mult-0": (_second(lambda r: {**r, "mult": 0}), 2, "[1].mult: expected an integer >= 1, got 0"),
+    "mult-string": (_second(lambda r: {**r, "mult": "2"}), 2,
+                    "[1].mult: expected an integer >= 1, got '2'"),
+    "mult-true": (_second(lambda r: {**r, "mult": True}), 2,
+                  "[1].mult: expected an integer >= 1, got True"),
+    "unknown-key": (_second(lambda r: {**r, "note": "ignored"}), 0, None),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(SUMMAND_MUTATIONS))
+@pytest.mark.parametrize("where", sorted(SUMMAND_LISTS))
+def test_summand_codec_mutations(tmp_path, where, mutation):
+    (*outer, key), path = SUMMAND_LISTS[where]
+    mutate, code, message = SUMMAND_MUTATIONS[mutation]
+    doc = load_fixture("s2.json")
+    node = doc
+    for k in outer:
+        node = node[k]
+    node[key] = mutate(node[key])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    got = run_cli("--format", "json", "limit", str(bad))
+    if code == 0:
+        assert got == run_cli("--format", "json", "limit", fixture("s2.json"))
+    else:
+        assert got == (code, "", f"parse error: system file: {path}{message}\n")
+
+
 def _maximal_report():
     kernel = SubspaceDescriptor.kernel([ALL_ONES])
     return roundtrip(formats.verdict_report(classify_maximal("gl", kernel)))

@@ -3,6 +3,8 @@ import random
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import graph_from_fixture, run_cli
 from lielimits import algebras, index
@@ -11,6 +13,7 @@ from lielimits.algebras import (
     dimension,
     dominant_weights_up_to_dim,
     dual_weight,
+    fundamental_weight,
     weyl_dimension,
 )
 from lielimits.errors import (DimensionMismatchError, DomainError, InternalConsistencyError,
@@ -420,3 +423,51 @@ def test_compose_index_guards_fire_on_a_wrong_module_index(monkeypatch):
     monkeypatch.setattr(index, "index_of_module", lambda decomp, factor: 1)
     with pytest.raises(DomainError, match="not divisible by the target divisor"):
         compose_index(first, second)
+
+
+# Every series, with A1 and the even-rank D (where -w0 = 1) next to the
+# higher A and the odd-rank D (where it is not).
+_DUALITY_POOL = [SimpleAlgebra(s, n) for s, n in
+                 (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 1), ("C", 3),
+                  ("D", 4), ("D", 5), ("D", 6))]
+
+
+@st.composite
+def _decompositions(draw):
+    factors = tuple(draw(st.lists(st.sampled_from(_DUALITY_POOL), min_size=1, max_size=3)))
+    label = st.integers(0, 2)
+    records = draw(st.lists(st.tuples(
+        st.tuples(*(st.tuples(*[label] * f.rank) for f in factors)), st.integers(1, 3),
+    ), min_size=1, max_size=4))
+    return decomposition(factors, records)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_decompositions())
+def test_duality_agrees_with_the_general_construction(decomp):
+    factors = decomp.algebra.factors
+    general = decomposition(factors, [(tuple(map(dual_weight, factors, s.weights)), s.mult)
+                                      for s in decomp.summands])
+    dual = decomp.dual()
+    assert dual == general
+    # the dual carries its table over: equal to the one a fresh pass computes
+    assert (dual.dims, dual.indices, dual.total_dim) == (general.dims, general.indices, general.total_dim)
+    assert decomp.is_self_dual() == (general == decomp)
+    for f in factors:
+        fixed = all(dual_weight(f, fundamental_weight(f, i)) == fundamental_weight(f, i)
+                    for i in range(f.rank))
+        assert SemisimpleAlgebra((f,)).self_dual == fixed
+    if decomp.algebra.self_dual:
+        assert decomp.dual() is decomp and decomp.is_self_dual()
+
+
+def test_dimension_table_is_filled_by_its_first_read():
+    # dims, indices and total_dim come from one pass, run by the first read of
+    # any of them; other missing attributes stay AttributeErrors
+    decomp = decomposition([A1, A2], [(((1,), (0, 1)), 2), (((0,), (0, 0)), 1)])
+    assert not {"dims", "indices", "total_dim"} & set(vars(decomp))
+    assert decomp.total_dim == 13
+    assert vars(decomp)["dims"] == ((1, 1), (2, 3)) and vars(decomp)["indices"] == (6, 4)
+    assert not hasattr(decomp, "missing")
+    with pytest.raises(AttributeError, match="'ModuleDecomposition' object has no attribute 'missing'"):
+        decomp.missing

@@ -7,7 +7,8 @@ import pytest
 from lielimits import linalg
 from lielimits.algebras import SimpleAlgebra
 from lielimits.errors import DimensionMismatchError, DomainError
-from lielimits.index import ModuleDecomposition, SemisimpleAlgebra, Summand, decomposition
+from lielimits.index import (ModuleDecomposition, SemisimpleAlgebra, Summand, decomposition,
+                             restrict_to_factor)
 from lielimits.subspaces import (
     ALL_ONES,
     COMMUTATOR_TOKEN,
@@ -501,6 +502,11 @@ _DUAL_LINE = SubspaceDescriptor.span([{1: 1}], "V*")
             DomainError,
             "multiplicity must be an integer >= 1",
         ),
+        (
+            lambda: restrict_to_factor(decomposition([SimpleAlgebra("A", 1)], [(((1,),), 1)]), 1),
+            DomainError,
+            r"^factor 1 out of range for A1$",
+        ),
     ],
     ids=[
         "vector-index-0", "finite-tail-entry", "row-length", "space-W", "tail-from-0",
@@ -508,7 +514,7 @@ _DUAL_LINE = SubspaceDescriptor.span([{1: 1}], "V*")
         "isotropy-of-dual", "algebra-kind", "not-a-descriptor", "sp-symmetric-form",
         "summand-weight-count", "semisimple-no-factors", "system-no-levels",
         "unreadable-summand-record", "fractional-multiplicity", "bool-multiplicity",
-        "record-without-length", "bare-weights-record",
+        "record-without-length", "bare-weights-record", "restrict-past-last-factor",
     ],
 )
 def test_public_api_guards(call, error, message):

@@ -433,6 +433,20 @@ def test_parsing_builds_each_summand_once(name, monkeypatch):
         assert from_generator == ModuleDecomposition(b.algebra, backwards) == b
 
 
+@pytest.mark.parametrize("name", SYSTEM_FIXTURES)
+def test_parsing_shares_one_algebra_per_level(name):
+    # a level's branchings and the edges out of it decompose over the very
+    # components object of the level, and each literal gives one algebra
+    levels, edges = formats.system_from_doc(load_fixture(name))
+    for n, lv in enumerate(levels):
+        outgoing = edges[n].branchings if n < len(edges) else ()
+        over = [lv.ambient_branching, lv.conatural, lv.embedding.branching, *outgoing]
+        assert all(b.algebra is lv.components for b in over)
+        assert lv.embedding.source is lv.components
+    algebras = [f for lv in levels for f in (lv.ambient, *lv.components.factors)]
+    assert len(set(map(id, algebras))) == len(set(algebras))
+
+
 def test_closure_walk_matches_reference_on_random_systems():
     rng = random.Random(4040)
     outcomes = set()
