@@ -11,9 +11,9 @@ serialization is stable (sorted keys) so equal reports print
 byte-identically.
 
 Every document and record is one table of fields (JSON key, attribute,
-codec).  The same table dumps an object and loads a document, and a load
-error names the JSON path of the field at fault, e.g.
-`system file: $.levels[0].ambient_branching[1].mult: ...`.
+codec).  The same table dumps an object and loads a document (a summand
+has one loader function), and a load error names the JSON path of the
+field at fault, e.g. `system file: $.levels[0].ambient_branching[1].mult: ...`.
 
 Weights are lists of integers; rational numbers travel as strings like
 "-2/3"; algebra literals look like "A3".
