@@ -56,9 +56,8 @@ examples = [
 for label, emb in examples:
     print(f"  {label}: index {embedding_index(emb)}, {classify_embedding(emb)}")
 
-# Indices compose along chains f -> k1 + k2 -> f' by the sum formula; the
-# library also restricts the composite through the oracle and checks both
-# sides agree.
+# Indices compose along chains f -> k1 + k2 -> f' by Dynkin's sum formula:
+# the index of f -> f' is the sum over j of ind(f -> kj) * ind(kj -> f').
 print("\n== composite chains ==")
 leg = Embedding(SemisimpleAlgebra((A1,)), A1, decomposition([A1], [(((1,),), 1)]))
 as_sum = Embedding(

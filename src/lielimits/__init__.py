@@ -11,7 +11,6 @@ from .algebras import (
     positive_roots,
     rho,
     weight_form,
-    weight_gram,
 )
 from .errors import (
     DimensionMismatchError,

@@ -10,8 +10,8 @@ Conventions, fixed once for the whole package:
 * The invariant form is normalized so that (alpha, alpha) = 2 for long
   roots.  It has one implementation, the integer pairing of eps2
   coordinates, which is form_scale * (lam, mu) with a fixed scale per
-  series: 4(n+1) for A, 8 for C, 4 for B and D.  weight_form and
-  weight_gram divide by that scale once; the oracle stays on the integers.
+  series: 4(n+1) for A, 8 for C, 4 for B and D.  weight_form divides by
+  that scale once; the oracle stays on the integers.
 * All arithmetic is exact: int, and Fraction only where a value is
   rational.  No floats anywhere.
 
@@ -59,12 +59,14 @@ class SimpleAlgebra:
     def parse(literal: str) -> "SimpleAlgebra":
         """Parse an algebra literal such as 'A3' or 'B12'."""
         text = literal.strip()
-        if len(text) < 2 or text[0] not in SERIES or not text[1:].isdigit():
+        if len(text) < 2 or text[0] not in SERIES or not text[1:].isdecimal():
             raise ParseError(f"bad algebra literal {literal!r}; expected e.g. 'A3', 'D4'")
         try:
             return SimpleAlgebra(text[0], int(text[1:]))
         except DomainError as exc:
             raise ParseError(str(exc)) from exc
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"algebra literal {text[:9]}... has a rank of {len(text) - 1} digits") from None
 
     @property
     def natural_weight(self) -> Weight:
@@ -165,19 +167,6 @@ def weight_form(alg: SimpleAlgebra, lam, mu) -> Fraction:
 
 def fundamental_weight(alg: SimpleAlgebra, i: int) -> Weight:
     return tuple(1 if j == i else 0 for j in range(alg.rank))
-
-
-@lru_cache(maxsize=None)
-def weight_gram(alg: SimpleAlgebra) -> tuple[tuple[Fraction, ...], ...]:
-    """Gram matrix gram[i][j] = (omega_i, omega_j) of the normalized form."""
-    coords = [eps2(alg, fundamental_weight(alg, i)) for i in range(alg.rank)]
-    scale = form_scale(alg)
-    return tuple(tuple(Fraction(pairing(alg, a, b), scale) for b in coords) for a in coords)
-
-
-def simple_roots(alg: SimpleAlgebra) -> list[Weight]:
-    """Simple roots in fundamental-weight coordinates (rows of the Cartan matrix)."""
-    return [tuple(row) for row in cartan_matrix(alg)]
 
 
 @lru_cache(maxsize=None)

@@ -32,6 +32,7 @@ from .algebras import (
     weyl_dimension,
 )
 from .errors import InternalConsistencyError, ResourceBoundError
+from .index import ModuleDecomposition, SemisimpleAlgebra, Summand
 
 DEFAULT_DIM_BOUND = 5000
 
@@ -43,23 +44,9 @@ class WeightMultiset:
     algebra: SimpleAlgebra
     entries: tuple[tuple[Weight, int], ...]
 
-    def as_dict(self) -> dict[Weight, int]:
-        return dict(self.entries)
-
     @property
     def total(self) -> int:
         return sum(m for _, m in self.entries)
-
-    def check_reflection_symmetry(self) -> bool:
-        """Invariance under every simple reflection s_i(mu) = mu - mu_i alpha_i."""
-        table = self.as_dict()
-        cartan = cartan_matrix(self.algebra)
-        for mu, m in self.entries:
-            for i in range(self.algebra.rank):
-                refl = tuple(x - mu[i] * a for x, a in zip(mu, cartan[i]))
-                if table.get(refl, 0) != m:
-                    return False
-        return True
 
 
 @lru_cache(maxsize=None)
@@ -233,8 +220,6 @@ def tensor_decompose(alg: SimpleAlgebra, lam, mu, dim_bound: int = DEFAULT_DIM_B
     Works by convolving the two weight multisets and extracting summands in
     one sweep by depth; dimension is checked to be preserved.
     """
-    from .index import ModuleDecomposition, SemisimpleAlgebra, Summand
-
     lam = check_dominant(alg, lam)
     mu = check_dominant(alg, mu)
     product_dim = dimension(alg, lam) * dimension(alg, mu)

@@ -141,7 +141,11 @@ def test_cli_limit_kinds():
     assert code == 0 and out.count("FiniteSimple A1") == 4
 
 
-def test_cli_exit_codes():
+def test_cli_exit_codes(tmp_path):
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"format": ')
+    assert run_cli("limit", str(truncated)) == (
+        2, "", f"parse error: {truncated}: invalid JSON at line 1, column 12\n")
     code, _, err = run_cli("limit", fixture("notstab.json"))
     assert code == 3 and "insufficient prefix" in err
     code, _, err = run_cli("index", "A1", "1,1")
@@ -156,6 +160,22 @@ def test_cli_exit_codes():
     assert code == 2
     code, _, err = run_cli("maximal", "gl", "/nonexistent/subspace.json")
     assert code == 2
+
+
+LONG_LITERAL = "A" + "1" * 5000  # more rank digits than int() converts from a string
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_cli_long_algebra_literal_is_a_parse_error(tmp_path, fmt):
+    message = "algebra literal A11111111... has a rank of 5000 digits"
+    for argv in (("index", LONG_LITERAL, "1"), ("oracle", "trace", LONG_LITERAL, "1")):
+        assert run_cli("--format", fmt, *argv) == (2, "", f"parse error: {message}\n")
+    doc = load_fixture("s2.json")
+    doc["levels"][0]["components"][0] = LONG_LITERAL
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run_cli("--format", fmt, "limit", str(bad)) == (
+        2, "", f"parse error: system file: $.levels[0].components[0]: {message}\n")
 
 
 def _components_null(doc):
@@ -606,6 +626,9 @@ def test_cli_oracle_ops():
     assert code == 0 and "0 x1" in out and "2 x1" in out
     code, out, _ = run_cli("oracle", "selftest", "--seed", "3", "--enum-bound", "8")
     assert code == 0
+    # a bound of 1 skips every draw but the trivial product
+    assert run_cli("--dim-bound", "1", "oracle", "selftest") == (
+        0, "1 consistency checks passed (seed 0)\n", "")
 
 
 @pytest.mark.parametrize("fmt", ["human", "json"])

@@ -4,9 +4,9 @@ from typing import NamedTuple
 
 import pytest
 
-from lielimits import linalg
+from lielimits import formats, linalg
 from lielimits.algebras import SimpleAlgebra
-from lielimits.errors import DimensionMismatchError, DomainError
+from lielimits.errors import DimensionMismatchError, DomainError, ParseError
 from lielimits.index import (ModuleDecomposition, SemisimpleAlgebra, Summand, decomposition,
                              restrict_to_factor)
 from lielimits.subspaces import (
@@ -507,6 +507,8 @@ _DUAL_LINE = SubspaceDescriptor.span([{1: 1}], "V*")
             DomainError,
             r"^factor 1 out of range for A1$",
         ),
+        (lambda: SimpleAlgebra("X", 1), DomainError, "unknown series 'X'"),
+        (lambda: formats.fixture_path("nope.json"), ParseError, "no shipped fixture named 'nope.json'"),
     ],
     ids=[
         "vector-index-0", "finite-tail-entry", "row-length", "space-W", "tail-from-0",
@@ -515,6 +517,7 @@ _DUAL_LINE = SubspaceDescriptor.span([{1: 1}], "V*")
         "summand-weight-count", "semisimple-no-factors", "system-no-levels",
         "unreadable-summand-record", "fractional-multiplicity", "bool-multiplicity",
         "record-without-length", "bare-weights-record", "restrict-past-last-factor",
+        "unknown-series", "unknown-fixture",
     ],
 )
 def test_public_api_guards(call, error, message):
@@ -547,6 +550,7 @@ def test_uniqueness_checks():
     b = classify_maximal("gl", rebuilt)
     rep = uniqueness_check("gl", a, b)
     assert rep.same_case and rep.same_invariant
+    assert len({t2, SubspaceDescriptor.build("V", tail_from=2)}) == 1
 
     # (iiia): the pair (W, W-perp) is unordered
     w = SubspaceDescriptor.tail(5)
