@@ -22,11 +22,11 @@ of) other series members and must be entered under their A/C names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DimensionMismatchError, DomainError, ParseError
+from .record import Record
 
 Weight = tuple[int, ...]
 
@@ -36,21 +36,19 @@ _RANK_FLOOR = {"A": 1, "B": 2, "C": 1, "D": 4}
 _INT_ONLY = frozenset({int})
 
 
-@dataclass(frozen=True, order=True)
-class SimpleAlgebra:
+class SimpleAlgebra(Record):
     """A classical simple Lie algebra, e.g. SimpleAlgebra('B', 3) = so(7)."""
 
     series: str
     rank: int
 
-    def __post_init__(self):
-        if self.series not in SERIES:
-            raise DomainError(f"unknown series {self.series!r}; expected one of {SERIES}")
-        if not isinstance(self.rank, int) or self.rank < _RANK_FLOOR[self.series]:
-            raise DomainError(
-                f"rank {self.rank} not allowed for series {self.series} "
-                f"(floor is {_RANK_FLOOR[self.series]}; use the isomorphic A/C type instead)"
-            )
+    def __init__(self, series, rank):
+        if series not in SERIES:
+            raise DomainError(f"unknown series {series!r}; expected one of {SERIES}")
+        if not isinstance(rank, int) or rank < _RANK_FLOOR[series]:
+            raise DomainError(f"rank {rank} not allowed for series {series} (floor is "
+                              f"{_RANK_FLOOR[series]}; use the isomorphic A/C type instead)")
+        self.__dict__.update(series=series, rank=rank)
 
     def __str__(self) -> str:
         return f"{self.series}{self.rank}"

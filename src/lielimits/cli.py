@@ -13,7 +13,6 @@ import argparse
 import math
 import random
 import sys
-from dataclasses import dataclass, fields
 
 from . import formats, oracle, socle, subspaces, system
 from .algebras import SimpleAlgebra, dimension
@@ -25,18 +24,14 @@ from .index import (
     index_of_irrep,
     index_of_module,
 )
+from .record import Record
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Record):
     output: str = "human"
     seed: int = 0
     dim_bound: int = oracle.DEFAULT_DIM_BOUND
     enum_bound: int = 20
-
-    def __post_init__(self):
-        if self.dim_bound < 1 or self.enum_bound < 1:
-            raise DomainError("resource bounds must be positive")
 
 
 # (flags, add_argument keywords).  Both parsers of a call take these with no
@@ -359,8 +354,9 @@ def main(argv=None) -> int:
     handler, help_text, arguments = _COMMANDS[name]
     args = _parser(f"lielimits {name}", help_text, arguments).parse_args(rest, args)
     try:
-        cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
-                           if hasattr(args, f.name)})
+        cfg = RunConfig(**{f: getattr(args, f) for f in RunConfig._fields if hasattr(args, f)})
+        if cfg.dim_bound < 1 or cfg.enum_bound < 1:
+            raise DomainError("resource bounds must be positive")
         return handler(cfg, args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -11,56 +11,54 @@ restriction through the oracle's tensor products is the tests' reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
 from . import algebras
 from .algebras import SimpleAlgebra, Weight, check_dominant, dual_labels, eps2, form_scale, pairing
 from .errors import DimensionMismatchError, DomainError, InternalConsistencyError, ResourceBoundError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class SemisimpleAlgebra:
+class SemisimpleAlgebra(Record):
     """An ordered direct sum of classical simple algebras.  `self_dual`: whether -w0 = 1 on
     every factor (A1, B, C, even-rank D), i.e. `dual_labels` fixes distinct labels."""
 
     factors: tuple[SimpleAlgebra, ...]
 
-    def __post_init__(self):
-        if not self.factors:
+    def __init__(self, factors):
+        factors = tuple(factors)
+        if not factors:
             raise DomainError("a semisimple algebra needs at least one simple factor")
-        self.__dict__.update(factors=tuple(self.factors), self_dual=all(
-            dual_labels(f, w := tuple(range(f.rank))) == w for f in self.factors))
+        self.__dict__.update(factors=factors, self_dual=all(
+            dual_labels(f, w := tuple(range(f.rank))) == w for f in factors))
 
     def __str__(self) -> str:
         return "+".join(str(f) for f in self.factors)
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(Record):
     """One irreducible summand: a weight per factor (zero = trivial), with multiplicity."""
 
     weights: tuple[Weight, ...]
-    mult: int = 1
+    mult: int
 
-    def __post_init__(self):
-        if not (type(self.mult) is int and self.mult >= 1):
-            raise DomainError(f"multiplicity must be an integer >= 1, got {self.mult!r}")
-        object.__setattr__(self, "weights", tuple(map(tuple, self.weights)))
+    def __init__(self, weights, mult=1):
+        if not (type(mult) is int and mult >= 1):
+            raise DomainError(f"multiplicity must be an integer >= 1, got {mult!r}")
+        self.__dict__.update(weights=tuple(map(tuple, weights)), mult=mult)
 
 
-@dataclass(frozen=True)
-class ModuleDecomposition:
+class ModuleDecomposition(Record):
     """A finite multiset of irreducible summands over a semisimple algebra.  `dims` (per summand,
     each factor's Weyl dimension), `indices` (per factor) and `total_dim` come from one pass."""
 
     algebra: SemisimpleAlgebra
     summands: tuple[Summand, ...]
 
-    def __post_init__(self):
-        factors = self.algebra.factors
-        summands = tuple(self.summands)
+    def __init__(self, algebra, summands):
+        factors = algebra.factors
+        summands = tuple(summands)
         for s in summands:
             if len(s.weights) != len(factors):
                 raise DimensionMismatchError(
@@ -68,14 +66,13 @@ class ModuleDecomposition:
                 )
             for alg, w in zip(factors, s.weights):
                 check_dominant(alg, w)
-        object.__setattr__(self, "summands", _merged(summands))
+        self.__dict__.update(algebra=algebra, summands=_merged(summands))
 
     @classmethod
     def _trusted(cls, algebra: SemisimpleAlgebra, summands) -> "ModuleDecomposition":
         """From summands already validated over `algebra`: merged, not re-checked."""
         self = object.__new__(cls)
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "summands", _merged(summands))
+        self.__dict__.update(algebra=algebra, summands=_merged(summands))
         return self
 
     def __getattr__(self, name):
@@ -169,8 +166,7 @@ def index_of_module(decomp: ModuleDecomposition, factor: int) -> int:
     return decomp.indices[factor]
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(Record):
     """An embedding of a semisimple algebra into a simple one, recorded by the
     branching of the target's natural module over the source."""
 
@@ -178,19 +174,16 @@ class Embedding:
     target: SimpleAlgebra
     branching: ModuleDecomposition
 
-    def __post_init__(self):
-        if self.branching.algebra != self.source:
+    def __init__(self, source, target, branching):
+        if branching.algebra != source:
             raise DomainError("branching must decompose over the source algebra")
-        if self.branching.total_dim != self.target.natural_dim:
-            raise DimensionMismatchError(
-                f"branching dimension {self.branching.total_dim} != natural dimension "
-                f"{self.target.natural_dim} of target {self.target}"
-            )
-        if self.target.series in ("B", "C", "D") and not self.branching.is_self_dual():
-            raise DomainError(
-                f"target {self.target} carries an invariant form; the branching must be "
-                "self-dual as a multiset"
-            )
+        if branching.total_dim != target.natural_dim:
+            raise DimensionMismatchError(f"branching dimension {branching.total_dim} != natural "
+                                         f"dimension {target.natural_dim} of target {target}")
+        if target.series in ("B", "C", "D") and not branching.is_self_dual():
+            raise DomainError(f"target {target} carries an invariant form; the branching must be "
+                              "self-dual as a multiset")
+        self.__dict__.update(source=source, target=target, branching=branching)
 
 
 def _check_factor(decomp: ModuleDecomposition, factor: int) -> None:
@@ -228,16 +221,14 @@ def embedding_index(emb: Embedding) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Standard:
+class Standard(Record):
     dual: bool = False  # True when the single copy is the conatural
 
     def __str__(self):
         return "Standard"
 
 
-@dataclass(frozen=True)
-class Diagonal:
+class Diagonal(Record):
     copies: int          # copies of the natural module
     dual_copies: int     # copies of its dual
     trivial: int         # trivial lines
@@ -246,8 +237,7 @@ class Diagonal:
         return f"Diagonal(k={self.copies}, l={self.dual_copies}, t={self.trivial})"
 
 
-@dataclass(frozen=True)
-class General:
+class General(Record):
     def __str__(self):
         return "General"
 

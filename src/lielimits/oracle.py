@@ -15,7 +15,6 @@ index formula, so agreement with it is evidence rather than tautology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
@@ -33,12 +32,12 @@ from .algebras import (
 )
 from .errors import InternalConsistencyError, ResourceBoundError
 from .index import ModuleDecomposition, SemisimpleAlgebra, Summand
+from .record import Record
 
 DEFAULT_DIM_BOUND = 5000
 
 
-@dataclass(frozen=True)
-class WeightMultiset:
+class WeightMultiset(Record):
     """Exact weight multiplicities of one irreducible module."""
 
     algebra: SimpleAlgebra

@@ -16,17 +16,16 @@ is exact for every fixture in scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
 from .algebras import Weight, dual_labels
 from .errors import DomainError, InternalConsistencyError, NotStabilizedError
 from .index import NATURAL_MODULE_INDEX, ModuleDecomposition
+from .record import Record
 from .system import TAIL_WINDOW, BratteliGraph, Constituent, decompose
 
 
-@dataclass(frozen=True)
-class ExtendedDim:
+class ExtendedDim(Record):
     """finite(n), countable, or undetermined_at_horizon(lower_bound)."""
 
     kind: str  # finite | countable | undetermined
@@ -158,8 +157,7 @@ def trivial_dims(graph: BratteliGraph, constituent: Constituent) -> tuple[Extend
     return _trivial_dims(graph, ((n, (j,)) for n, j in constituent.string))
 
 
-@dataclass(frozen=True)
-class ConstituentSocle:
+class ConstituentSocle(Record):
     cid: int
     kind: str
     algebra: str | None
@@ -169,16 +167,14 @@ class ConstituentSocle:
     dim_trivial_dual: ExtendedDim
 
 
-@dataclass(frozen=True)
-class IsotypicRow:
+class IsotypicRow(Record):
     cid: int
     algebra: str
     weight: Weight
     mult: int
 
 
-@dataclass(frozen=True)
-class SocleReport:
+class SocleReport(Record):
     constituents: tuple[ConstituentSocle, ...]
     finite_part: tuple[IsotypicRow, ...]
     quotient: ExtendedDim
@@ -239,8 +235,7 @@ def socle_report(graph: BratteliGraph, constituents=None) -> SocleReport:
     )
 
 
-@dataclass(frozen=True)
-class SubsetInvariants:
+class SubsetInvariants(Record):
     ids: tuple[int, ...]
     dim_trivial: ExtendedDim
     dim_trivial_dual: ExtendedDim
@@ -248,8 +243,7 @@ class SubsetInvariants:
     quotient_dual: ExtendedDim
 
 
-@dataclass(frozen=True)
-class InvariantsReport:
+class InvariantsReport(Record):
     multiplicity_pairs: tuple[tuple[int, int, int], ...]  # (cid, k, l)
     subsets: tuple[SubsetInvariants, ...]
 

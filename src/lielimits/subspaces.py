@@ -29,13 +29,13 @@ class is closed under perp, finite sum, and finite intersection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import isqrt
 
 from . import linalg
 from .errors import DomainError, InternalConsistencyError
+from .record import Record
 
 # A finitely supported vector is a sparse row: coordinate i at key i.
 Coords = linalg.Row
@@ -54,8 +54,7 @@ def vector(entries) -> Coords:
     return out
 
 
-@dataclass(frozen=True)
-class EvConstFunctional:
+class EvConstFunctional(Record):
     """A functional with finitely many prescribed values and a constant tail.
 
     Canonical form drops trailing head entries equal to the tail.  The
@@ -65,13 +64,12 @@ class EvConstFunctional:
     head: tuple[Fraction, ...]
     tail: Fraction
 
-    def __post_init__(self):
-        head = tuple(Fraction(x) for x in self.head)
-        tail = Fraction(self.tail)
+    def __init__(self, head, tail):
+        head = tuple(Fraction(x) for x in head)
+        tail = Fraction(tail)
         while head and head[-1] == tail:
             head = head[:-1]
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "tail", tail)
+        self.__dict__.update(head=head, tail=tail)
 
     def value_at(self, i: int) -> Fraction:
         return self.head[i - 1] if i <= len(self.head) else self.tail
@@ -319,15 +317,15 @@ def descriptor_intersection(a: SubspaceDescriptor, b: SubspaceDescriptor) -> Sub
 # -- forms and perps ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StandardForm:
+class StandardForm(Record):
     """The split form pairing v_{2i-1} with v_{2i}: symmetric or symplectic."""
 
     kind: str
 
-    def __post_init__(self):
-        if self.kind not in ("symmetric", "symplectic"):
-            raise DomainError(f"form kind must be symmetric or symplectic, got {self.kind!r}")
+    def __init__(self, kind):
+        if kind not in ("symmetric", "symplectic"):
+            raise DomainError(f"form kind must be symmetric or symplectic, got {kind!r}")
+        self.__dict__["kind"] = kind
 
     @property
     def sign(self) -> int:
@@ -411,8 +409,7 @@ CASE_SUMMARY = {
 }
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     algebra: str                      # gl | sl | so | sp
     tag: str                          # case tag or "NotMaximal"
     maximal: bool
@@ -580,8 +577,7 @@ def _classify_form(g_kind: str, w: SubspaceDescriptor, form: StandardForm) -> Ve
 # -- uniqueness harness --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
+class UniquenessReport(Record):
     same_case: bool
     same_invariant: bool
     witness_vector: tuple[tuple[int, str], ...] | None

@@ -21,7 +21,6 @@ Levels are numbered from 1; component positions j are 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .algebras import SimpleAlgebra
@@ -35,6 +34,7 @@ from .index import (
     embedding_index,
     restrict_to_factor,
 )
+from .record import Record
 
 _AMBIENT_KIND = {"A": "sl", "B": "so", "D": "so", "C": "sp"}
 
@@ -45,8 +45,7 @@ _SERIES_TO_INFINITE = {"A": "SlInf", "C": "SpInf", "B": "SoInf", "D": "SoInf"}
 TAIL_WINDOW = 3
 
 
-@dataclass(frozen=True)
-class LevelSpec:
+class LevelSpec(Record):
     """One level: the semisimple algebra, its ambient, and how the ambient's
     natural module branches over the components.
 
@@ -55,27 +54,25 @@ class LevelSpec:
     (a Levi component paired with a strictly smaller restricted dual), so its
     total dimension may differ from the natural one.  When absent, the dual
     side is derived from the primal branching by factorwise dualization.
+    `embedding`, the components into the ambient, is derived, not a field.
     """
 
     components: SemisimpleAlgebra
     ambient: SimpleAlgebra
     ambient_branching: ModuleDecomposition
-    conatural_branching: ModuleDecomposition | None = None
-    embedding: Embedding = field(init=False, repr=False, compare=False)
+    conatural_branching: ModuleDecomposition | None
 
-    def __post_init__(self):
+    def __init__(self, components, ambient, ambient_branching, conatural_branching=None):
         # Embedding construction validates total dimension and, for B/C/D
         # ambients, self-duality of the branching.
-        object.__setattr__(
-            self, "embedding", Embedding(self.components, self.ambient, self.ambient_branching)
-        )
-        if self.conatural_branching is not None:
-            if self.conatural_branching.algebra != self.components:
+        embedding = Embedding(components, ambient, ambient_branching)
+        if conatural_branching is not None:
+            if conatural_branching.algebra != components:
                 raise DomainError("conatural branching must decompose over the level components")
-            if self.conatural_branching.total_dim > self.ambient.natural_dim:
-                raise DimensionMismatchError(
-                    "conatural branching cannot exceed the ambient natural dimension"
-                )
+            if conatural_branching.total_dim > ambient.natural_dim:
+                raise DimensionMismatchError("conatural branching cannot exceed the ambient natural dimension")
+        self.__dict__.update(components=components, ambient=ambient, ambient_branching=ambient_branching,
+                             conatural_branching=conatural_branching, embedding=embedding)
 
     @cached_property
     def conatural(self) -> ModuleDecomposition:
@@ -83,27 +80,25 @@ class LevelSpec:
         return self.conatural_branching or self.ambient_branching.dual()
 
 
-@dataclass(frozen=True)
-class EdgeSpec:
+class EdgeSpec(Record):
     """Branchings of the next level's component naturals over this level."""
 
     branchings: tuple[ModuleDecomposition, ...]  # one per component of level n+1
 
 
-@dataclass(frozen=True)
-class BratteliGraph:
+class BratteliGraph(Record):
+    """Levels and edges (the fields) with their labels: `alpha` of each vertex (n, j), `beta` of
+    each edge (n, j, k).  `succ` maps (n, j) to its [(k, beta), ...] in increasing k (none at
+    the top level), and `walks` memoizes each vertex's `closure`."""
+
     levels: tuple[LevelSpec, ...]
     edges: tuple[EdgeSpec, ...]
-    alpha: dict[tuple[int, int], int] = field(compare=False)
-    beta: dict[tuple[int, int, int], int] = field(compare=False)
-    # Derived from beta: (n, j) -> [(k, beta), ...] in increasing k; top-level vertices have none.
-    succ: dict[tuple[int, int], list[tuple[int, int]]] = field(init=False, compare=False, repr=False)
-    walks: dict[tuple[int, int], Closure] = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "succ", {})
-        for (n, j, k), value in sorted(self.beta.items()):
-            self.succ.setdefault((n, j), []).append((k, value))
+    def __init__(self, levels, edges, alpha, beta):
+        succ: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for (n, j, k), value in sorted(beta.items()):
+            succ.setdefault((n, j), []).append((k, value))
+        self.__dict__.update(levels=levels, edges=edges, alpha=alpha, beta=beta, succ=succ, walks={})
 
     @property
     def top(self) -> int:
@@ -277,8 +272,7 @@ def stabilization(graph: BratteliGraph, origin) -> int | None:
     return closure(graph, origin).m0
 
 
-@dataclass(frozen=True)
-class Constituent:
+class Constituent(Record):
     """One direct summand of the limit, witnessed by a string of vertices."""
 
     cid: int
@@ -346,8 +340,7 @@ def decompose(graph: BratteliGraph) -> list[Constituent]:
     return constituents
 
 
-@dataclass(frozen=True)
-class RefinementReport:
+class RefinementReport(Record):
     """The nested simple ideals along the unique infinite string."""
 
     chain: tuple[tuple[int, int], ...]

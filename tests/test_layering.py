@@ -1,10 +1,14 @@
-"""The package's import layering, read from the source with `ast` alone.
+"""The package's import layering, read from the source with `ast` alone,
+and what importing it loads.
 
 Imports inside functions count as much as those at module top: a lazy
 import hides a cycle from the interpreter, not from the design.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import lielimits
@@ -77,3 +81,27 @@ def test_oracle_never_names_the_closed_form_index():
         elif isinstance(node, ast.alias):
             named.update({node.name, node.asname})
     assert not named & CLOSED_FORM_INDEX
+
+
+# Start-up: `dataclasses` alone loads inspect, ast, dis and tokenize.
+INTROSPECTION = ("dataclasses", "inspect", "ast")
+
+
+def test_no_module_imports_dataclasses():
+    found = []
+    for name, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            else:
+                modules = [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0 else []
+            found += [(name, m) for m in modules if m.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
+def test_import_loads_no_introspection_modules():
+    code = f"import sys, lielimits, lielimits.cli; print(sorted(set({INTROSPECTION!r}) & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")

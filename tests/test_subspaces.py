@@ -480,6 +480,7 @@ _DUAL_LINE = SubspaceDescriptor.span([{1: 1}], "V*")
             "summand has 2 weights for 1 factors",
         ),
         (lambda: SemisimpleAlgebra(()), DomainError, "needs at least one simple factor"),
+        (lambda: SemisimpleAlgebra(iter(())), DomainError, "needs at least one simple factor"),
         (lambda: compute_labels([], []), DomainError, "a system needs at least one level"),
         (
             lambda: decomposition([SimpleAlgebra("A", 1)], ["x"]),
@@ -514,7 +515,8 @@ _DUAL_LINE = SubspaceDescriptor.span([{1: 1}], "V*")
         "vector-index-0", "finite-tail-entry", "row-length", "space-W", "tail-from-0",
         "shrink-window", "contains-across-spaces", "form-kind", "perp-context", "form-perp-of-dual",
         "isotropy-of-dual", "algebra-kind", "not-a-descriptor", "sp-symmetric-form",
-        "summand-weight-count", "semisimple-no-factors", "system-no-levels",
+        "summand-weight-count", "semisimple-no-factors", "semisimple-empty-iterator",
+        "system-no-levels",
         "unreadable-summand-record", "fractional-multiplicity", "bool-multiplicity",
         "record-without-length", "bare-weights-record", "restrict-past-last-factor",
         "unknown-series", "unknown-fixture",

@@ -414,13 +414,13 @@ def test_parsing_builds_each_summand_once(name, monkeypatch):
     # one Summand per record, and the decompositions keep the codec's own
     doc = load_fixture(name)
     built = []
-    post_init = Summand.__post_init__
+    init = Summand.__init__
 
-    def counted(self):
+    def counted(self, *args, **kwargs):
         built.append(self)
-        post_init(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(Summand, "__post_init__", counted)
+    monkeypatch.setattr(Summand, "__init__", counted)
     levels, edges = formats.system_from_doc(doc)
     assert len(built) == len(list(_summand_records(doc)))
     assert len(built) == {"s3.json": 19, "example4.json": 23}.get(name, len(built))
@@ -499,3 +499,50 @@ def test_closure_walk_is_memoized_per_graph():
     assert graph_from_fixture("s2.json").walks == {}
     rebuilt = BratteliGraph(g.levels, g.edges, g.alpha, g.beta)
     assert rebuilt == g and rebuilt.succ == g.succ and rebuilt.walks == {}
+
+
+# -- each guard of the level and graph constructors, named by its message -----
+
+
+def _one_level_doc(components, ambient, branching, **extra):
+    level = {"components": components, "ambient": ambient, "ambient_branching": branching, **extra}
+    return {"format": formats.SYSTEM_FORMAT, "levels": [level], "edges": []}
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+@pytest.mark.parametrize("doc, message", [
+    (_one_level_doc(["A1"], "A3", [{"weights": [[1]], "mult": 2}],
+                    conatural_branching=[{"weights": [[1]], "mult": 3}]),
+     "conatural branching cannot exceed the ambient natural dimension"),
+    (_one_level_doc(["A1", "A1"], "A2", [{"weights": [[1], [0]]}, {"weights": [[0], [0]]}]),
+     "component 1 of level 1 acts trivially on the ambient natural module"),
+], ids=["conatural-too-large", "trivial-component"])
+def test_level_guards_through_the_cli(tmp_path, fmt, doc, message):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    for command in ("limit", "socle", "invariants"):
+        assert run_cli("--format", fmt, command, str(path)) == (1, "", f"error: {message}\n")
+
+
+def test_level_and_graph_guards_of_the_library():
+    a1, a2, a3 = A(1), A(2), A(3)
+    one = SemisimpleAlgebra((a1,))
+    doubled = decomposition([a1], [(((1,),), 2)])
+    with pytest.raises(DomainError, match="^conatural branching must decompose over the level components$"):
+        LevelSpec(one, a3, doubled, decomposition([a2], [(((1, 0),), 1)]))
+    lower = LevelSpec(one, a3, doubled)
+    upper = LevelSpec(SemisimpleAlgebra((a3,)), a3, decomposition([a3], [(((1, 0, 0),), 1)]))
+    with pytest.raises(DomainError, match="^a system needs at least one level$"):
+        compute_labels([], [])
+    with pytest.raises(DimensionMismatchError, match="^1 levels need 0 edge specs, got 1$"):
+        compute_labels([lower], [EdgeSpec(())])
+    with pytest.raises(DimensionMismatchError,
+                       match="^edge 1 has 0 branchings for 1 components of level 2$"):
+        compute_labels([lower, upper], [EdgeSpec(())])
+    over_a2 = decomposition([a2], [(((1, 0),), 1), (((0, 0),), 1)])
+    with pytest.raises(DomainError, match="^edge 1: branching of component 0 must decompose over level 1$"):
+        compute_labels([lower, upper], [EdgeSpec((over_a2,))])
+    graph = compute_labels([lower, upper], [EdgeSpec((decomposition([a1], [(((1,),), 2)]),))])
+    for origin in [(3, 0), (1, 1), (0, 0)]:
+        with pytest.raises(DomainError, match=rf"^no vertex \({origin[0]}, {origin[1]}\) in the graph$"):
+            stabilization(graph, origin)

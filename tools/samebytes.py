@@ -1,0 +1,184 @@
+"""Same output bytes as another commit: run one fixed table of CLI argv lists
+(and the demos) against this tree and against REF, and print every entry
+whose stdout, stderr or exit code differs, then a count.
+
+Run from the repo root (stdlib only):
+
+    python3 tools/samebytes.py REF        # e.g. HEAD~1
+
+`git archive REF` is extracted into a temporary directory.  One child
+interpreter per tree runs the whole table in process, with every
+`lru_cache` of the package cleared before each entry, and reports a digest
+of (exit code, stdout, stderr) per entry.  Both trees read the same inputs:
+the fixtures and demos of this tree, and documents generated here.
+
+The table: both formats x every system fixture under limit, refine, refine
+--constituent 0, socle and invariants; embed and index --embedding on the
+embedding fixtures; maximal gl/sl/so/sp on every subspace fixture; both
+formats x the CLI ops of the bench's `cli_mix` workload for seeds 7, 201
+and 555 (from bench/generate.py); every single-field mutation (MUTATIONS,
+deletion included) of s2.json, example4.json, tensor2.json, so_chain.json
+and diag_a5_a11.json under the commands of its document kind; the demos.
+It is a correctness check, not a timer.  The exit code is 1 when some
+entry differs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import copy
+import hashlib
+import io
+import json
+import os
+import runpy
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "src" / "lielimits" / "fixtures"
+FORMATS = (["--format", "json"], ["--format", "human"])
+COMMANDS = {
+    "lielimits-system/1": (["limit"], ["refine"], ["refine", "--constituent", "0"], ["socle"],
+                           ["invariants"]),
+    "lielimits-embedding/1": (["embed"], ["index", "--embedding"]),
+    "lielimits-subspace/1": tuple(["maximal", kind] for kind in ("gl", "sl", "so", "sp")),
+}
+MUTATED = ("s2.json", "example4.json", "tensor2.json", "so_chain.json", "diag_a5_a11.json")
+MUTATIONS = (
+    None, True, False, 0, 1, -1, 2, 3, 1.5, "", "x", "A0", "A1", "A2", "B1", "D4", "-1", "0",
+    "1/0", "1/2", [], [0], ["x"], [[1]], {}, {"x": 1},
+)  # and deletion
+MUTATED_FILE = "mutated.json"  # relative to each child's own working directory
+CLI_MIX_SEEDS = (7, 201, 555)
+
+
+def _positions(node, path=()):
+    """Every key/index path of a JSON document (root excluded)."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _positions(child, path + (key,))
+
+
+def table(work: Path) -> list[dict]:
+    """The entries: {"argv": [...]}, {"demo": path} or, for a mutation, an argv on
+    MUTATED_FILE and "mutate": [fixture, path, value, delete]."""
+    entries = []
+    docs = {p.name: json.loads(p.read_text(encoding="utf-8")) for p in sorted(FIXTURES.glob("*.json"))}
+    for name, doc in docs.items():
+        for command in COMMANDS[doc["format"]]:
+            entries += [{"argv": fmt + command + [str(FIXTURES / name)]} for fmt in FORMATS]
+    sys.path.insert(0, str(ROOT / "bench"))
+    import generate  # the bench's input generator: stdlib only for cli_mix
+
+    for seed in CLI_MIX_SEEDS:
+        manifest = generate.generate("cli_mix", seed, work / f"cli_mix_{seed}")
+        for op in manifest.ops:
+            argv = [a.replace(generate.FIXTURES, str(FIXTURES)) for a in op["argv"]]
+            entries += [{"argv": fmt + argv[2:]} for fmt in FORMATS]
+    for name in MUTATED:
+        doc = docs[name]
+        for path in _positions(doc):
+            for value, delete in [(v, False) for v in MUTATIONS] + [(None, True)]:
+                entries += [{"argv": ["--format", "json"] + command + [MUTATED_FILE],
+                             "mutate": [name, path, value, delete]}
+                            for command in COMMANDS[doc["format"]]]
+    entries += [{"demo": str(p)} for p in sorted((ROOT / "demos").glob("*.py"))]
+    return entries
+
+
+def _mutated(doc, path, value, delete):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if delete:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def run_child(table_path: str, out_path: str) -> None:
+    """Run every entry in this interpreter; write one digest per entry."""
+    import lielimits
+    import lielimits.cli
+
+    if not Path(lielimits.__file__).resolve().is_relative_to(Path(os.environ["PYTHONPATH"]).resolve()):
+        raise SystemExit(f"imported {lielimits.__file__}, not the tree under test")
+    caches = {id(v): v for name, module in list(sys.modules.items())
+              if name.split(".")[0] == "lielimits" and module is not None
+              for v in vars(module).values() if hasattr(v, "cache_clear")}.values()
+    docs = {}
+    digests = []
+    for entry in json.loads(Path(table_path).read_text(encoding="utf-8")):
+        for cache in caches:
+            cache.cache_clear()
+        if "mutate" in entry:
+            name, path, value, delete = entry["mutate"]
+            if name not in docs:
+                docs[name] = json.loads((FIXTURES / name).read_text(encoding="utf-8"))
+            Path(MUTATED_FILE).write_text(json.dumps(_mutated(docs[name], path, value, delete)))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                if "demo" in entry:
+                    runpy.run_path(entry["demo"], run_name="__main__")
+                    code = 0
+                else:
+                    code = lielimits.cli.main(entry["argv"])
+            except Exception as exc:  # noqa: BLE001 -- an escape is part of the output
+                code = f"{type(exc).__name__}: {exc}"
+        blob = json.dumps([code, out.getvalue(), err.getvalue()]).encode()
+        digests.append(hashlib.sha256(blob).hexdigest())
+    Path(out_path).write_text(json.dumps(digests), encoding="utf-8")
+
+
+def _label(entry) -> str:
+    if "demo" in entry:
+        return f"demo {Path(entry['demo']).name}"
+    label = " ".join(entry["argv"])
+    if "mutate" in entry:
+        name, path, value, delete = entry["mutate"]
+        label += f"  ({name} at {path}: {'deleted' if delete else json.dumps(value)})"
+    return label
+
+
+def main(argv) -> int:
+    if len(argv) == 4 and argv[1] == "--child":
+        run_child(argv[2], argv[3])
+        return 0
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        archive = subprocess.run(["git", "archive", argv[1]], cwd=ROOT, capture_output=True, check=True)
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp / "tree", **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+        entries = table(tmp)
+        (tmp / "table.json").write_text(json.dumps(entries), encoding="utf-8")
+        children = []
+        for side, tree in (("this", ROOT), ("ref", tmp / "tree")):
+            (tmp / side).mkdir()
+            env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+            children.append(subprocess.Popen(
+                [sys.executable, str(Path(__file__).resolve()), "--child", str(tmp / "table.json"),
+                 str(tmp / f"{side}.json")], cwd=tmp / side, env=env))
+        if any(child.wait() for child in children):
+            print("a child interpreter failed", file=sys.stderr)
+            return 2
+        this, ref = (json.loads((tmp / f"{side}.json").read_text()) for side in ("this", "ref"))
+    differ = [entry for entry, a, b in zip(entries, this, ref) if a != b]
+    for entry in differ:
+        print(_label(entry))
+    print(f"{len(differ)} of {len(entries)} entries differ from {argv[1]}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
