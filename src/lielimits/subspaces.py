@@ -16,8 +16,8 @@ over the columns 1..M (see `linalg`): a tail keeps the annihilator of U
 (codim rows, each an eventually constant functional whose S entry is its
 value on the whole tail), a finite space keeps the basis of U (dim rows).
 Either way a row's S entry is its value at every index from M on, so
-widening the window repeats that entry, and the minimal window plus the
-rows make equality a comparison of sorted entries.
+widening the window repeats that entry (`small_at`), and a descriptor
+keeps the minimal window, so equal subspaces have equal rows.
 Perp swaps the two sides.  Sum and intersection are one rule: an
 intersection is a sum with the roles of the two sides swapped.  W is
 isotropic under a form exactly when W ⊆ W^perp.
@@ -74,9 +74,6 @@ class EvConstFunctional(Record):
     def value_at(self, i: int) -> Fraction:
         return self.head[i - 1] if i <= len(self.head) else self.tail
 
-    def __call__(self, vec: Coords) -> Fraction:
-        return sum((c * self.value_at(i) for i, c in vec.items()), Fraction(0))
-
 
 ALL_ONES = EvConstFunctional((), Fraction(1))
 
@@ -102,23 +99,27 @@ def _meet(a, b) -> list[Coords]:
     return linalg.rref([linalg.lincomb(t, a) for t in relations])
 
 
-class SubspaceDescriptor:
+class SubspaceDescriptor(Record):
     """Canonical model of one descriptor subspace.
 
     Attributes:
         space: "V" or "V*".
         window: M; coordinates 1..M-1 explicit, the tail starts at M.
-        has_tail: infinite-dimensional iff True.
         small: sparse RREF rows over the columns 1..M.  With a tail, the
             annihilator of the model subspace U: x lies in W iff every row
             vanishes on mu(x).  Without, the basis of U (no S entry): x must
             live inside the window and in the row space.
+        has_tail: infinite-dimensional iff True.
 
+    The window is always minimal, so equal subspaces give equal records.
     The constructor takes a basis of U itself as dense rows of length M, as
     `rows` gives it and reports print it.
     """
 
-    __slots__ = ("space", "window", "small", "has_tail")
+    space: str
+    window: int
+    small: tuple[Coords, ...]
+    has_tail: bool
 
     def __init__(self, space: str, window: int, rows, has_tail: bool):
         rows = [[Fraction(x) for x in r] for r in rows]
@@ -127,9 +128,9 @@ class SubspaceDescriptor:
                               "of a finite descriptor a zero tail entry")
         rows = [{c: x for c, x in enumerate(r, 1) if x} for r in rows]
         small = linalg.nullspace_basis(rows, window) if has_tail else linalg.rref(rows)
-        self._set(space, window, small, has_tail)
+        self._store(space, window, small, has_tail)
 
-    def _set(self, space, window, small, has_tail):
+    def _store(self, space, window, small, has_tail):
         """Store RREF small-side rows at the minimal window: explicit columns
         equal to the S column in every row are folded into the tail, which
         keeps the rows reduced."""
@@ -138,17 +139,13 @@ class SubspaceDescriptor:
         cut = window - 1
         while cut > 0 and all(r.get(cut) == r.get(window) for r in small):
             cut -= 1
-        self.space = space
-        self.window = cut + 1
-        self.small = tuple(
-            {min(c, cut + 1): x for c, x in r.items() if c <= cut or c == window} for r in small
-        )
-        self.has_tail = has_tail
+        small = tuple({min(c, cut + 1): x for c, x in r.items() if c <= cut or c == window} for r in small)
+        self.__dict__.update(space=space, window=cut + 1, small=small, has_tail=has_tail)
 
     @staticmethod
     def _of(space, window, small, has_tail) -> "SubspaceDescriptor":
         out = SubspaceDescriptor.__new__(SubspaceDescriptor)
-        out._set(space, window, small, has_tail)
+        out._store(space, window, small, has_tail)
         return out
 
     # -- construction -----------------------------------------------------
@@ -202,50 +199,37 @@ class SubspaceDescriptor:
 
     # -- canonical form ----------------------------------------------------
 
-    def _key(self):
-        return (self.space, self.has_tail, self.window,
-                tuple(tuple(sorted(r.items())) for r in self.small))
-
-    def __eq__(self, other):
-        return isinstance(other, SubspaceDescriptor) and self._key() == other._key()
-
     def __hash__(self):
-        return hash(self._key())
+        return hash((self.space, self.window, tuple(frozenset(r.items()) for r in self.small),
+                     self.has_tail))
 
     def __repr__(self):
         kind = "tail" if self.has_tail else "finite"
         rank = self.window - len(self.small) if self.has_tail else len(self.small)
         return f"SubspaceDescriptor({self.space}, window={self.window}, {kind}, rank={rank})"
 
-    def basis(self) -> list[Coords]:
-        """Sparse RREF basis of the model subspace U of Q^M; a tail derives
-        it from its annihilator."""
+    def small_at(self, window: int) -> tuple[Coords, ...]:
+        """The stored rows over the columns 1..window, for a window >= M: a
+        row's S entry is its value at every index from M on, so it repeats."""
+        if window < self.window:
+            raise DomainError("cannot shrink a window explicitly")
+        widened = range(self.window + 1, window + 1)
+        return tuple({**r, **dict.fromkeys(widened, r[self.window])} if self.window in r else r
+                     for r in self.small)
+
+    def basis(self, window: int | None = None) -> list[Coords]:
+        """Sparse RREF basis of the model subspace U of Q^window (Q^M by
+        default); a tail derives it from its annihilator."""
+        window = window or self.window
         if self.has_tail:
-            return linalg.nullspace_basis(self.small, self.window)
-        return list(self.small)
+            return linalg.nullspace_basis(self.small_at(window), window)
+        return list(self.small_at(window))
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         """The basis of U as dense rows of length M, as reports print it."""
         columns, zeros = range(1, self.window + 1), repeat(Fraction(0))
         return tuple(tuple(map(r.get, columns, zeros)) for r in self.basis())
-
-    # -- window alignment ---------------------------------------------------
-
-    def at_window(self, window: int) -> "SubspaceDescriptor":
-        """Equivalent model with a larger window (used to align operands)."""
-        if window < self.window:
-            raise DomainError("cannot shrink a window explicitly")
-        out = SubspaceDescriptor.__new__(SubspaceDescriptor)
-        out.space = self.space
-        out.window = window
-        widened = range(self.window + 1, window + 1)
-        out.small = tuple(
-            {**r, **dict.fromkeys(widened, r[self.window])} if self.window in r else r
-            for r in self.small
-        )
-        out.has_tail = self.has_tail
-        return out
 
     # -- basic queries -------------------------------------------------------
 
@@ -274,13 +258,13 @@ class SubspaceDescriptor:
         if other.has_tail and not self.has_tail:
             return False
         m = max(self.window, other.window)
-        a, b = self.at_window(m), other.at_window(m)
-        if not a.has_tail:
-            return all(linalg.in_row_space(r, a.small) for r in b.small)
-        if not b.has_tail:
-            return all(linalg.dot(f, r) == 0 for f in a.small for r in b.small)
+        a, b = self.small_at(m), other.small_at(m)
+        if not self.has_tail:
+            return all(linalg.in_row_space(r, a) for r in b)
+        if not other.has_tail:
+            return all(linalg.dot(f, r) == 0 for f in a for r in b)
         # U_b inside U_a iff the annihilator of U_a lies in that of U_b
-        return all(linalg.in_row_space(f, b.small) for f in a.small)
+        return all(linalg.in_row_space(f, b) for f in a)
 
 
 def _combine(a: SubspaceDescriptor, b: SubspaceDescriptor, wide: bool) -> SubspaceDescriptor:
@@ -294,15 +278,15 @@ def _combine(a: SubspaceDescriptor, b: SubspaceDescriptor, wide: bool) -> Subspa
     if a.space != b.space:
         raise DomainError(f"cannot {'add' if wide else 'intersect'} subspaces of different spaces")
     m = max(a.window, b.window)
-    a, b = a.at_window(m), b.at_window(m)
+    x, y = a.small_at(m), b.small_at(m)
     has_tail = (a.has_tail or b.has_tail) if wide else (a.has_tail and b.has_tail)
     if a.has_tail != b.has_tail:
-        keep, other = (a, b) if a.has_tail == has_tail else (b, a)
-        small = _restrict(keep.small, other.small)
+        keep, other = (x, y) if a.has_tail == has_tail else (y, x)
+        small = _restrict(keep, other)
     elif a.has_tail != wide:
-        small = linalg.rref([*a.small, *b.small])
+        small = linalg.rref([*x, *y])
     else:
-        small = _meet(a.small, b.small)
+        small = _meet(x, y)
     return SubspaceDescriptor._of(a.space, m, small, has_tail)
 
 
@@ -354,6 +338,7 @@ def perp(w: SubspaceDescriptor, context=GL_PAIRING) -> SubspaceDescriptor:
     its annihilator that is finitely supported (S entry 0), a finite space.
     For a form, both pass through the musical map J on the window.
     """
+    window = w.window
     if context == GL_PAIRING:
         target = "V*" if w.space == "V" else "V"
     else:
@@ -362,14 +347,14 @@ def perp(w: SubspaceDescriptor, context=GL_PAIRING) -> SubspaceDescriptor:
         if w.space != "V":
             raise DomainError("form-orthogonal complements are taken inside V")
         target = "V"
-        if w.window % 2 == 0:  # J must not pair an explicit column with S
-            w = w.at_window(w.window + 1)
-    rows = w.small
+        if window % 2 == 0:  # J must not pair an explicit column with S
+            window += 1
+    rows = w.small_at(window)
     if w.has_tail:
-        rows = _restrict(rows, [{w.window: Fraction(1)}])
+        rows = _restrict(rows, [{window: Fraction(1)}])
     if context != GL_PAIRING:
         rows = linalg.rref([context.j(r) for r in rows])
-    return SubspaceDescriptor._of(target, w.window, rows, not w.has_tail)
+    return SubspaceDescriptor._of(target, window, rows, not w.has_tail)
 
 
 def double_perp_closed(w: SubspaceDescriptor, context=GL_PAIRING):
@@ -438,8 +423,6 @@ def classify_maximal(g_kind: str, w, form: StandardForm | None = None) -> Verdic
         raise DomainError(f"token {w!r} has no meaning for {g_kind}")
     if not isinstance(w, SubspaceDescriptor):
         raise DomainError("expected a SubspaceDescriptor or a recognized token")
-    # fold a widened window (at_window) back, so keys compare canonically
-    w = SubspaceDescriptor._of(w.space, w.window, w.small, w.has_tail)
 
     if g_kind in ("gl", "sl"):
         return _classify_gl_sl(g_kind, w)
@@ -463,7 +446,7 @@ def _require_proper(w: SubspaceDescriptor):
 def _gap_vector(larger: SubspaceDescriptor, smaller: SubspaceDescriptor):
     # a basis row at window m is the vector with its S entry at coordinate m
     m = max(larger.window, smaller.window)
-    return next((row for row in larger.at_window(m).basis() if not smaller.contains(row)), None)
+    return next((row for row in larger.basis(m) if not smaller.contains(row)), None)
 
 
 def _classify_gl_sl(g_kind: str, w: SubspaceDescriptor) -> Verdict:
@@ -590,9 +573,8 @@ def uniqueness_invariant(verdict: Verdict):
     if verdict.tag in ("ia", "iia"):
         return verdict.tag
     if verdict.tag == "iiia":
-        pair = sorted((verdict.subspace._key(), verdict.perp_space._key()))
-        return ("pair", tuple(pair))
-    return ("space", verdict.subspace._key())
+        return frozenset((verdict.subspace, verdict.perp_space))
+    return verdict.subspace
 
 
 def uniqueness_check(g_kind: str, a: Verdict, b: Verdict) -> UniquenessReport:

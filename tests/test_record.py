@@ -11,7 +11,8 @@ from lielimits.oracle import DEFAULT_DIM_BOUND, WeightMultiset
 from lielimits.record import Record
 from lielimits.socle import (ConstituentSocle, ExtendedDim, InvariantsReport, IsotypicRow,
                              SocleReport, SubsetInvariants)
-from lielimits.subspaces import EvConstFunctional, StandardForm, UniquenessReport, Verdict
+from lielimits.subspaces import (EvConstFunctional, StandardForm, SubspaceDescriptor, UniquenessReport,
+                                 Verdict)
 from lielimits.system import BratteliGraph, Constituent, EdgeSpec, LevelSpec, RefinementReport
 
 A1, A2, A3 = A(1), A(2), A(3)
@@ -39,6 +40,7 @@ EXAMPLES = {
     InvariantsReport: (((0, 1, 0),), ()),
     EvConstFunctional: ((1, 2), 0),
     StandardForm: ("symplectic",),
+    SubspaceDescriptor: ("V", 3, [[1, 2, 0]], False),
     Verdict: ("gl", "ia", True, "the commutator", None, None, None, ((1, "1/2"),)),
     UniquenessReport: (True, False, None),
     LevelSpec: (ONE, A3, DOUBLED, DOUBLED),
@@ -57,7 +59,7 @@ IDS = [cls.__name__ for cls in TYPES]
 def test_every_record_type_has_an_example():
     library = {cls for cls in Record.__subclasses__() if cls.__module__.startswith("lielimits.")}
     assert library == set(EXAMPLES)
-    assert len(library) == 25
+    assert len(library) == 26
 
 
 @pytest.mark.parametrize("cls", TYPES, ids=IDS)
@@ -92,7 +94,11 @@ def test_fields_cannot_be_assigned_or_deleted(cls):
     assert record == cls(*EXAMPLES[cls])
 
 
-@pytest.mark.parametrize("cls", TYPES, ids=IDS)
+# The CLI prints a subspace descriptor's own repr as `witness subspace: ...`.
+GENERIC_REPR = [cls for cls in TYPES if cls is not SubspaceDescriptor]
+
+
+@pytest.mark.parametrize("cls", GENERIC_REPR, ids=[cls.__name__ for cls in GENERIC_REPR])
 def test_repr_names_the_class_and_its_fields(cls):
     record = cls(*EXAMPLES[cls])
     fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in cls._fields)

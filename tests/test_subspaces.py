@@ -1,20 +1,25 @@
+import json
 import random
 from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
 
-from lielimits import formats, linalg
+from conftest import run_cli
+from lielimits import formats, linalg, subspaces
 from lielimits.algebras import SimpleAlgebra
-from lielimits.errors import DimensionMismatchError, DomainError, ParseError
+from lielimits.errors import DimensionMismatchError, DomainError, InternalConsistencyError, ParseError
 from lielimits.index import (ModuleDecomposition, SemisimpleAlgebra, Summand, decomposition,
                              restrict_to_factor)
 from lielimits.subspaces import (
     ALL_ONES,
     COMMUTATOR_TOKEN,
     EvConstFunctional,
+    FORM_TOKENS,
     StandardForm,
     SubspaceDescriptor,
+    _isotropic_line,
+    _rational_sqrt,
     classify_maximal,
     descriptor_intersection,
     descriptor_sum,
@@ -182,6 +187,11 @@ def ref_perp(w: Ref, context) -> Ref:
     return ref_canonical(target, w.window, rows, not w.has_tail)
 
 
+def rows_at(w: SubspaceDescriptor, window: int) -> tuple:
+    """The basis of U at a window >= w.window as dense rows, as `rows` gives it at w.window."""
+    return tuple(tuple(r.get(c, Fraction(0)) for c in range(1, window + 1)) for r in w.basis(window))
+
+
 def assert_matches(w: SubspaceDescriptor, ref: Ref):
     assert (w.space, w.window, w.rows, w.has_tail) == tuple(ref), (w, ref)
     size = len(ref.rows)
@@ -192,8 +202,12 @@ def test_functional_canonical_form():
     f = EvConstFunctional((1, 2, 1, 1), 1)
     assert f.head == (1, 2)
     assert f.value_at(2) == 2 and f.value_at(3) == 1 and f.value_at(100) == 1
-    assert f({1: 1, 5: 2}) == 3
-    assert ALL_ONES({2: 5, 9: -5}) == 0
+
+    def apply(g, vec):
+        return sum(c * g.value_at(i) for i, c in vec.items())
+
+    assert apply(f, {1: 1, 5: 2}) == 3
+    assert apply(ALL_ONES, {2: 5, 9: -5}) == 0
 
 
 def test_membership_examples():
@@ -284,26 +298,25 @@ def test_perp_matches_truncated_elimination(rng):
         w = rand_descriptor(rng, "V")
         p = perp(w)
         m = max(w.window, p.window) + 2
-        wm, pm = w.at_window(m), p.at_window(m)
-        proj = [list(r[:-1]) for r in wm.rows]
-        if wm.has_tail:
-            for i in range(wm.window - 1, m - 1):
+        proj = [list(r[:-1]) for r in rows_at(w, m)]
+        if w.has_tail:
+            for i in range(w.window - 1, m - 1):
                 row = [Fraction(0)] * (m - 1)
                 row[i] = Fraction(1)
                 proj.append(row)
         proj = row_space_basis(proj)
-        for prow in pm.rows:
+        p_rows = rows_at(p, m)
+        for prow in p_rows:
             assert all(
                 sum(a * b for a, b in zip(prow[:-1], wrow)) == 0 for wrow in proj
             )
-        assert len(pm.rows) + len(proj) == (m - 1) + (1 if pm.has_tail else 0)
+        assert len(p_rows) + len(proj) == (m - 1) + (1 if p.has_tail else 0)
 
 
 def _box_basis(w, s):
     """Basis of W ∩ span{v_1..v_s} as explicit coordinate rows."""
-    aligned = w.at_window(s + 1)
-    rows = [list(r) for r in aligned.rows]
-    if aligned.has_tail:
+    rows = [list(r) for r in rows_at(w, s + 1)]
+    if w.has_tail:
         # model vectors with vanishing tail mass, written out in coordinates
         coeffs = nullspace_basis([[row[-1] for row in rows]], len(rows))
         sols = [
@@ -379,14 +392,26 @@ def test_classification_case_table():
     assert classify_maximal("sp", SubspaceDescriptor.span([{1: 1}]), SYMP).tag == "iiic"
 
 
-def test_widened_descriptor_classifies_as_canonical():
-    # at_window repeats the tail column; classification must fold it back
-    tail = SubspaceDescriptor.tail(3)
-    verdict = classify_maximal("gl", tail.at_window(5))
-    assert verdict.tag == "ic" and verdict.subspace == tail
-    line = SubspaceDescriptor.span([{1: 1}])
-    assert classify_maximal("sp", line.at_window(4), SYMP).tag == "iiic"
-    assert classify_maximal("so", line.at_window(4), SYM).tag == "iiic"
+def test_descriptor_rebuilt_at_a_wider_window_is_the_same_record(rng):
+    # the constructor folds a widened basis back to the minimal window
+    examples = [SubspaceDescriptor.tail(3), SubspaceDescriptor.span([{1: 1}]),
+                SubspaceDescriptor.kernel([ALL_ONES], "V*")]
+    examples += [rand_descriptor(rng, rng.choice(["V", "V*"])) for _ in range(100)]
+    for w in examples:
+        for wider in (w.window, w.window + 1, w.window + 4):
+            rebuilt = SubspaceDescriptor(w.space, wider, rows_at(w, wider), w.has_tail)
+            assert rebuilt == w and hash(rebuilt) == hash(w) and repr(rebuilt) == repr(w)
+    verdict = classify_maximal("gl", SubspaceDescriptor("V", 5, rows_at(examples[0], 5), True))
+    assert verdict.tag == "ic" and verdict.subspace == examples[0]
+
+
+def test_descriptor_fields_cannot_be_assigned():
+    a, b = SubspaceDescriptor.tail(3), SubspaceDescriptor.tail(3)
+    held = {a}
+    for name, value in (("window", 7), ("small", ()), ("has_tail", False), ("space", "V*")):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(a, name, value)
+    assert a == b and b in held and repr(a) == "SubspaceDescriptor(V, window=3, tail, rank=1)"
 
 
 def test_dual_side_kernel_is_ib():
@@ -463,7 +488,7 @@ _DUAL_LINE = SubspaceDescriptor.span([{1: 1}], "V*")
         (lambda: SubspaceDescriptor("V", 2, [[0, 0, 1]], False), DomainError, "needs 2 entries"),
         (lambda: SubspaceDescriptor("W", 1, [], False), DomainError, "space must be"),
         (lambda: SubspaceDescriptor.build(tail_from=0), DomainError, "tail_from must be >= 1"),
-        (lambda: SubspaceDescriptor.span([{3: 1}]).at_window(2), DomainError, "cannot shrink"),
+        (lambda: SubspaceDescriptor.span([{3: 1}]).small_at(2), DomainError, "cannot shrink"),
         (lambda: _LINE.contains_space(_DUAL_LINE), DomainError, "space mismatch"),
         (lambda: StandardForm("x"), DomainError, "form kind must be"),
         (lambda: perp(_LINE, "bogus"), DomainError, "unknown perp context"),
@@ -571,6 +596,94 @@ def test_uniqueness_checks():
         uniqueness_invariant(classify_maximal("so", SubspaceDescriptor.span([{1: 1}, {2: 1}]), SYM))
 
 
+def test_uniqueness_of_token_cases_and_algebra_kind():
+    commutator = classify_maximal("gl", COMMUTATOR_TOKEN)
+    assert uniqueness_invariant(commutator) == "ia"
+    forms = [classify_maximal("sl", token) for token in FORM_TOKENS]
+    assert [uniqueness_invariant(v) for v in forms] == ["iia", "iia"]
+    rep = uniqueness_check("gl", commutator, commutator)
+    assert (rep.same_case, rep.same_invariant, rep.witness_vector) == (True, True, None)
+    with pytest.raises(DomainError, match="verdicts come from a different algebra kind"):
+        uniqueness_check("sl", commutator, forms[0])
+    with pytest.raises(DomainError, match="verdicts come from a different algebra kind"):
+        uniqueness_check("gl", commutator, forms[0])
+
+
+# span{e1 + e2, e3 + e4} under the split symmetric form: each spanning vector
+# pairs to 2 with itself and to 0 with the other, so a + t c is isotropic
+# only where 2 t^2 + 2 = 0, and the plane has no isotropic line over Q.
+ANISOTROPIC_PLANE = [{1: 1, 2: 1}, {3: 1, 4: 1}]
+
+
+def test_no_rational_root():
+    assert _rational_sqrt(Fraction(-4)) is None
+    assert _rational_sqrt(Fraction(2)) is None and _rational_sqrt(Fraction(2, 9)) is None
+    assert _rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
+    assert _isotropic_line(SubspaceDescriptor.span(ANISOTROPIC_PLANE), SYM) is None
+
+
+def _subspace_file(tmp_path, **fields):
+    path = tmp_path / "subspace.json"
+    doc = {"format": formats.SUBSPACE_FORMAT, **fields}
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_cli_anisotropic_plane_is_not_maximal(tmp_path):
+    generators = [{str(i): str(x) for i, x in v.items()} for v in ANISOTROPIC_PLANE]
+    path = _subspace_file(tmp_path, generators=generators)
+    code, out, err = run_cli("--format", "json", "maximal", "so", path)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["tag"], report["maximal"]) == ("NotMaximal", False)
+
+
+# -- guards that no valid input reaches, fired by a wrong perp ----------------
+
+_REAL_PERP = perp
+
+
+def _perp_of_nothing(w, context="gl"):
+    """gl: every W has zero perp, so every double perp is the whole space."""
+    return SubspaceDescriptor.zero("V*") if w.space == "V" else SubspaceDescriptor.full("V")
+
+
+def _lost_closure(w, context="gl"):
+    """The true perp of a finite W, but a tail W's perp is lost."""
+    return SubspaceDescriptor.zero() if w.has_tail else _REAL_PERP(w, context)
+
+
+@pytest.mark.parametrize(
+    "kind,fields,tag,fake,message",
+    [
+        ("gl", {"tail_from": 1, "kernels": [{"tail": "1"}, {"head": ["2"], "tail": "1"}]},
+         "NotMaximal", _perp_of_nothing, "dense non-closed descriptor of codimension >= 2"),
+        ("so", {"generators": [{"1": "1"}]}, "iiic", _lost_closure, "isotropic descriptors are finite"),
+        ("so", {"tail_from": 3}, "NotMaximal", lambda w, context: SubspaceDescriptor.zero(),
+         "zero perp forces codimension 1"),
+    ],
+    ids=["dense-non-closed", "isotropic-not-closed", "zero-perp-codim-2"],
+)
+def test_classification_guards_fire(monkeypatch, tmp_path, kind, fields, tag, fake, message):
+    path = _subspace_file(tmp_path, **fields)
+    w = formats.subspace_input_from_doc(formats.load_json(path))
+    form = SYM if kind == "so" else None
+    assert classify_maximal(kind, w, form).tag == tag
+    monkeypatch.setattr(subspaces, "perp", fake)
+    with pytest.raises(InternalConsistencyError, match=message):
+        classify_maximal(kind, w, form)
+    code, out, err = run_cli("maximal", kind, path)
+    assert (code, out) == (1, "") and err.startswith(f"error: {message}")
+
+
+def test_double_perp_guard_fires(monkeypatch):
+    dense = SubspaceDescriptor.kernel([ALL_ONES])
+    assert double_perp_closed(dense)[0] is False
+    monkeypatch.setattr(subspaces, "_gap_vector", lambda larger, smaller: None)
+    with pytest.raises(InternalConsistencyError, match="double perp differs but no witness row found"):
+        double_perp_closed(dense)
+
+
 def test_small_side_matches_big_side_reference(rng):
     contexts = {"V": ["gl", SYM, SYMP], "V*": ["gl"]}
     for _ in range(300):
@@ -581,7 +694,7 @@ def test_small_side_matches_big_side_reference(rng):
         assert_matches(a, ra)
         assert_matches(b, rb)
         wider = a.window + rng.randrange(1, 4)
-        assert a.at_window(wider).rows == ref_at_window(ra, wider).rows
+        assert rows_at(a, wider) == ref_at_window(ra, wider).rows
         total, meet = descriptor_sum(a, b), descriptor_intersection(a, b)
         ref_total, ref_meet = ref_sum(ra, rb), ref_intersection(ra, rb)
         assert_matches(total, ref_total)

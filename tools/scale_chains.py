@@ -10,12 +10,17 @@ compute_labels, decompose, and the whole `lielimits --format json limit`
 and `lielimits --format json socle` commands in process.  `limit` prints
 every origin's level sums, W*L^2/2 numbers, so it cannot grow linearly in
 L; `socle` can.  Every run starts with the library's lru_caches cleared,
-as a fresh command does.  Standard library only.
+as a fresh command does.  Times are at the reference speed of the
+benchmark (bench/worker.py), so that runs on a host whose speed swings
+can be compared; `best_time` does this for the other scaling tools too.
+Standard library only.
 """
 
 import contextlib
 import io
+import gc
 import json
+import statistics
 import sys
 import tempfile
 import time
@@ -24,9 +29,14 @@ from pathlib import Path
 import lielimits
 from lielimits import cli, formats, system
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from worker import REFERENCE_MS, reference_loop  # noqa: E402
+
 DEPTHS = (40, 80, 160, 320)
 REPEAT = 3
 WIDTH = 3
+REFERENCE_RUNS = 5
+SPEED = f"seconds at the reference speed (bench/worker.py reference_loop = {REFERENCE_MS} ms)"
 
 
 def _weight(rank, first):
@@ -74,13 +84,27 @@ def clear_caches():
                     value.cache_clear()
 
 
+def reference_s() -> float:
+    """The median wall time of REFERENCE_RUNS reference loops: the host's speed now."""
+    times = []
+    for _ in range(REFERENCE_RUNS):
+        start = time.perf_counter()
+        reference_loop()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
 def best_time(fn) -> tuple[float, object]:
+    """The best of REPEAT cold runs of fn, each at the reference speed: its
+    wall time times REFERENCE_MS over the reference loop timed just before."""
     best, result = None, None
     for _ in range(REPEAT):
         clear_caches()
+        reference = reference_s()
+        gc.collect()
         start = time.perf_counter()
         result = fn()
-        elapsed = time.perf_counter() - start
+        elapsed = (time.perf_counter() - start) / reference * REFERENCE_MS / 1e3
         best = elapsed if best is None else min(best, elapsed)
     return best, result
 
@@ -111,7 +135,7 @@ def measure(path: str) -> dict[str, float]:
 
 def main() -> int:
     print(f"lielimits {lielimits.__version__}, python {sys.version.split()[0]}, "
-          f"width {WIDTH}, best of {REPEAT}")
+          f"width {WIDTH}, best of {REPEAT}, {SPEED}")
     print(f"{'L':>5} {'parse_s':>9} {'labels_s':>9} {'decomp_s':>9} {'limit_s':>9} {'socle_s':>9}")
     with tempfile.TemporaryDirectory() as tmp:
         for depth in DEPTHS:

@@ -11,15 +11,15 @@ afresh.  The long A1 strings and the A2 (k, k) family show how the cost
 grows with string length; B3 (0, 0, k) and C3 (0, 0, k) put all of lam on
 the short and on the long last simple root, the extremes of the label
 bound behind the weight code; B3 (1, 3, 1) and D4 (3, 2, 0, 0) have
-dimension over 10,000.
-Standard library only.
+dimension over 10,000.  Times are seconds at the reference speed (see
+scale_chains.best_time).  Standard library only.
 """
 
 import sys
 
 import lielimits
 from lielimits import algebras, oracle
-from scale_chains import REPEAT, best_time
+from scale_chains import REPEAT, SPEED, best_time
 
 CASES = (
     [("A1", (k,)) for k in (250, 500, 1000, 2000)]
@@ -32,7 +32,7 @@ DIM_BOUND = 20_000
 
 
 def main() -> int:
-    print(f"lielimits {lielimits.__version__}, python {sys.version.split()[0]}, best of {REPEAT}")
+    print(f"lielimits {lielimits.__version__}, python {sys.version.split()[0]}, best of {REPEAT}, {SPEED}")
     print(f"{'algebra':<8} {'weight':<14} {'dim':>6} {'index':>12} {'trace_s':>9}")
     for name, lam in CASES:
         alg = algebras.SimpleAlgebra.parse(name)

@@ -12,8 +12,8 @@ case ic; with tails 1 and 2 it is not, and the report carries a witness).
 It prints the best of scale_chains.REPEAT runs of: classify (parse the
 document, then `subspaces.classify_maximal`) and the whole
 `lielimits --format json maximal` command in process, whose report lists
-the big side of each subspace as dense rows of length M.
-Standard library only.
+the big side of each subspace as dense rows of length M, in seconds at
+the reference speed (see scale_chains.best_time).  Standard library only.
 """
 
 import contextlib
@@ -26,7 +26,7 @@ from pathlib import Path
 
 import lielimits
 from lielimits import cli, formats, subspaces
-from scale_chains import REPEAT, best_time
+from scale_chains import REPEAT, SPEED, best_time
 
 WINDOWS = (51, 201, 801)
 
@@ -75,7 +75,7 @@ def measure(kind: str, path: str, tag: str) -> tuple[float, float]:
 
 
 def main() -> int:
-    print(f"lielimits {lielimits.__version__}, python {sys.version.split()[0]}, best of {REPEAT}")
+    print(f"lielimits {lielimits.__version__}, python {sys.version.split()[0]}, best of {REPEAT}, {SPEED}")
     print(f"{'M':>5} {'input':<18} {'classify_s':>10} {'maximal_s':>10}")
     with tempfile.TemporaryDirectory() as tmp:
         for window in WINDOWS:
