@@ -11,9 +11,10 @@ serialization is stable (sorted keys) so equal reports print
 byte-identically.
 
 Every document and record is one table of fields (JSON key, attribute,
-codec).  The same table dumps an object and loads a document (a summand
-has one loader function), and a load error names the JSON path of the
-field at fault, e.g. `system file: $.levels[0].ambient_branching[1].mult: ...`.
+codec).  The same table dumps an object and loads a document, and a load
+error names the JSON path of the field at fault, e.g.
+`system file: $.levels[0].ambient_branching[1].mult: ...`.  The library
+alone checks a weight's labels; they are read here only to name a fault.
 
 Weights are lists of integers; rational numbers travel as strings like
 "-2/3"; algebra literals look like "A3".
@@ -25,7 +26,7 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import repeat
 from operator import attrgetter
 from types import SimpleNamespace
 
@@ -47,7 +48,6 @@ REPORT_FORMAT = "lielimits-report/1"
 REQUIRED = object()  # the default of a field that must be present
 _INT_ONLY = frozenset({int})
 _STR_ONLY = frozenset({str})
-_LIST_ONLY = frozenset({list})
 _ESCAPE = json.encoder.encode_basestring_ascii  # the C escaper json.dumps uses
 _algebra = lru_cache(maxsize=1024)(SimpleAlgebra.parse)  # one object per literal
 
@@ -166,7 +166,8 @@ BOOL = _checked(lambda v: type(v) is bool, "true or false")
 STR = _checked(lambda v: type(v) is str, "a string")
 ROW = _row()
 ALGEBRA = Codec(parse_algebra, str)
-WEIGHT = Codec(parse_weight, list)  # input documents also take '1,0,2'
+# input documents also take '1,0,2'; a list's labels are left to the library
+WEIGHT = Codec(lambda v: v if type(v) is list else parse_weight(v), list)
 RATIONAL = Codec(_fraction, str)  # input documents take numbers too
 RATIONAL_ROW = _checked(
     lambda v: type(v) is list and _STR_ONLY.issuperset(map(type, v)), "a list of rational strings",
@@ -286,17 +287,21 @@ def _keyed(width: int) -> Codec:
 
 
 def _decomposition(over, summands, *at) -> ModuleDecomposition:
-    """Over `over`, an algebra or its factors.  The library checks the weight counts; they are
-    read again here only when it refused the branching, so that a count error names its path."""
+    """Over `over`, an algebra or its factors.  The library checks the labels and the weight counts;
+    only when it refused the branching are they read again here, summand by summand, labels first,
+    so that the first fault names its path."""
     try:
         return ModuleDecomposition(over if isinstance(over, SemisimpleAlgebra)
                                    else SemisimpleAlgebra(over), summands)
     except DomainError:
         width = len(getattr(over, "factors", over))
         for pos, s in enumerate(summands):
-            if len(s.weights) != width:
-                raise _fail(f"expected {width} weight lists, one per factor, got "
-                            f"{len(s.weights)}", *at, pos, "weights") from None
+            try:
+                _each(repeat(ROW.load), map(list, s.weights))
+                if len(s.weights) != width:
+                    raise _fail(f"expected {width} weight lists, one per factor, got {len(s.weights)}")
+            except ParseError as exc:
+                raise _within(exc, *at, pos, "weights") from None
         raise
 
 
@@ -352,30 +357,9 @@ def _descriptor(space, window, has_tail, rows) -> SubspaceDescriptor:
     return SubspaceDescriptor(space, window, rows, has_tail)
 
 
-def _summand(doc) -> Summand:
-    """The one loader of the summand record below (mult 1 when missing, other keys ignored):
-    integer list weights are checked in bulk; WEIGHT reads '1,0,2' or names the fault."""
-    if type(doc) is not dict or "weights" not in doc:
-        raise _fail("missing field 'weights'" if type(doc) is dict else f"expected a map, got {doc!r}")
-    weights, mult = doc["weights"], doc.get("mult", 1)
-    if (type(weights) is list and _LIST_ONLY.issuperset(map(type, weights))
-            and _INT_ONLY.issuperset(map(type, chain.from_iterable(weights)))):
-        weights = tuple(map(tuple, weights))
-    else:
-        try:
-            weights = _WEIGHTS.load(weights)
-        except ParseError as exc:
-            raise _within(exc, "weights")
-    if not (type(mult) is int and mult >= 1):
-        raise _fail(f"expected an integer >= 1, got {mult!r}", "mult")
-    return Summand(weights, mult)
-
-
 # -- input documents ----------------------------------------------------------
 
-_WEIGHTS = listof(WEIGHT)
-_SUMMAND_LIST = listof(
-    record(Summand, ("weights", _WEIGHTS), ("mult", opt(POSITIVE, 1)))._replace(load=_summand))
+_SUMMAND_LIST = listof(record(Summand, ("weights", listof(WEIGHT)), ("mult", opt(POSITIVE, 1))))
 # Loads the summands; the record that knows the factors builds the decomposition.
 _SUMMANDS = _SUMMAND_LIST._replace(dump=lambda d: _SUMMAND_LIST.dump(d.summands))
 _COMPONENTS = ("components", "components.factors", listof(ALGEBRA))

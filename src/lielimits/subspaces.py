@@ -30,7 +30,6 @@ class is closed under perp, finite sum, and finite intersection.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
 from math import isqrt
 
 from . import linalg
@@ -113,7 +112,7 @@ class SubspaceDescriptor(Record):
 
     The window is always minimal, so equal subspaces give equal records.
     The constructor takes a basis of U itself as dense rows of length M, as
-    `rows` gives it and reports print it.
+    reports print it.
     """
 
     space: str
@@ -224,12 +223,6 @@ class SubspaceDescriptor(Record):
         if self.has_tail:
             return linalg.nullspace_basis(self.small_at(window), window)
         return list(self.small_at(window))
-
-    @property
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The basis of U as dense rows of length M, as reports print it."""
-        columns, zeros = range(1, self.window + 1), repeat(Fraction(0))
-        return tuple(tuple(map(r.get, columns, zeros)) for r in self.basis())
 
     # -- basic queries -------------------------------------------------------
 

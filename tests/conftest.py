@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from lielimits import formats
+from lielimits import algebras, formats, index, oracle
 from lielimits.cli import main
 from lielimits.algebras import SimpleAlgebra
 from lielimits.index import ModuleDecomposition, SemisimpleAlgebra, Summand
@@ -143,3 +143,16 @@ def random_diagonal_system(rng: random.Random, max_levels=6, max_comps=4, dim_ca
 @pytest.fixture
 def rng():
     return random.Random(20260808)
+
+
+@pytest.fixture
+def cold_caches():
+    """Every lru_cache of the library cleared before and after the test, so that a kernel the
+    test patches meets no cached value and leaves none behind."""
+    caches = [v for m in (algebras, formats, index, oracle) for v in vars(m).values()
+              if hasattr(v, "cache_clear")]
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()

@@ -4,8 +4,11 @@ from functools import lru_cache
 
 import pytest
 
+from conftest import run_cli
+from lielimits import algebras
 from lielimits.algebras import (
     SimpleAlgebra,
+    _rho_product,
     cartan_matrix,
     dimension,
     dominant_weights_up_to_dim,
@@ -269,3 +272,24 @@ def test_dominant_weight_enumeration_is_exhaustive():
     assert enumerated == brute
     assert dominant_weights_up_to_dim(SimpleAlgebra("A", 1), 5) == [(0,), (1,), (2,), (3,), (4,)]
     assert dominant_weights_up_to_dim(alg, 0) == []
+
+
+# guard -> (algebras name, wrong value of it, library call, command, message)
+ALGEBRA_FAULTS = {
+    "root-count": ("sorted", lambda roots: sorted(roots)[1:],
+                   lambda: positive_roots(SimpleAlgebra("A", 2)), ("oracle", "trace", "A2", "1,0"),
+                   "positive root count for A2: got 2, expected 3"),
+    "weyl-dimension": ("_rho_product", lambda alg: -_rho_product(alg),
+                       lambda: dimension(SimpleAlgebra("A", 2), (1, 1)), ("index", "A2", "1,1"),
+                       "Weyl dimension of (1, 1) over A2 is not a positive integer"),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(ALGEBRA_FAULTS))
+def test_algebra_guards_fire_on_a_wrong_kernel(monkeypatch, cold_caches, guard):
+    name, fake, call, argv, message = ALGEBRA_FAULTS[guard]
+    monkeypatch.setattr(algebras, name, fake, raising=False)  # `sorted` is a builtin there
+    with pytest.raises(DomainError) as fault:
+        call()
+    assert str(fault.value) == message
+    assert run_cli(*argv) == (1, "", f"error: {message}\n")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import A, graph_from_fixture, load_fixture, run_cli
 from lielimits.cli import main
-from lielimits import formats
+from lielimits import cli, formats
 from lielimits.errors import ParseError
 from lielimits.socle import socle_report, standard_invariants
 from lielimits.subspaces import (
@@ -256,10 +256,47 @@ def test_cli_system_shape_errors_name_the_field(tmp_path, mutate, message):
 
 # -- the summand codec's contract ----------------------------------------------
 
-# The summand lists the table below mutates: a level's and an edge's branching.
+
+def _cli(*argv):
+    """Reads a document as `lielimits --format json <argv> FILE`."""
+    def read(doc, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        return run_cli("--format", "json", *argv, str(path))
+    return read
+
+
+def _parse_report(doc, tmp_path):
+    """Reads a report document by parse_report, a ParseError as the CLI prints it."""
+    try:
+        return 0, formats.parse_report(doc), ""
+    except ParseError as exc:
+        return 2, "", f"parse error: {exc}\n"
+
+
+def _two_record_override():
+    """example4.json whose level-2 conatural override also holds a trivial summand."""
+    doc = load_fixture("example4.json")
+    doc["levels"][1]["conatural_branching"].insert(0, {"mult": 1, "weights": [[0, 0]]})
+    return doc
+
+
+def _tensor_report():
+    return json.loads(run_cli("--format", "json", "oracle", "tensor", "A2", "1,0", "1,0")[1])
+
+
+# The summand lists the table below mutates, each of two records: name -> (the document, how it
+# is read, the keys of the list, the reader's message up to the list's JSON path).
 SUMMAND_LISTS = {
-    "ambient": (("levels", 1, "ambient_branching"), "$.levels[1].ambient_branching"),
-    "edge": (("edges", 1, "branchings", 0), "$.edges[1].branchings[0]"),
+    "ambient": (lambda: load_fixture("s2.json"), _cli("limit"), ("levels", 1, "ambient_branching"),
+                "system file: $.levels[1].ambient_branching"),
+    "edge": (lambda: load_fixture("s2.json"), _cli("limit"), ("edges", 1, "branchings", 0),
+             "system file: $.edges[1].branchings[0]"),
+    "conatural": (_two_record_override, _cli("socle"), ("levels", 1, "conatural_branching"),
+                  "system file: $.levels[1].conatural_branching"),
+    "embedding": (lambda: load_fixture("diag_a5_a11.json"), _cli("embed"), ("branching",),
+                  "embedding file: $.branching"),
+    "tensor-report": (_tensor_report, _parse_report, ("summands",), "oracle-tensor report: $.summands"),
 }
 
 
@@ -268,15 +305,14 @@ def _second(change):
     return lambda summands: [summands[0], change(dict(summands[1]))]
 
 
-def _first_label(value):
-    def change(rec):
-        first, *rest = rec["weights"]
-        return {**rec, "weights": [[value, *first[1:]], *rest]}
-    return _second(change)
+def _first_weight(weight):
+    """The second record's first weight replaced: over a rank-2 factor [value, 0] is a label
+    fault alone, over the rank-5 factor of the embedding also one of length."""
+    return _second(lambda rec: {**rec, "weights": [weight, *rec["weights"][1:]]})
 
 
 # name -> (mutation of the summand list, exit code, message after the list's path);
-# exit 0 means the output equals that of the unmutated file.
+# exit 0 means the output equals that of the unmutated document.
 SUMMAND_MUTATIONS = {
     "not-a-list": (lambda s: {"weights": [[1, 0], [0, 0]]}, 2,
                    ": expected a list, got {'weights': [[1, 0], [0, 0]]}"),
@@ -284,12 +320,17 @@ SUMMAND_MUTATIONS = {
     "missing-weights": (_second(lambda r: {"mult": r["mult"]}), 2, "[1]: missing field 'weights'"),
     "weights-not-a-list": (_second(lambda r: {**r, "weights": "1,0"}), 2,
                            "[1].weights: expected a list, got '1,0'"),
-    "label-1.5": (_first_label(1.5), 2,
+    "label-1.5": (_first_weight([1.5, 0]), 2,
                   "[1].weights[0]: expected a list of integers, got [1.5, 0]"),
-    "label-true": (_first_label(True), 2,
+    "label-true": (_first_weight([True, 0]), 2,
                    "[1].weights[0]: expected a list of integers, got [True, 0]"),
-    "label-x": (_first_label("x"), 2,
+    "label-x": (_first_weight(["x", 0]), 2,
                 "[1].weights[0]: expected a list of integers, got ['x', 0]"),
+    # too short and not integers: the label fault is named, not the library's length error
+    "weight-x": (_first_weight(["x"]), 2, "[1].weights[0]: expected a list of integers, got ['x']"),
+    # over two factors, one weight list short too: the label is still named first
+    "lone-weight-x": (_second(lambda r: {**r, "weights": [["x", 0]]}), 2,
+                      "[1].weights[0]: expected a list of integers, got ['x', 0]"),
     "string-weights": (_second(lambda r: {**r, "weights": [",".join(map(str, w)) for w in r["weights"]]}),
                        0, None),
     "mult-0": (_second(lambda r: {**r, "mult": 0}), 2, "[1].mult: expected an integer >= 1, got 0"),
@@ -304,20 +345,20 @@ SUMMAND_MUTATIONS = {
 @pytest.mark.parametrize("mutation", sorted(SUMMAND_MUTATIONS))
 @pytest.mark.parametrize("where", sorted(SUMMAND_LISTS))
 def test_summand_codec_mutations(tmp_path, where, mutation):
-    (*outer, key), path = SUMMAND_LISTS[where]
+    document, read, (*outer, key), path = SUMMAND_LISTS[where]
     mutate, code, message = SUMMAND_MUTATIONS[mutation]
-    doc = load_fixture("s2.json")
+    doc = document()
     node = doc
     for k in outer:
         node = node[k]
+    unmutated = read(doc, tmp_path)
+    assert unmutated[0] == 0
     node[key] = mutate(node[key])
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    got = run_cli("--format", "json", "limit", str(bad))
+    got = read(doc, tmp_path)
     if code == 0:
-        assert got == run_cli("--format", "json", "limit", fixture("s2.json"))
+        assert got == unmutated
     else:
-        assert got == (code, "", f"parse error: system file: {path}{message}\n")
+        assert got == (code, "", f"parse error: {path}{message}\n")
 
 
 def _maximal_report():
@@ -629,6 +670,15 @@ def test_cli_oracle_ops():
     # a bound of 1 skips every draw but the trivial product
     assert run_cli("--dim-bound", "1", "oracle", "selftest") == (
         0, "1 consistency checks passed (seed 0)\n", "")
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_cli_oracle_selftest_fails_on_a_wrong_index(monkeypatch, fmt):
+    real = cli.index_of_irrep
+    monkeypatch.setattr(cli, "index_of_irrep", lambda alg, lam: real(alg, lam) + 1)
+    # the first draw of seed 0: index 26 by the summands, 37 by the (wrong) product rule
+    assert run_cli("--format", fmt, "oracle", "selftest") == (
+        1, "", "FAIL A2 (1, 0) (1, 1): 26 vs 37, trace_ok=False\n")
 
 
 @pytest.mark.parametrize("fmt", ["human", "json"])

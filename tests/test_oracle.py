@@ -1,5 +1,7 @@
 import pytest
 
+from conftest import run_cli
+from lielimits import oracle
 from lielimits.algebras import (
     SimpleAlgebra,
     cartan_matrix,
@@ -12,6 +14,7 @@ from lielimits.algebras import (
 from lielimits.errors import InternalConsistencyError, ResourceBoundError
 from lielimits.index import index_of_irrep, index_of_module
 from lielimits.oracle import (
+    WeightMultiset,
     _code,
     _coweights,
     _depth,
@@ -239,3 +242,57 @@ def test_adjoint_zero_weight_multiplicity_is_rank(literal, adjoint):
 def test_depth_rejects_weight_not_below_top(alg, top, mu):
     with pytest.raises(InternalConsistencyError):
         _depth(alg, top, mu)
+
+
+# -- each guard of a wrong kernel fires, and the CLI exits 1 ------------------
+
+
+def _norms(new):
+    """weight_system whose norms below the top are new(top norm, norm)."""
+    def fake(real):
+        def walk(alg, lam):
+            out = real(alg, lam)
+            top = next(norm for _, depth, norm, _ in out.values() if depth == 0)
+            return {c: (mu, d, new(top, norm) if d else norm, p) for c, (mu, d, norm, p) in out.items()}
+        return walk
+    return fake
+
+
+def _top_only(real):
+    """freudenthal that keeps only the highest weight."""
+    return lambda alg, lam, bound=None: WeightMultiset(alg, ((tuple(lam), 1),))
+
+
+def _doubled(real):
+    """freudenthal with every multiplicity doubled."""
+    return lambda alg, lam, bound: WeightMultiset(
+        alg, tuple((mu, 2 * m) for mu, m in real(alg, lam, bound).entries))
+
+
+# guard -> (oracle name, fake built from the real one, oracle command over A1, message)
+ORACLE_FAULTS = {
+    "denominator": ("weight_system", _norms(lambda top, norm: top), ("trace", "2"),
+                    "Freudenthal denominator vanished at (0,)"),
+    "non-integral": ("weight_system", _norms(lambda top, norm: norm - 10**6), ("trace", "2"),
+                     "non-integral multiplicity 32/1000032 at (0,)"),
+    "sum": ("weyl_dimension", lambda real: lambda alg, lam: real(alg, lam) + 1, ("trace", "2"),
+            "multiplicities of (2,) over A1 sum to 3, expected 4"),
+    "odd-trace": ("freudenthal", _top_only, ("trace", "1"), "odd trace 1 for (1,) over A1"),
+    "non-dominant": ("_depth", lambda real: lambda alg, top, mu: 0, ("tensor", "1", "1"),
+                     "extracted a non-dominant highest weight (-2,)"),
+    "negative": ("freudenthal", _doubled, ("tensor", "1", "1"),
+                 "negative multiplicity at (-2,) while extracting (2,)"),
+    "not-exhausted": ("freudenthal", _top_only, ("tensor", "1", "1"),
+                      "tensor decomposition did not exhaust the product"),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(ORACLE_FAULTS))
+def test_oracle_guards_fire_on_a_wrong_kernel(monkeypatch, cold_caches, guard):
+    name, fake, (command, *weights), message = ORACLE_FAULTS[guard]
+    monkeypatch.setattr(oracle, name, fake(getattr(oracle, name)))
+    call = {"trace": trace_index, "tensor": tensor_decompose}[command]
+    with pytest.raises(InternalConsistencyError) as fault:
+        call(A1, *((int(w),) for w in weights))
+    assert str(fault.value) == message
+    assert run_cli("oracle", command, "A1", *weights) == (1, "", f"error: {message}\n")

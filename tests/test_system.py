@@ -4,9 +4,10 @@ import random
 import pytest
 
 from conftest import A, graph_from_fixture, load_fixture, random_diagonal_system, run_cli
-from lielimits import formats
+from lielimits import formats, system
 from lielimits.algebras import dimension, dual_weight
-from lielimits.errors import DimensionMismatchError, DomainError, NotStabilizedError
+from lielimits.errors import (DimensionMismatchError, DomainError, InternalConsistencyError,
+                              NotStabilizedError)
 from lielimits.index import (
     ModuleDecomposition,
     SemisimpleAlgebra,
@@ -16,9 +17,11 @@ from lielimits.index import (
 )
 from lielimits.system import (
     BratteliGraph,
+    Closure,
     EdgeSpec,
     LevelSpec,
     _classify_tail,
+    closure,
     compute_labels,
     decompose,
     extract_refinement,
@@ -546,3 +549,50 @@ def test_level_and_graph_guards_of_the_library():
     for origin in [(3, 0), (1, 1), (0, 0)]:
         with pytest.raises(DomainError, match=rf"^no vertex \({origin[0]}, {origin[1]}\) in the graph$"):
             stabilization(graph, origin)
+
+
+# -- the guards no valid system reaches, fired by a wrong kernel or graph ------
+
+
+def _absent_factors_indexed(monkeypatch):
+    """Every factor of every branching gets an index >= 1, also one absent from an edge."""
+    real = system.embedding_index
+    monkeypatch.setattr(system, "embedding_index", lambda emb: tuple(max(v, 1) for v in real(emb)))
+
+
+def _labelled_then(change):
+    """compute_labels, then `change` of the valid graph into one that no system gives."""
+    def inject(monkeypatch):
+        real = system.compute_labels
+        monkeypatch.setattr(system, "compute_labels", lambda levels, edges: change(real(levels, edges)))
+    return inject
+
+
+def _rising_sum(graph):
+    """Vertex (2, 0) labelled 2 above (1, 0)'s 1: a level sum that rises."""
+    return BratteliGraph(graph.levels, graph.edges, {**graph.alpha, (2, 0): 2}, graph.beta)
+
+
+def _forked_top(graph):
+    """The memoized closure of (4, 0) swapped for one whose top layer holds two vertices."""
+    closure(graph, (1, 0))
+    graph.walks[(4, 0)] = Closure(graph, 4, (0, 1), None)
+    return graph
+
+
+# guard -> (fault injected into the labels of s2.json, message)
+GRAPH_FAULTS = {
+    "presence": (_absent_factors_indexed, "edge (1,1)->(2,0): presence and index disagree"),
+    "rising-sums": (_labelled_then(_rising_sum), "level sums increased after level 1: [1, 2, 1, 1]"),
+    "no-continuation": (_labelled_then(_forked_top), "no unique continuation from (4, 0)"),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(GRAPH_FAULTS))
+def test_graph_guards_fire_on_a_wrong_kernel_or_graph(monkeypatch, guard):
+    inject, message = GRAPH_FAULTS[guard]
+    inject(monkeypatch)
+    with pytest.raises(InternalConsistencyError) as fault:
+        decompose(system.compute_labels(*formats.system_from_doc(load_fixture("s2.json"))))
+    assert str(fault.value) == message
+    assert run_cli("limit", str(formats.fixture_path("s2.json"))) == (1, "", f"error: {message}\n")
