@@ -36,6 +36,7 @@ from .index import (
     index_of_irrep,
     index_of_module,
     min_nondiagonal_index,
+    natural_copies,
     restrict_to_factor,
 )
 from .oracle import WeightMultiset, freudenthal, tensor_decompose, trace_index

@@ -7,6 +7,10 @@ target's natural module, fixed per series as {A: 1, B: 2, C: 1, D: 2}
 (derived from the same formula and asserted at import).  The index of a
 composite embedding is Dynkin's sum formula over the middle factors; the
 restriction through the oracle's tensor products is the tests' reference.
+
+`natural_copies` counts the (k, l) copies of a factor's natural and
+conatural modules once, for the classification of embeddings, the socle
+multiplicities and the standard edges of a refinement.
 """
 
 from __future__ import annotations
@@ -242,28 +246,40 @@ class General(Record):
         return "General"
 
 
-def classify_embedding(emb: Embedding):
-    """Standard / Diagonal(k, l, t) / General, for a simple source."""
-    if len(emb.source.factors) != 1:
-        raise DomainError("classification is defined for embeddings of a simple algebra")
-    alg = emb.source.factors[0]
+def natural_copies(decomp: ModuleDecomposition, j: int) -> tuple[int, int, Summand | None]:
+    """(k, l, odd): the copies of factor j's natural module and of its conatural (when the two
+    differ) among the summands trivial off j, and the first summand nontrivial at j that is
+    another weight or also nontrivial at another factor (None when there is none)."""
+    _check_factor(decomp, j)
+    alg = decomp.algebra.factors[j]
     omega = alg.natural_weight
     omega_dual = dual_labels(alg, omega)
-    zero = (0,) * alg.rank
-    k = l = t = 0
-    for s in emb.branching.summands:
-        (w,) = s.weights
-        if w == zero:
-            t += s.mult
+    k = l = 0
+    odd = None
+    for s in decomp.summands:
+        w = s.weights[j]
+        if not any(w):
+            continue
+        if w not in (omega, omega_dual) or sum(map(any, s.weights)) > 1:
+            odd = s if odd is None else odd
         elif w == omega:
             k += s.mult
-        elif w == omega_dual:
-            l += s.mult
         else:
-            return General()
+            l += s.mult
+    return k, l, odd
+
+
+def classify_embedding(emb: Embedding):
+    """Standard / Diagonal(k, l, t) / General, for a simple source; t is what the k + l
+    natural and conatural copies leave of the target's natural dimension."""
+    if len(emb.source.factors) != 1:
+        raise DomainError("classification is defined for embeddings of a simple algebra")
+    k, l, odd = natural_copies(emb.branching, 0)
+    if odd is not None:
+        return General()
     if k + l == 1:
         return Standard(dual=(l == 1))
-    return Diagonal(k, l, t)
+    return Diagonal(k, l, emb.target.natural_dim - (k + l) * emb.source.factors[0].natural_dim)
 
 
 def compose_index(first: list[Embedding], second: Embedding) -> int:

@@ -20,7 +20,7 @@ from math import prod
 
 from .algebras import Weight, dual_labels
 from .errors import DomainError, InternalConsistencyError, NotStabilizedError
-from .index import NATURAL_MODULE_INDEX, ModuleDecomposition
+from .index import NATURAL_MODULE_INDEX, ModuleDecomposition, natural_copies
 from .record import Record
 from .system import TAIL_WINDOW, BratteliGraph, Constituent, decompose
 
@@ -78,29 +78,18 @@ def _trivial_dims(graph: BratteliGraph, positions_by_level) -> tuple[ExtendedDim
 
 def _pure_counts(decomp: ModuleDecomposition, j: int, where: str) -> tuple[int, int]:
     """Copies of the natural / conatural of factor j; errors on anything mixed."""
-    alg = decomp.algebra.factors[j]
-    omega = alg.natural_weight
-    omega_dual = dual_labels(alg, omega)
-    k = l = 0
-    for s in decomp.summands:
-        w = s.weights[j]
-        if not any(w):
-            continue
-        if any(any(s.weights[i]) for i in range(len(s.weights)) if i != j):
-            raise NotStabilizedError(
-                f"branching at {where} mixes factor {j} with other components; "
-                "not yet stable, lengthen prefix"
-            )
-        if w == omega:
-            k += s.mult
-        elif w == omega_dual:
-            l += s.mult
-        else:
-            raise NotStabilizedError(
-                f"branching at {where} is not diagonal on factor {j} (weight {w}); "
-                "not yet stable, lengthen prefix"
-            )
-    return k, l
+    k, l, odd = natural_copies(decomp, j)
+    if odd is None:
+        return k, l
+    if sum(map(any, odd.weights)) > 1:
+        raise NotStabilizedError(
+            f"branching at {where} mixes factor {j} with other components; "
+            "not yet stable, lengthen prefix"
+        )
+    raise NotStabilizedError(
+        f"branching at {where} is not diagonal on factor {j} (weight {odd.weights[j]}); "
+        "not yet stable, lengthen prefix"
+    )
 
 
 def multiplicities(graph: BratteliGraph, constituent: Constituent) -> tuple[int, int]:
@@ -193,9 +182,8 @@ def _check_disjoint_supports(graph: BratteliGraph):
             )
 
 
-def socle_report(graph: BratteliGraph, constituents=None) -> SocleReport:
-    if constituents is None:
-        constituents = decompose(graph)
+def socle_report(graph: BratteliGraph) -> SocleReport:
+    constituents = decompose(graph)
     _require_determined(constituents)
     _check_disjoint_supports(graph)
 
@@ -248,7 +236,7 @@ class InvariantsReport(Record):
     subsets: tuple[SubsetInvariants, ...]
 
 
-def standard_invariants(graph: BratteliGraph, constituents=None, subsets=None) -> InvariantsReport:
+def standard_invariants(graph: BratteliGraph, subsets=None) -> InvariantsReport:
     """k/l pairs plus, per subset J of infinite constituents, the trivial
     dimensions of the joint fixed part and the quotient evidence.
 
@@ -256,8 +244,7 @@ def standard_invariants(graph: BratteliGraph, constituents=None, subsets=None) -
     entries repeat the trivial evidence: over a finite prefix both are read
     from the same stabilized trivial mass.
     """
-    if constituents is None:
-        constituents = decompose(graph)
+    constituents = decompose(graph)
     _require_determined(constituents)
     by_id = {c.cid: c for c in constituents}
     infinite_ids = [c.cid for c in constituents if c.is_infinite()]

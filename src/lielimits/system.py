@@ -25,15 +25,7 @@ from functools import cached_property
 
 from .algebras import SimpleAlgebra
 from .errors import DimensionMismatchError, DomainError, InternalConsistencyError, NotStabilizedError
-from .index import (
-    Embedding,
-    ModuleDecomposition,
-    SemisimpleAlgebra,
-    Standard,
-    classify_embedding,
-    embedding_index,
-    restrict_to_factor,
-)
+from .index import Embedding, ModuleDecomposition, SemisimpleAlgebra, embedding_index, natural_copies
 from .record import Record
 
 _AMBIENT_KIND = {"A": "sl", "B": "so", "D": "so", "C": "sp"}
@@ -349,15 +341,15 @@ class RefinementReport(Record):
     n0: int
 
 
-def extract_refinement(graph: BratteliGraph, constituents=None, constituent_id=None) -> RefinementReport:
+def extract_refinement(graph: BratteliGraph, constituent_id=None) -> RefinementReport:
     """Nested simple ideals refining the system when the limit is simple.
 
     With several infinite constituents, pass constituent_id to restrict the
-    refinement to one class.
+    refinement to one class.  An edge of the string is standard when the
+    branching carries one natural or conatural copy of the lower vertex and
+    nothing else nontrivial on it.
     """
-    if constituents is None:
-        constituents = decompose(graph)
-    infinite = [c for c in constituents if c.is_infinite()]
+    infinite = [c for c in decompose(graph) if c.is_infinite()]
     if constituent_id is not None:
         infinite = [c for c in infinite if c.cid == constituent_id]
         if not infinite:
@@ -369,11 +361,9 @@ def extract_refinement(graph: BratteliGraph, constituents=None, constituent_id=N
         )
     string = infinite[0].string
     flags = []
-    for v, w in zip(string, string[1:]):
-        (n, j), (_, k) = v, w
-        restricted = restrict_to_factor(graph.edges[n - 1].branchings[k], j)
-        emb = Embedding(SemisimpleAlgebra((graph.algebra_at(v),)), graph.algebra_at(w), restricted)
-        flags.append(isinstance(classify_embedding(emb), Standard))
+    for (n, j), (_, k) in zip(string, string[1:]):
+        copies, dual_copies, odd = natural_copies(graph.edges[n - 1].branchings[k], j)
+        flags.append(odd is None and copies + dual_copies == 1)
     n0 = string[0][0]
     for pos, flag in enumerate(flags):
         if not flag:

@@ -36,6 +36,7 @@ from lielimits.index import (
     index_of_module,
     irrep_index,
     min_nondiagonal_index,
+    natural_copies,
     restrict_to_factor,
 )
 from lielimits.oracle import freudenthal, trace_index
@@ -142,6 +143,33 @@ def test_classification_examples():
     assert classify_embedding(diag) == Diagonal(1, 1, 0)
     adjoint = simple_embedding(A1, A2, [(((2,),), 1)])
     assert classify_embedding(adjoint) == General()
+    for source, target, records, expected, copies in CLASSIFY_ROWS:
+        emb = simple_embedding(source, target, records)
+        assert classify_embedding(emb) == expected
+        assert natural_copies(emb.branching, 0) == copies
+        if isinstance(expected, Diagonal):  # the derived t is the trivial count
+            assert expected.trivial == sum(m for (w,), m in records if not any(w))
+
+
+D5 = SimpleAlgebra("D", 5)
+# (source, target, records, class, natural_copies): the edge cases of one (k, l) count
+CLASSIFY_ROWS = [
+    # A1: omega = omega*, so every copy counts as natural and l stays 0
+    (A1, A3, [(((1,),), 2)], Diagonal(2, 0, 0), (2, 0, None)),
+    (A1, A2, [(((1,),), 1), (((0,),), 1)], Standard(dual=False), (1, 0, None)),
+    # D5: the natural is self-dual while the algebra is not
+    (D5, SimpleAlgebra("D", 10), [((D5.natural_weight,), 2)], Diagonal(2, 0, 0), (2, 0, None)),
+    (D5, SimpleAlgebra("A", 10), [((D5.natural_weight,), 1), (((0,) * 5,), 1)], Standard(dual=False),
+     (1, 0, None)),
+    # the conatural alone
+    (A3, SimpleAlgebra("A", 4), [(((0, 0, 1),), 1), (((0, 0, 0),), 1)], Standard(dual=True), (0, 1, None)),
+    # a non-natural weight after a natural: the first odd summand is named
+    (A2, SimpleAlgebra("A", 11), [(((1, 0),), 1), (((1, 1),), 1), (((0, 0),), 1)], General(),
+     (1, 0, Summand(((1, 1),), 1))),
+    # k = 2, l = 1 and two trivial lines
+    (A2, SimpleAlgebra("A", 10), [(((1, 0),), 2), (((0, 1),), 1), (((0, 0),), 2)], Diagonal(2, 1, 2),
+     (2, 1, None)),
+]
 
 
 def test_standard_is_diagonal_with_one_copy():

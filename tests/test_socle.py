@@ -5,7 +5,8 @@ import pytest
 from conftest import A, graph_from_fixture, run_cli
 from lielimits import formats, socle
 from lielimits.errors import DomainError, NotStabilizedError
-from lielimits.index import SemisimpleAlgebra, decomposition
+from lielimits.algebras import SimpleAlgebra
+from lielimits.index import SemisimpleAlgebra, Summand, decomposition, natural_copies
 from lielimits.socle import (
     ExtendedDim,
     _pure_counts,
@@ -87,11 +88,31 @@ def test_pure_counts_rejects_mixed_summands():
     d = decomposition([A(1), A(1)], [(((1,), (1,)), 1)])
     with pytest.raises(NotStabilizedError):
         _pure_counts(d, 0, "level 1")
+    # A1 + D5: omega = omega* on A1 and D5's natural is self-dual, so l stays 0 on both
+    d5 = SimpleAlgebra("D", 5)
+    pure = [(((1,), (0,) * 5), 2), (((0,), d5.natural_weight), 3), (((0,), (0,) * 5), 1)]
+    d = decomposition([A(1), d5], pure)
+    assert _pure_counts(d, 0, "top") == (2, 0) and _pure_counts(d, 1, "top") == (3, 0)
+    # a mixed summand is named as mixed, even when its weight is not natural either
+    for mixed in (((1,), d5.natural_weight), ((2,), (0, 1, 0, 0, 0))):
+        d = decomposition([A(1), d5], pure + [(mixed, 1)])
+        assert natural_copies(d, 0) == (2, 0, Summand(mixed))
+        for j in (0, 1):
+            with pytest.raises(NotStabilizedError, match=f"at top mixes factor {j} with other components"):
+                _pure_counts(d, j, "top")
 
 
 def test_pure_counts_rejects_non_diagonal_weight():
     d = decomposition([A(2)], [(((1, 1),), 1)])
     with pytest.raises(NotStabilizedError):
+        _pure_counts(d, 0, "top")
+    # the conatural alone, then a non-natural weight ahead of a mixed summand: the
+    # first odd summand decides the message
+    pure = [(((1, 0), (0,)), 1), (((0, 1), (0,)), 2)]
+    assert _pure_counts(decomposition([A(2), A(1)], pure[1:]), 0, "top") == (0, 2)
+    d = decomposition([A(2), A(1)], pure + [(((1, 1), (0,)), 1), (((2, 0), (1,)), 1)])
+    assert natural_copies(d, 0) == (1, 2, Summand(((1, 1), (0,))))
+    with pytest.raises(NotStabilizedError, match=r"not diagonal on factor 0 \(weight \(1, 1\)\)"):
         _pure_counts(d, 0, "top")
 
 

@@ -9,12 +9,17 @@ from lielimits.algebras import dimension, dual_weight
 from lielimits.errors import (DimensionMismatchError, DomainError, InternalConsistencyError,
                               NotStabilizedError)
 from lielimits.index import (
+    Embedding,
     ModuleDecomposition,
     SemisimpleAlgebra,
+    Standard,
     Summand,
+    classify_embedding,
     decomposition,
+    natural_copies,
     restrict_to_factor,
 )
+from lielimits.socle import _pure_counts
 from lielimits.system import (
     BratteliGraph,
     Closure,
@@ -369,6 +374,82 @@ def _assert_engine_matches_reference(g):
         assert got == expected
 
 
+# -- reference: the (k, l) counts each reader kept before `natural_copies` ---
+#
+# A refinement edge was standard when its branching, restricted to the lower
+# vertex and re-validated as an Embedding, classified as Standard; the socle's
+# counts walked the summands with their own mixing test.
+
+
+def ref_standard_edge(graph, v, w):
+    (n, j), (_, k) = v, w
+    restricted = restrict_to_factor(graph.edges[n - 1].branchings[k], j)
+    emb = Embedding(SemisimpleAlgebra((graph.algebra_at(v),)), graph.algebra_at(w), restricted)
+    return isinstance(classify_embedding(emb), Standard)
+
+
+def ref_pure_counts(decomp, j, where):
+    alg = decomp.algebra.factors[j]
+    omega = alg.natural_weight
+    omega_dual = dual_weight(alg, omega)
+    k = l = 0
+    for s in decomp.summands:
+        w = s.weights[j]
+        if not any(w):
+            continue
+        if any(any(s.weights[i]) for i in range(len(s.weights)) if i != j):
+            raise NotStabilizedError(
+                f"branching at {where} mixes factor {j} with other components; "
+                "not yet stable, lengthen prefix"
+            )
+        if w == omega:
+            k += s.mult
+        elif w == omega_dual:
+            l += s.mult
+        else:
+            raise NotStabilizedError(
+                f"branching at {where} is not diagonal on factor {j} (weight {w}); "
+                "not yet stable, lengthen prefix"
+            )
+    return k, l
+
+
+def _counts_or_message(count, decomp, j):
+    try:
+        return count(decomp, j, "level 1")
+    except NotStabilizedError as exc:
+        return str(exc)
+
+
+def _assert_counts_match_reference(g) -> set:
+    """Every (branching, factor) pair counts as the reference does, every edge's
+    `natural_copies` gives the reference's standard flag, and so does every refinement
+    string edge.  Returns the outcomes seen: the flags, and 'mixes' or 'not diagonal'
+    for the messages."""
+    seen = set()
+    branchings = [b for lv in g.levels for b in (lv.ambient_branching, lv.conatural)]
+    for b in branchings + [b for edge in g.edges for b in edge.branchings]:
+        for j in range(len(b.algebra.factors)):
+            got = _counts_or_message(_pure_counts, b, j)
+            assert got == _counts_or_message(ref_pure_counts, b, j)
+            seen.update(m for m in ("mixes", "not diagonal") if m in got)
+    for n, j, k in g.beta:
+        copies, dual_copies, odd = natural_copies(g.edges[n - 1].branchings[k], j)
+        flag = odd is None and copies + dual_copies == 1
+        assert flag == ref_standard_edge(g, (n, j), (n + 1, k))
+        seen.add(flag)
+    try:
+        constituents = decompose(g)
+    except NotStabilizedError:
+        return seen
+    for c in constituents:
+        if c.is_infinite():
+            rep = extract_refinement(g, constituent_id=c.cid)
+            chain = rep.chain
+            assert rep.standard_edges == tuple(ref_standard_edge(g, v, w) for v, w in zip(chain, chain[1:]))
+    return seen
+
+
 SYSTEM_FIXTURES = (
     "example1.json", "example3.json", "example4.json", "notstab.json", "refine_mixed.json",
     "s1.json", "s2.json", "s3.json", "s4.json", "so_chain.json", "tensor2.json",
@@ -377,7 +458,9 @@ SYSTEM_FIXTURES = (
 
 @pytest.mark.parametrize("name", SYSTEM_FIXTURES)
 def test_closure_walk_matches_reference_on_fixtures(name):
-    _assert_engine_matches_reference(graph_from_fixture(name))
+    g = graph_from_fixture(name)
+    _assert_engine_matches_reference(g)
+    _assert_counts_match_reference(g)
 
 
 @pytest.mark.parametrize("name", SYSTEM_FIXTURES)
@@ -452,12 +535,14 @@ def test_parsing_shares_one_algebra_per_level(name):
 
 def test_closure_walk_matches_reference_on_random_systems():
     rng = random.Random(4040)
-    outcomes = set()
+    outcomes, counts = set(), set()
     for _ in range(500):
         g = compute_labels(*random_diagonal_system(rng))
         _assert_engine_matches_reference(g)
+        counts |= _assert_counts_match_reference(g)
         outcomes.add(all(stabilization(g, v) is not None for v in g.vertices()))
     assert outcomes == {True, False}  # both stable and too-short prefixes ran
+    assert counts == {True, False}  # standard and non-standard edges
 
 
 def test_closure_walk_matches_reference_on_deep_random_systems():
@@ -467,6 +552,7 @@ def test_closure_walk_matches_reference_on_deep_random_systems():
     for _ in range(100):
         g = compute_labels(*random_diagonal_system(rng, max_levels=12))
         _assert_engine_matches_reference(g)
+        _assert_counts_match_reference(g)
         forks = [v for v in g.vertices() if len(g.out_edges(*v)) > 1]
         shared += any(node is g.walks[(node.level, node.layer[0])]
                       for v in forks for node in g.walks[v].rest.nodes())

@@ -6,10 +6,11 @@ Run from the repo root:
 
 For each depth L in DEPTHS it writes one system document to a temp dir and
 prints the best of REPEAT runs of: parse (load_json + system_from_doc),
-compute_labels, decompose, and the whole `lielimits --format json limit`
-and `lielimits --format json socle` commands in process.  `limit` prints
-every origin's level sums, W*L^2/2 numbers, so it cannot grow linearly in
-L; `socle` can.  Every run starts with the library's lru_caches cleared,
+compute_labels, decompose, and the whole `lielimits --format json limit`,
+`lielimits --format json socle` and `lielimits --format json refine
+--constituent 0` commands in process.  `limit` prints every origin's level
+sums, W*L^2/2 numbers, so it cannot grow linearly in L; `socle` and
+`refine` can.  Every run starts with the library's lru_caches cleared,
 as a fresh command does.  Times are at the reference speed of the
 benchmark (bench/worker.py), so that runs on a host whose speed swings
 can be compared; `best_time` does this for the other scaling tools too.
@@ -113,9 +114,9 @@ def measure(path: str) -> dict[str, float]:
     def parse():
         return formats.system_from_doc(formats.load_json(path))
 
-    def command(name):
+    def command(name, *options):
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["--format", "json", name, path])
+            code = cli.main(["--format", "json", name, *options, path])
         if code != 0:
             raise SystemExit(f"{name} exited {code} on {path}")
 
@@ -129,21 +130,24 @@ def measure(path: str) -> dict[str, float]:
     decompose_s, _ = best_time(lambda: system.decompose(graphs.pop()))
     limit_s, _ = best_time(lambda: command("limit"))
     socle_s, _ = best_time(lambda: command("socle"))
+    refine_s, _ = best_time(lambda: command("refine", "--constituent", "0"))
     return {"parse": parse_s, "compute_labels": labels_s, "decompose": decompose_s,
-            "limit": limit_s, "socle": socle_s}
+            "limit": limit_s, "socle": socle_s, "refine": refine_s}
 
 
 def main() -> int:
     print(f"lielimits {lielimits.__version__}, python {sys.version.split()[0]}, "
           f"width {WIDTH}, best of {REPEAT}, {SPEED}")
-    print(f"{'L':>5} {'parse_s':>9} {'labels_s':>9} {'decomp_s':>9} {'limit_s':>9} {'socle_s':>9}")
+    print(f"{'L':>5} {'parse_s':>9} {'labels_s':>9} {'decomp_s':>9} {'limit_s':>9} {'socle_s':>9} "
+          f"{'refine_s':>9}")
     with tempfile.TemporaryDirectory() as tmp:
         for depth in DEPTHS:
             path = Path(tmp) / f"chain{depth}.json"
             path.write_text(json.dumps(chain_doc(depth)))
             t = measure(str(path))
             print(f"{depth:>5} {t['parse']:>9.4f} {t['compute_labels']:>9.4f} "
-                  f"{t['decompose']:>9.4f} {t['limit']:>9.4f} {t['socle']:>9.4f}", flush=True)
+                  f"{t['decompose']:>9.4f} {t['limit']:>9.4f} {t['socle']:>9.4f} {t['refine']:>9.4f}",
+                  flush=True)
     return 0
 
 
