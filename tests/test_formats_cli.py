@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import random
 import re
@@ -879,6 +881,19 @@ def test_cli_nonpositive_bounds_are_domain_errors(argv):
     assert run_cli(*argv) == (1, "", "error: resource bounds must be positive\n")
 
 
+# One valid call of every command.
+ONE_CALL_EACH = (
+    ("index", "A2", "1,1"),
+    ("embed", fixture("std_a5_a9.json")),
+    ("limit", fixture("s1.json")),
+    ("refine", fixture("s1.json")),
+    ("socle", fixture("s1.json")),
+    ("invariants", "--subset", "0", fixture("example4.json")),
+    ("--format", "json", "maximal", "so", fixture("dim2_nondeg.json")),
+    ("oracle", "selftest", "--enum-bound", "3"),
+)
+
+
 def test_one_call_builds_at_most_two_parsers(monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
@@ -888,12 +903,68 @@ def test_one_call_builds_at_most_two_parsers(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    for argv in (("limit", fixture("s1.json")),
-                 ("--format", "json", "maximal", "so", fixture("dim2_nondeg.json")),
-                 ("oracle", "selftest", "--enum-bound", "3")):
+    monkeypatch.setattr(cli, "_PARSERS", {})  # as a fresh process starts
+    for argv in ONE_CALL_EACH:
         built.clear()
         assert run_cli(*argv)[0] == 0
         assert len(built) <= 2, built
+    caches = {id(v): v for name, module in list(sys.modules.items())  # as bench/worker.py finds them
+              if name.split(".")[0] == "lielimits" and module is not None
+              for v in vars(module).values() if hasattr(v, "cache_clear")}.values()
+    assert freudenthal in caches
+    for clear in (False, True):  # a repeat builds none, also with every cache cleared first
+        for argv in ONE_CALL_EACH:
+            if clear:
+                for cache in caches:
+                    cache.cache_clear()
+            built.clear()
+            assert run_cli(*argv)[0] == 0
+            assert built == [], argv
+    script = (  # and importing the CLI builds none
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import lielimits.cli\n"
+        "print(built)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_a_reused_parser_carries_nothing_between_calls(monkeypatch):
+    """Each call of one process answers as the same argv does alone in a new one."""
+    sequence = (
+        ("--format", "json", "limit", fixture("s2.json")),
+        ("limit", fixture("s2.json")),
+        ("invariants", "--subset", "0", fixture("example4.json")),
+        ("invariants", fixture("example4.json")),
+        ("refine", "--constituent", "0", fixture("s2.json")),
+        ("refine", fixture("s2.json")),
+        ("maximal", "xx", fixture("dim2_nondeg.json")),
+        ("maximal", "so", fixture("dim2_nondeg.json")),
+        ("maximal", "gl", fixture("dim2_nondeg.json")),
+        ("maximal", "--help"),
+    )
+    monkeypatch.setenv("COLUMNS", "73")
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    codes = []
+    for argv in sequence:
+        alone = subprocess.run([sys.executable, "-m", "lielimits", *argv],
+                               capture_output=True, text=True)
+        expected = (alone.returncode, alone.stdout, alone.stderr)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # --help and usage errors
+                code = exc.code
+        assert (code, out.getvalue(), err.getvalue()) == expected, argv
+        codes.append(expected[0])
+    assert codes == [0, 0, 0, 0, 0, 1, 2, 0, 0, 0]
 
 
 # -- the report writer writes json's indented bytes ----------------------------

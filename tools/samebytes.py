@@ -8,8 +8,9 @@ Run from the repo root (stdlib only):
 
 `git archive REF` is extracted into a temporary directory.  One child
 interpreter per tree runs the whole table in process, with every
-`lru_cache` of the package cleared before each entry, and reports a digest
-of (exit code, stdout, stderr) per entry.  Both trees read the same inputs:
+`lru_cache` of the package cleared before each entry and COLUMNS fixed, and
+reports a digest of (exit code, stdout, stderr) per entry; a SystemExit
+(--help, a usage error) counts by its code.  Both trees read the same inputs:
 the fixtures and demos of this tree, and documents generated here.
 
 The table: both formats x every system fixture under limit, refine, refine
@@ -18,7 +19,8 @@ embedding fixtures; maximal gl/sl/so/sp on every subspace fixture; both
 formats x the CLI ops of the bench's `cli_mix` workload for seeds 7, 201
 and 555 (from bench/generate.py); every single-field mutation (MUTATIONS,
 deletion included) of s2.json, example4.json, tensor2.json, so_chain.json
-and diag_a5_a11.json under the commands of its document kind; the demos.
+and diag_a5_a11.json under the commands of its document kind; --help and
+every command's --help; the usage errors of USAGE_ERRORS; the demos.
 It is a correctness check, not a timer.  The exit code is 1 when some
 entry differs.
 """
@@ -54,6 +56,9 @@ MUTATIONS = (
 )  # and deletion
 MUTATED_FILE = "mutated.json"  # relative to each child's own working directory
 CLI_MIX_SEEDS = (7, 201, 555)
+COMMAND_NAMES = ("index", "embed", "limit", "refine", "socle", "invariants", "maximal", "oracle")
+USAGE_ERRORS = ([], ["bogus", "FILE"], ["maximal", "xx", "FILE"], ["--seed", "abc", "index", "A1", "1"],
+                ["limit"])
 
 
 def _positions(node, path=()):
@@ -87,6 +92,8 @@ def table(work: Path) -> list[dict]:
                 entries += [{"argv": ["--format", "json"] + command + [MUTATED_FILE],
                              "mutate": [name, path, value, delete]}
                             for command in COMMANDS[doc["format"]]]
+    entries += [{"argv": argv} for argv in [["--help"]] + [[name, "--help"] for name in COMMAND_NAMES]]
+    entries += [{"argv": argv} for argv in USAGE_ERRORS]
     entries += [{"demo": str(p)} for p in sorted((ROOT / "demos").glob("*.py"))]
     return entries
 
@@ -131,6 +138,8 @@ def run_child(table_path: str, out_path: str) -> None:
                     code = 0
                 else:
                     code = lielimits.cli.main(entry["argv"])
+            except SystemExit as exc:
+                code = exc.code
             except Exception as exc:  # noqa: BLE001 -- an escape is part of the output
                 code = f"{type(exc).__name__}: {exc}"
         blob = json.dumps([code, out.getvalue(), err.getvalue()]).encode()
@@ -165,7 +174,8 @@ def main(argv) -> int:
         children = []
         for side, tree in (("this", ROOT), ("ref", tmp / "tree")):
             (tmp / side).mkdir()
-            env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+            env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1",
+                   "COLUMNS": "80"}
             children.append(subprocess.Popen(
                 [sys.executable, str(Path(__file__).resolve()), "--child", str(tmp / "table.json"),
                  str(tmp / f"{side}.json")], cwd=tmp / side, env=env))
