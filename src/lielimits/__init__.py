@@ -37,7 +37,6 @@ from .index import (
     index_of_module,
     min_nondiagonal_index,
     natural_copies,
-    restrict_to_factor,
 )
 from .oracle import WeightMultiset, freudenthal, tensor_decompose, trace_index
 from .socle import (
@@ -57,7 +56,6 @@ from .subspaces import (
     descriptor_intersection,
     descriptor_sum,
     double_perp_closed,
-    is_isotropic,
     perp,
     uniqueness_check,
     uniqueness_invariant,

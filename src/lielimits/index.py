@@ -195,22 +195,6 @@ def _check_factor(decomp: ModuleDecomposition, factor: int) -> None:
         raise DomainError(f"factor {factor} out of range for {decomp.algebra}")
 
 
-def _collapse(decomp: ModuleDecomposition, factor: int) -> list[tuple[Weight, int]]:
-    """(weight at `factor`, mult * the other factors' dims) per summand."""
-    _check_factor(decomp, factor)
-    return [(s.weights[factor], s.mult * prod(row) // row[factor])
-            for s, row in zip(decomp.summands, decomp.dims)]
-
-
-def restrict_to_factor(decomp: ModuleDecomposition, factor: int) -> ModuleDecomposition:
-    """The same module seen over a single factor: every tensor summand
-    collapses to its weight at `factor`, multiplied by the other factors'
-    dimensions."""
-    collapsed = _collapse(decomp, factor)
-    algebra = SemisimpleAlgebra((decomp.algebra.factors[factor],))
-    return ModuleDecomposition._trusted(algebra, (Summand((w,), m) for w, m in collapsed))
-
-
 def embedding_index(emb: Embedding) -> list[int]:
     """Per-source-factor Dynkin index of the embedding."""
     divisor = NATURAL_MODULE_INDEX[emb.target.series]

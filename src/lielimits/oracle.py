@@ -1,22 +1,19 @@
 """Independent verification engine.
 
-Weight multiplicities come from the Freudenthal recursion over the
-saturated weight system, the trace-form index evaluates Tr pi(h)^2 / 2 on
-a long simple coroot h, and small tensor products are decomposed by
-iterated highest-weight extraction.  The weight system is a walk by
-mu - alpha_i and s_i mu that carries, for each weight, its depth, its
-norm |mu + rho|^2, its pairings with the positive roots and an integer
-code; all four are linear in mu, so each move updates them by a fixed
-step.  The recursion keeps a running string sum per positive root and
-finds the weight above by adding a root's code, so neither walks a whole
-string twice nor recomputes a form.  None of these touch the closed-form
-index formula, so agreement with it is evidence rather than tautology.
+Weight multiplicities come from the Freudenthal recursion, the trace-form
+index evaluates Tr pi(h)^2 / 2 on a long simple coroot h, and small tensor
+products are decomposed by the Brauer-Klimyk formula.  Multiplicities are
+constant on Weyl orbits, so the recursion runs on the dominant weights
+alone: a walk by mu - alpha over the positive roots, which carries each
+weight's norm |mu + rho|^2 and its pairings with the positive roots, both
+linear in mu.  Each orbit is then filled by simple reflections.  None of
+these touch the closed-form index formula, so agreement with it is
+evidence rather than tautology.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt
 
 from .algebras import (
     SimpleAlgebra,
@@ -49,90 +46,45 @@ class WeightMultiset(Record):
 
 
 @lru_cache(maxsize=None)
-def _coweights(alg: SimpleAlgebra) -> tuple[tuple[list[int], int], ...]:
-    """Fundamental coweights 2 omega_i / (alpha_i, alpha_i), one per simple
-    root, as pairs (eps2(omega_i), pairing(alpha_i, alpha_i))."""
-    out = []
-    for i, alpha in enumerate(cartan_matrix(alg)):
-        a = eps2(alg, alpha)
-        out.append((eps2(alg, fundamental_weight(alg, i)), pairing(alg, a, a)))
-    return tuple(out)
+def _root_forms(alg: SimpleAlgebra) -> tuple[tuple[int, ...], ...]:
+    """Per positive root alpha, pairing(omega_i, alpha) over the fundamental
+    weights: mu -> pairing(mu, alpha) as a linear form on the labels of mu."""
+    omegas = [eps2(alg, fundamental_weight(alg, i)) for i in range(alg.rank)]
+    return tuple(tuple(pairing(alg, w, eps2(alg, alpha)) for w in omegas)
+                 for alpha in positive_roots(alg))
 
 
-def _depth(alg: SimpleAlgebra, top: Weight, mu: Weight) -> int:
-    """Height of beta = top - mu: the sum of c_i = 2(beta, omega_i)/(alpha_i, alpha_i)."""
-    beta = eps2(alg, [a - b for a, b in zip(top, mu)])
-    total = 0
-    for omega, norm in _coweights(alg):
-        c, rest = divmod(2 * pairing(alg, beta, omega), norm)
-        if rest or c < 0:
-            raise InternalConsistencyError(f"{mu} is not below {top} in the root lattice")
-        total += c
-    return total
+def _pairings(forms, mu) -> tuple[int, ...]:
+    return tuple(sum(c * x for c, x in zip(form, mu)) for form in forms)
 
 
-def _radix(alg: SimpleAlgebra, lam: Weight) -> int:
-    """Radix of the weight code sum_j mu_j radix^j over the weights of lam.
+def weight_system(alg: SimpleAlgebra, lam) -> dict[Weight, tuple[int, tuple[int, ...]]]:
+    """Dominant weights of the irreducible with highest weight lam.
 
-    Every weight mu has |mu| <= |lam|, so mu_j^2 <= 4 |lam|^2 / |alpha_j|^2
-    and |mu_j| <= bound.  Root labels lie in [-2, 2], so with radix
-    2 bound + 7 the labels of mu + alpha stay balanced digits: the code is
-    injective on weights and code(mu + alpha) = code(mu) + code(alpha).
-    """
-    a = eps2(alg, lam)
-    norm = pairing(alg, a, a)
-    return 2 * max(isqrt(4 * norm // step) for _, step in _coweights(alg)) + 7
-
-
-def _code(weight, radix: int) -> int:
-    return sum(x * radix**j for j, x in enumerate(weight))
-
-
-def weight_system(alg: SimpleAlgebra, lam) -> dict[int, tuple[Weight, int, int, tuple[int, ...]]]:
-    """Weights of the irreducible with highest weight lam, by a walk of
-    mu - alpha_i and s_i mu = mu - mu_i alpha_i for each i with mu_i > 0.
-
-    Maps code(mu) at _radix(alg, lam) to (mu, depth, norm, pairs): the
-    height of lam - mu, pairing(mu + rho, mu + rho) and the tuple of
-    pairing(mu, alpha) over positive_roots(alg).  All four are linear in
-    mu, so the walk carries them: a move by k alpha_i adds k to the depth
-    and takes k code(alpha_i) off the code and k pairing(alpha_i, alpha)
-    off each root pairing, and both moves take mu_i pairing(alpha_i,
-    alpha_i) off the norm.
+    Maps mu to (norm, pairs): pairing(mu + rho, mu + rho) and the tuple of
+    pairing(mu, alpha) over positive_roots(alg).  Every dominant weight
+    below lam is reached from lam by steps mu - alpha, alpha a positive
+    root, through dominant weights (Stembridge, "The partial order of
+    dominant weights", Adv. Math. 136, 1998), and both values are linear
+    in mu: a step takes 2 (mu, alpha) + 2 (rho, alpha) - (alpha, alpha) off
+    the norm and (alpha, beta) off each pairing (mu, beta).
     """
     lam = check_dominant(alg, lam)
-    radix = _radix(alg, lam)
-    # pairing(mu, alpha) as a linear functional on the labels of mu
-    forms = [
-        [pairing(alg, omega, eps2(alg, alpha)) for omega, _ in _coweights(alg)]
-        for alpha in positive_roots(alg)
-    ]
-
-    def root_pairings(mu):
-        return tuple(sum(c * x for c, x in zip(form, mu)) for form in forms)
-
-    moves = [
-        (row, step, root_pairings(row), _code(row, radix))
-        for row, (_, step) in zip(cartan_matrix(alg), _coweights(alg))
-    ]
+    forms = _root_forms(alg)
+    moves = []
+    for r, (alpha, form) in enumerate(zip(positive_roots(alg), forms)):
+        steps = _pairings(forms, alpha)
+        moves.append((alpha, steps, 2 * sum(form) - steps[r]))
     shifted = eps2(alg, [x + 1 for x in lam])
-    top = _code(lam, radix)
-    walk = {top: (lam, 0, pairing(alg, shifted, shifted), root_pairings(lam))}
-    todo = [top]
-    for code in todo:
-        mu, depth, norm, pairs = walk[code]
-        for m, (row, step, steps, shift) in zip(mu, moves):
-            if m > 0:
-                for k in {1, m}:
-                    down = code - k * shift
-                    if down not in walk:
-                        walk[down] = (
-                            tuple(x - k * a for x, a in zip(mu, row)),
-                            depth + k,
-                            norm - m * step,
-                            tuple(p - k * q for p, q in zip(pairs, steps)),
-                        )
-                        todo.append(down)
+    walk = {lam: (pairing(alg, shifted, shifted), _pairings(forms, lam))}
+    todo = [lam]
+    for mu in todo:
+        norm, pairs = walk[mu]
+        for (alpha, steps, cost), p in zip(moves, pairs):
+            down = tuple(x - a for x, a in zip(mu, alpha))
+            if min(down) >= 0 and down not in walk:
+                walk[down] = (norm - 2 * p - cost, tuple(q - s for q, s in zip(pairs, steps)))
+                todo.append(down)
     return walk
 
 
@@ -151,42 +103,60 @@ def freudenthal(alg: SimpleAlgebra, lam, dim_bound: int = DEFAULT_DIM_BOUND) -> 
 def _freudenthal(alg: SimpleAlgebra, lam: Weight) -> WeightMultiset:
     """Memoized kernel of `freudenthal` for a weight it accepted.
 
-    Both sides of the recursion are integer pairings at the scale of
-    algebras.form_scale, so each multiplicity is one exact division.  The
-    weights run in depth order, reading the norm |mu + rho|^2 and the root
-    pairings (mu, alpha) that weight_system carried.  Each positive root
-    keeps the running string sum T(mu) = m(mu + alpha) (mu + alpha, alpha)
-    + T(mu + alpha), stored under code(mu + alpha) = code(mu) + code(alpha).
+    The recursion runs on the dominant weights of weight_system in
+    decreasing norm |mu + rho|^2, which is its denominator anyway: a
+    dominant weight above another has the larger norm, so every weight
+    mu + k alpha above mu lies in an orbit already filled.  Both sides are
+    integer pairings at the scale of algebras.form_scale, so each
+    multiplicity is one exact division.  The string sum T(mu) = sum over
+    k >= 1 of m(mu + k alpha) (mu + k alpha, alpha) is kept per root at
+    each dominant weight, so a climb stops at the first dominant weight of
+    its string.
     """
     walk = weight_system(alg, lam)
-    radix = _radix(alg, lam)
-    shifts = [_code(alpha, radix) for alpha in positive_roots(alg)]
-    top_norm = walk[_code(lam, radix)][2]
-    weights, mult = [], []
-    # sums[r][code(mu)] = T(mu - alpha_r); a string's top finds no entry above it
-    sums = [{} for _ in shifts]
-    by_depth = sorted(walk.items(), key=lambda item: item[1][1])
-    for i, (code, (mu, _, norm, pairs)) in enumerate(by_depth):
-        above = [s.get(code + shift, 0) for shift, s in zip(shifts, sums)]
+    roots = positive_roots(alg)
+    lengths = [sum(c * a for c, a in zip(form, alpha)) for form, alpha in zip(_root_forms(alg), roots)]
+    cartan, top_norm = cartan_matrix(alg), walk[lam][0]
+    mult: dict[Weight, int] = {}  # every weight of the orbits filled so far
+    sums: dict[Weight, list[int]] = {}  # dominant mu -> T(mu) per positive root
+    total = 0
+    for i, mu in enumerate(sorted(walk, key=lambda mu: walk[mu][0], reverse=True)):
+        norm, pairs = walk[mu]
+        row = []
+        for r, (alpha, length, p) in enumerate(zip(roots, lengths, pairs)):
+            t, nu = 0, mu
+            while (nu := tuple(x + a for x, a in zip(nu, alpha))) in mult:
+                p += length
+                t += mult[nu] * p
+                if nu in sums:
+                    t += sums[nu][r]
+                    break
+            row.append(t)
+        sums[mu] = row
         m = 1
         if i:
             denom = top_norm - norm
             if denom == 0:
                 raise InternalConsistencyError(f"Freudenthal denominator vanished at {mu}")
-            acc = 2 * sum(above)
+            acc = 2 * sum(row)
             m, rest = divmod(acc, denom)
             if rest or m <= 0:
                 raise InternalConsistencyError(f"non-integral multiplicity {acc}/{denom} at {mu}")
-        for t, p, s in zip(above, pairs, sums):
-            s[code] = t + m * p
-        weights.append(mu)
-        mult.append(m)
+        # the orbit of mu, by s_i nu = nu - nu_i alpha_i for each nu_i > 0
+        mult[mu] = m
+        orbit = [mu]
+        for nu in orbit:
+            for x, alpha in zip(nu, cartan):
+                if x > 0 and (w := tuple(y - x * a for y, a in zip(nu, alpha))) not in mult:
+                    mult[w] = m
+                    orbit.append(w)
+        total += m * len(orbit)
     dim = weyl_dimension(alg, lam)
-    if sum(mult) != dim:
+    if total != dim:
         raise InternalConsistencyError(
-            f"multiplicities of {lam} over {alg} sum to {sum(mult)}, expected {dim}"
+            f"multiplicities of {lam} over {alg} sum to {total}, expected {dim}"
         )
-    return WeightMultiset(alg, tuple(sorted(zip(weights, mult))))
+    return WeightMultiset(alg, tuple(sorted(mult.items())))
 
 
 freudenthal.cache_info = _freudenthal.cache_info
@@ -216,42 +186,37 @@ def trace_index(alg: SimpleAlgebra, lam, dim_bound: int = DEFAULT_DIM_BOUND) -> 
 def tensor_decompose(alg: SimpleAlgebra, lam, mu, dim_bound: int = DEFAULT_DIM_BOUND):
     """Decompose the tensor product of two irreducibles into a ModuleDecomposition.
 
-    Works by convolving the two weight multisets and extracting summands in
-    one sweep by depth; dimension is checked to be preserved.
+    Brauer-Klimyk: V(lam) x V(mu) is the sum over the weights nu of the
+    smaller factor V(mu) of m(nu) sign(w) V(w(lam + nu + rho) - rho), where
+    w takes lam + nu + rho into the dominant chamber; a weight on a wall
+    adds nothing.  The dimension is checked to be preserved.
     """
     lam = check_dominant(alg, lam)
     mu = check_dominant(alg, mu)
-    product_dim = dimension(alg, lam) * dimension(alg, mu)
+    dims = dimension(alg, lam), dimension(alg, mu)
+    product_dim = dims[0] * dims[1]
     if product_dim > dim_bound:
         raise ResourceBoundError(
             f"product dimension {product_dim} exceeds the configured bound {dim_bound}"
         )
-    left = freudenthal(alg, lam, dim_bound)
-    right = freudenthal(alg, mu, dim_bound)
-    product: dict[Weight, int] = {}
-    for wl, ml in left.entries:
-        for wr, mr in right.entries:
-            key = tuple(a + b for a, b in zip(wl, wr))
-            product[key] = product.get(key, 0) + ml * mr
-
-    top = tuple(a + b for a, b in zip(lam, mu))
+    if dims[1] > dims[0]:
+        lam, mu = mu, lam
+    cartan, coeff = cartan_matrix(alg), {}
+    for nu, m in freudenthal(alg, mu, dim_bound).entries:
+        g = [a + b + 1 for a, b in zip(lam, nu)]
+        while (low := min(g)) < 0:
+            g = [x - low * a for x, a in zip(g, cartan[g.index(low)])]
+            m = -m
+        if low:
+            top = tuple(x - 1 for x in g)
+            coeff[top] = coeff.get(top, 0) + m
     found = []
-    remaining = product_dim
-    # Extracting nu lowers only weights strictly below it, so one sweep in
-    # (depth, weight) order meets each summand's highest weight in turn.
-    for nu in sorted(product, key=lambda w: (_depth(alg, top, w), w)):
-        count = product[nu]
-        if count == 0:
-            continue
-        if any(x < 0 for x in nu):
-            raise InternalConsistencyError(f"extracted a non-dominant highest weight {nu}")
-        for w, m in freudenthal(alg, nu, dim_bound).entries:
-            new = product.get(w, 0) - count * m
-            if new < 0:
-                raise InternalConsistencyError(f"negative multiplicity at {w} while extracting {nu}")
-            product[w] = new
-        found.append(Summand((nu,), count))
-        remaining -= count * dimension(alg, nu)
-    if remaining != 0 or any(m != 0 for m in product.values()):
+    for nu, c in sorted(coeff.items()):
+        if c < 0:
+            raise InternalConsistencyError(f"negative Klimyk coefficient {c} at {nu}")
+        if c:
+            found.append(Summand((nu,), c))
+            product_dim -= c * dimension(alg, nu)
+    if product_dim != 0:
         raise InternalConsistencyError("tensor decomposition did not exhaust the product")
     return ModuleDecomposition._trusted(SemisimpleAlgebra((alg,)), found)

@@ -361,14 +361,6 @@ def double_perp_closed(w: SubspaceDescriptor, context=GL_PAIRING):
     return False, gap
 
 
-def is_isotropic(w: SubspaceDescriptor, form: StandardForm) -> bool:
-    """The form vanishes identically on W, that is W ⊆ W^perp.  A tail's perp
-    is finite, so tail descriptors are never isotropic."""
-    if w.space != "V":
-        raise DomainError("isotropy is a property of subspaces of V")
-    return perp(w, form).contains_space(w)
-
-
 # -- maximality classification ----------------------------------------------
 
 COMMUTATOR_TOKEN = "[g,g]"

@@ -1,4 +1,5 @@
-"""Direct reference for `lielimits.index.compose_index`.
+"""Direct reference for `lielimits.index.compose_index`, and the restriction
+of a decomposition to one factor.
 
 The library computes the index of a composite f -> k_1 + ... + k_l -> f'
 by Dynkin's sum formula.  This module computes the same number the other
@@ -10,11 +11,15 @@ two is evidence, not tautology.
 
 from __future__ import annotations
 
+from math import prod
+
 from lielimits.algebras import dual_weight
 from lielimits.index import (
     NATURAL_MODULE_INDEX,
     ModuleDecomposition,
+    SemisimpleAlgebra,
     Summand,
+    _check_factor,
     decomposition,
     index_of_module,
 )
@@ -60,3 +65,19 @@ def ref_composite_index(first, second) -> int:
     quotient, rest = divmod(total, NATURAL_MODULE_INDEX[second.target.series])
     assert rest == 0, f"composite module index {total} is not divisible by the target's"
     return quotient
+
+
+def _collapse(decomp: ModuleDecomposition, factor: int) -> list:
+    """(weight at `factor`, mult * the other factors' dims) per summand."""
+    _check_factor(decomp, factor)
+    return [(s.weights[factor], s.mult * prod(row) // row[factor])
+            for s, row in zip(decomp.summands, decomp.dims)]
+
+
+def restrict_to_factor(decomp: ModuleDecomposition, factor: int) -> ModuleDecomposition:
+    """The same module seen over a single factor: every tensor summand
+    collapses to its weight at `factor`, multiplied by the other factors'
+    dimensions."""
+    collapsed = _collapse(decomp, factor)
+    algebra = SemisimpleAlgebra((decomp.algebra.factors[factor],))
+    return ModuleDecomposition._trusted(algebra, (Summand((w,), m) for w, m in collapsed))

@@ -27,7 +27,6 @@ from lielimits.index import (
     SemisimpleAlgebra,
     Standard,
     Summand,
-    _collapse,
     classify_embedding,
     compose_index,
     decomposition,
@@ -37,10 +36,9 @@ from lielimits.index import (
     irrep_index,
     min_nondiagonal_index,
     natural_copies,
-    restrict_to_factor,
 )
 from lielimits.oracle import freudenthal, trace_index
-from ref_index import ref_composite_index
+from ref_index import _collapse, ref_composite_index, restrict_to_factor
 
 A1 = SimpleAlgebra("A", 1)
 A2 = SimpleAlgebra("A", 2)

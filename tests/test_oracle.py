@@ -1,3 +1,6 @@
+import random
+from math import isqrt
+
 import pytest
 
 from conftest import run_cli
@@ -5,20 +8,18 @@ from lielimits import oracle
 from lielimits.algebras import (
     SimpleAlgebra,
     cartan_matrix,
+    check_dominant,
     dimension,
     dominant_weights_up_to_dim,
     eps2,
+    fundamental_weight,
     pairing,
     positive_roots,
 )
 from lielimits.errors import InternalConsistencyError, ResourceBoundError
-from lielimits.index import index_of_irrep, index_of_module
+from lielimits.index import ModuleDecomposition, SemisimpleAlgebra, Summand, index_of_irrep, index_of_module
 from lielimits.oracle import (
     WeightMultiset,
-    _code,
-    _coweights,
-    _depth,
-    _radix,
     freudenthal,
     tensor_decompose,
     trace_index,
@@ -27,6 +28,29 @@ from lielimits.oracle import (
 
 A1 = SimpleAlgebra("A", 1)
 A2 = SimpleAlgebra("A", 2)
+SWEEP_ALGEBRAS = tuple(map(SimpleAlgebra.parse, ("A1", "A2", "A3", "A4", "B2", "B3", "C2", "C3", "D4")))
+
+
+def _coweights(alg):
+    """Fundamental coweights 2 omega_i / (alpha_i, alpha_i), one per simple
+    root, as pairs (eps2(omega_i), pairing(alpha_i, alpha_i))."""
+    out = []
+    for i, alpha in enumerate(cartan_matrix(alg)):
+        a = eps2(alg, alpha)
+        out.append((eps2(alg, fundamental_weight(alg, i)), pairing(alg, a, a)))
+    return tuple(out)
+
+
+def _depth(alg, top, mu):
+    """Height of beta = top - mu: the sum of c_i = 2(beta, omega_i)/(alpha_i, alpha_i)."""
+    beta = eps2(alg, [a - b for a, b in zip(top, mu)])
+    total = 0
+    for omega, norm in _coweights(alg):
+        c, rest = divmod(2 * pairing(alg, beta, omega), norm)
+        if rest or c < 0:
+            raise InternalConsistencyError(f"{mu} is not below {top} in the root lattice")
+        total += c
+    return total
 
 
 def ref_weight_system(alg, lam):
@@ -83,6 +107,113 @@ def ref_freudenthal(alg, lam):
     return dict(zip(weights, mult))
 
 
+# -- reference: the coded walk over every weight, and extraction by depth ------
+
+
+def _radix(alg, lam):
+    """Radix of the weight code sum_j mu_j radix^j over the weights of lam.
+
+    Every weight mu has |mu| <= |lam|, so mu_j^2 <= 4 |lam|^2 / |alpha_j|^2
+    and |mu_j| <= bound.  Root labels lie in [-2, 2], so with radix
+    2 bound + 7 the labels of mu + alpha stay balanced digits: the code is
+    injective on weights and code(mu + alpha) = code(mu) + code(alpha).
+    """
+    a = eps2(alg, lam)
+    norm = pairing(alg, a, a)
+    return 2 * max(isqrt(4 * norm // step) for _, step in _coweights(alg)) + 7
+
+
+def _code(weight, radix):
+    return sum(x * radix**j for j, x in enumerate(weight))
+
+
+def ref_walk(alg, lam):
+    """Every weight of lam, by a walk of mu - alpha_i and s_i mu = mu - mu_i alpha_i
+    for each i with mu_i > 0: code(mu) at _radix(alg, lam) -> (mu, depth, norm,
+    pairs), where depth is the height of lam - mu, norm is pairing(mu + rho,
+    mu + rho) and pairs the tuple of pairing(mu, alpha) over positive_roots(alg).
+    All four are linear in mu, so the walk carries them."""
+    radix = _radix(alg, lam)
+    forms = [
+        [pairing(alg, omega, eps2(alg, alpha)) for omega, _ in _coweights(alg)]
+        for alpha in positive_roots(alg)
+    ]
+
+    def root_pairings(mu):
+        return tuple(sum(c * x for c, x in zip(form, mu)) for form in forms)
+
+    moves = [
+        (row, step, root_pairings(row), _code(row, radix))
+        for row, (_, step) in zip(cartan_matrix(alg), _coweights(alg))
+    ]
+    shifted = eps2(alg, [x + 1 for x in lam])
+    top = _code(lam, radix)
+    walk = {top: (lam, 0, pairing(alg, shifted, shifted), root_pairings(lam))}
+    todo = [top]
+    for code in todo:
+        mu, depth, norm, pairs = walk[code]
+        for m, (row, step, steps, shift) in zip(mu, moves):
+            if m > 0:
+                for k in {1, m}:
+                    down = code - k * shift
+                    if down not in walk:
+                        walk[down] = (
+                            tuple(x - k * a for x, a in zip(mu, row)),
+                            depth + k,
+                            norm - m * step,
+                            tuple(p - k * q for p, q in zip(pairs, steps)),
+                        )
+                        todo.append(down)
+    return walk
+
+
+def ref_walk_freudenthal(alg, lam):
+    """Freudenthal over every weight in depth order, with a running string sum
+    T(mu) = m(mu + alpha) (mu + alpha, alpha) + T(mu + alpha) per positive root,
+    stored under code(mu + alpha) = code(mu) + code(alpha)."""
+    walk = ref_walk(alg, lam)
+    radix = _radix(alg, lam)
+    shifts = [_code(alpha, radix) for alpha in positive_roots(alg)]
+    top_norm = walk[_code(lam, radix)][2]
+    weights, mult = [], []
+    sums = [{} for _ in shifts]  # sums[r][code(mu)] = T(mu - alpha_r)
+    for i, (code, (mu, _, norm, pairs)) in enumerate(sorted(walk.items(), key=lambda item: item[1][1])):
+        above = [s.get(code + shift, 0) for shift, s in zip(shifts, sums)]
+        m = 1
+        if i:
+            m, rest = divmod(2 * sum(above), top_norm - norm)
+            assert rest == 0 and m > 0
+        for t, p, s in zip(above, pairs, sums):
+            s[code] = t + m * p
+        weights.append(mu)
+        mult.append(m)
+    assert sum(mult) == dimension(alg, lam)
+    return WeightMultiset(alg, tuple(sorted(zip(weights, mult))))
+
+
+def ref_extract(alg, lam, mu):
+    """Tensor product by convolving both multisets and extracting summands
+    in one sweep by depth: extracting nu lowers only weights below it."""
+    product = {}
+    right = ref_walk_freudenthal(alg, mu).entries
+    for wl, ml in ref_walk_freudenthal(alg, lam).entries:
+        for wr, mr in right:
+            key = tuple(a + b for a, b in zip(wl, wr))
+            product[key] = product.get(key, 0) + ml * mr
+    top = tuple(a + b for a, b in zip(lam, mu))
+    found = []
+    for nu in sorted(product, key=lambda w: (_depth(alg, top, w), w)):
+        count = product[nu]
+        if count:
+            check_dominant(alg, nu)
+            for w, m in ref_walk_freudenthal(alg, nu).entries:
+                product[w] -= count * m
+                assert product[w] >= 0
+            found.append(Summand((nu,), count))
+    assert not any(product.values())
+    return ModuleDecomposition(SemisimpleAlgebra((alg,)), found)
+
+
 DIFFERENTIAL_CASES = [
     (alg, lam)
     for alg in map(SimpleAlgebra.parse, ("A1", "A2", "A3", "A4", "B2", "B3", "C2", "C3", "D4"))
@@ -90,32 +221,37 @@ DIFFERENTIAL_CASES = [
 ] + [(A1, (299,)), (A2, (12, 0))]
 
 
+def dominant_part(weights):
+    return {mu for mu in weights if min(mu) >= 0}
+
+
 def test_walk_and_string_sums_match_reference():
     for alg, lam in DIFFERENTIAL_CASES:
-        walk = weight_system(alg, lam)
-        depth = {mu: d for mu, d, _, _ in walk.values()}
-        assert len(depth) == len(walk)
-        assert depth.keys() == ref_weight_system(alg, lam)
-        assert all(d == _depth(alg, lam, mu) for mu, d in depth.items())
         assert dict(freudenthal(alg, lam).entries) == ref_freudenthal(alg, lam)
 
 
-def test_walk_carries_norm_pairings_and_codes():
+def test_kernels_match_the_coded_walk():
+    cases = DIFFERENTIAL_CASES + [
+        (alg, lam)
+        for alg in map(SimpleAlgebra.parse, ("A5", "B4", "C4", "D5"))
+        for lam in dominant_weights_up_to_dim(alg, 400)
+    ]
+    for alg, lam in cases:
+        walk = ref_walk(alg, lam)
+        assert weight_system(alg, lam).keys() == dominant_part(mu for mu, _, _, _ in walk.values())
+        assert freudenthal(alg, lam) == ref_walk_freudenthal(alg, lam)
+
+
+def test_walk_carries_norm_and_pairings():
     for alg, lam in DIFFERENTIAL_CASES:
         roots = positive_roots(alg)
-        radix = _radix(alg, lam)
         walk = weight_system(alg, lam)
-        weights = {mu for mu, _, _, _ in walk.values()}
-        for code, (mu, _, norm, pairs) in walk.items():
+        assert walk.keys() == dominant_part(ref_weight_system(alg, lam))
+        for mu, (norm, pairs) in walk.items():
             shifted = eps2(alg, [x + 1 for x in mu])
             assert norm == pairing(alg, shifted, shifted)
             a = eps2(alg, mu)
             assert pairs == tuple(pairing(alg, a, eps2(alg, alpha)) for alpha in roots)
-            assert code == _code(mu, radix)
-            for alpha in roots:
-                up = walk.get(code + _code(alpha, radix))
-                above = tuple(x + y for x, y in zip(mu, alpha))
-                assert (up[0] if up else None) == (above if above in weights else None)
 
 
 @pytest.mark.parametrize(
@@ -123,7 +259,7 @@ def test_walk_carries_norm_pairings_and_codes():
     [("A1", (299,)), ("B3", (0, 0, 7)), ("C3", (0, 0, 5)), ("C3", (11, 0, 0)), ("D4", (0, 0, 0, 5))],
 )
 def test_freudenthal_at_largest_labels(literal, lam):
-    # the largest label of an irrep sets the radix of the weight code
+    # all of lam on one simple root: the longest strings for its size
     alg = SimpleAlgebra.parse(literal)
     assert dict(freudenthal(alg, lam).entries) == ref_freudenthal(alg, lam)
 
@@ -167,7 +303,8 @@ def test_freudenthal_bound():
 
 
 def test_weight_system_size():
-    assert len(weight_system(A2, (1, 1))) == 7  # six roots and zero
+    assert list(weight_system(A2, (1, 1))) == [(1, 1), (0, 0)]  # the highest root and zero
+    assert list(weight_system(A1, (5,))) == [(5,), (3,), (1,)]
 
 
 def test_trace_examples():
@@ -244,6 +381,16 @@ def test_depth_rejects_weight_not_below_top(alg, top, mu):
         _depth(alg, top, mu)
 
 
+def test_klimyk_matches_extraction():
+    rng = random.Random(2201)
+    for alg in SWEEP_ALGEBRAS:
+        irreps = dominant_weights_up_to_dim(alg, 60)
+        pairs = [(lam, mu) for lam in irreps for mu in irreps
+                 if dimension(alg, lam) * dimension(alg, mu) <= 600]
+        for lam, mu in rng.sample(pairs, min(25, len(pairs))):
+            assert tensor_decompose(alg, lam, mu) == ref_extract(alg, lam, mu)
+
+
 # -- each guard of a wrong kernel fires, and the CLI exits 1 ------------------
 
 
@@ -252,8 +399,8 @@ def _norms(new):
     def fake(real):
         def walk(alg, lam):
             out = real(alg, lam)
-            top = next(norm for _, depth, norm, _ in out.values() if depth == 0)
-            return {c: (mu, d, new(top, norm) if d else norm, p) for c, (mu, d, norm, p) in out.items()}
+            top = out[lam][0]
+            return {mu: (new(top, norm) if mu != lam else norm, pairs) for mu, (norm, pairs) in out.items()}
         return walk
     return fake
 
@@ -263,13 +410,15 @@ def _top_only(real):
     return lambda alg, lam, bound=None: WeightMultiset(alg, ((tuple(lam), 1),))
 
 
-def _doubled(real):
-    """freudenthal with every multiplicity doubled."""
+def _negated(real):
+    """freudenthal with every multiplicity negated."""
     return lambda alg, lam, bound: WeightMultiset(
-        alg, tuple((mu, 2 * m) for mu, m in real(alg, lam, bound).entries))
+        alg, tuple((mu, -m) for mu, m in real(alg, lam, bound).entries))
 
 
-# guard -> (oracle name, fake built from the real one, oracle command over A1, message)
+# guard -> (oracle name, fake built from the real one, oracle command over A1, message).
+# Klimyk reflects each weight into the dominant chamber, so it has no guard
+# against a non-dominant highest weight.
 ORACLE_FAULTS = {
     "denominator": ("weight_system", _norms(lambda top, norm: top), ("trace", "2"),
                     "Freudenthal denominator vanished at (0,)"),
@@ -278,10 +427,8 @@ ORACLE_FAULTS = {
     "sum": ("weyl_dimension", lambda real: lambda alg, lam: real(alg, lam) + 1, ("trace", "2"),
             "multiplicities of (2,) over A1 sum to 3, expected 4"),
     "odd-trace": ("freudenthal", _top_only, ("trace", "1"), "odd trace 1 for (1,) over A1"),
-    "non-dominant": ("_depth", lambda real: lambda alg, top, mu: 0, ("tensor", "1", "1"),
-                     "extracted a non-dominant highest weight (-2,)"),
-    "negative": ("freudenthal", _doubled, ("tensor", "1", "1"),
-                 "negative multiplicity at (-2,) while extracting (2,)"),
+    "negative": ("freudenthal", _negated, ("tensor", "1", "1"),
+                 "negative Klimyk coefficient -1 at (0,)"),
     "not-exhausted": ("freudenthal", _top_only, ("tensor", "1", "1"),
                       "tensor decomposition did not exhaust the product"),
 }

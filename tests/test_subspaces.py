@@ -9,8 +9,7 @@ from conftest import run_cli
 from lielimits import formats, linalg, subspaces
 from lielimits.algebras import SimpleAlgebra
 from lielimits.errors import DimensionMismatchError, DomainError, InternalConsistencyError, ParseError
-from lielimits.index import (ModuleDecomposition, SemisimpleAlgebra, Summand, decomposition,
-                             restrict_to_factor)
+from lielimits.index import ModuleDecomposition, SemisimpleAlgebra, Summand, decomposition
 from lielimits.subspaces import (
     ALL_ONES,
     COMMUTATOR_TOKEN,
@@ -24,17 +23,25 @@ from lielimits.subspaces import (
     descriptor_intersection,
     descriptor_sum,
     double_perp_closed,
-    is_isotropic,
     perp,
     uniqueness_check,
     uniqueness_invariant,
     vector,
 )
 from lielimits.system import compute_labels
+from ref_index import restrict_to_factor
 from ref_linalg import in_row_space, nullspace_basis, row_space_basis
 
 SYM = StandardForm("symmetric")
 SYMP = StandardForm("symplectic")
+
+
+def is_isotropic(w: SubspaceDescriptor, form: StandardForm) -> bool:
+    """Reference: the form vanishes identically on W, that is W ⊆ W^perp.  A
+    tail's perp is finite, so tail descriptors are never isotropic."""
+    if w.space != "V":
+        raise DomainError("isotropy is a property of subspaces of V")
+    return perp(w, form).contains_space(w)
 
 
 def rand_params(rng):

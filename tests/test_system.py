@@ -17,7 +17,6 @@ from lielimits.index import (
     classify_embedding,
     decomposition,
     natural_copies,
-    restrict_to_factor,
 )
 from lielimits.socle import _pure_counts
 from lielimits.system import (
@@ -34,6 +33,7 @@ from lielimits.system import (
     stabilization,
     subdiagram,
 )
+from ref_index import restrict_to_factor
 
 
 def test_s1_labels_and_constituent():

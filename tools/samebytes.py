@@ -20,7 +20,11 @@ formats x the CLI ops of the bench's `cli_mix` workload for seeds 7, 201
 and 555 (from bench/generate.py); every single-field mutation (MUTATIONS,
 deletion included) of s2.json, example4.json, tensor2.json, so_chain.json
 and diag_a5_a11.json under the commands of its document kind; --help and
-every command's --help; the usage errors of USAGE_ERRORS; the demos.
+every command's --help; the usage errors of USAGE_ERRORS; both formats x
+`oracle freudenthal` and `oracle trace` on every irrep of dimension <=
+ORACLE_DIM_BOUND over the bench's sweep algebras, `oracle tensor` on
+ORACLE_TENSOR_PAIRS pairs drawn with ORACLE_SEED, and ORACLE_EXTRAS (the
+selftest, a dimension bound and a non-dominant weight); the demos.
 It is a correctness check, not a timer.  The exit code is 1 when some
 entry differs.
 """
@@ -33,6 +37,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import runpy
 import subprocess
 import sys
@@ -59,6 +64,13 @@ CLI_MIX_SEEDS = (7, 201, 555)
 COMMAND_NAMES = ("index", "embed", "limit", "refine", "socle", "invariants", "maximal", "oracle")
 USAGE_ERRORS = ([], ["bogus", "FILE"], ["maximal", "xx", "FILE"], ["--seed", "abc", "index", "A1", "1"],
                 ["limit"])
+ORACLE_DIM_BOUND = 60
+ORACLE_TENSOR_PAIRS = 64
+ORACLE_SEED = 22
+ORACLE_EXTRAS = (["oracle", "selftest"], ["--seed", "5", "oracle", "selftest"],
+                 ["--dim-bound", "10", "oracle", "freudenthal", "A2", "2,2"],
+                 ["--dim-bound", "10", "oracle", "tensor", "A2", "1,1", "1,1"],
+                 ["oracle", "trace", "A2", "1,-1"], ["oracle", "tensor", "B2", "1,0", "2,-1"])
 
 
 def _positions(node, path=()):
@@ -67,6 +79,24 @@ def _positions(node, path=()):
     for key, child in children:
         yield path + (key,)
         yield from _positions(child, path + (key,))
+
+
+def _labels(weight) -> str:
+    return ",".join(map(str, weight))
+
+
+def oracle_entries(generate) -> list[dict]:
+    """The oracle rows; the irreps are enumerated with this tree's library."""
+    sys.path.insert(0, str(ROOT / "src"))
+    argvs, pairs = [], []
+    for literal in generate.SWEEP_ALGEBRAS:
+        irreps = generate.sweep_irreps(literal, ORACLE_DIM_BOUND)
+        argvs += [["oracle", op, literal, _labels(w)] for w, _ in irreps for op in ("freudenthal", "trace")]
+        pairs += [(literal, a, b) for a, da in irreps for b, db in irreps
+                  if any(a) and any(b) and da * db <= generate.TENSOR_DIM_BOUND]
+    argvs += [["oracle", "tensor", literal, _labels(a), _labels(b)]
+              for literal, a, b in random.Random(ORACLE_SEED).sample(pairs, ORACLE_TENSOR_PAIRS)]
+    return [{"argv": fmt + argv} for argv in argvs + list(ORACLE_EXTRAS) for fmt in FORMATS]
 
 
 def table(work: Path) -> list[dict]:
@@ -94,6 +124,7 @@ def table(work: Path) -> list[dict]:
                             for command in COMMANDS[doc["format"]]]
     entries += [{"argv": argv} for argv in [["--help"]] + [[name, "--help"] for name in COMMAND_NAMES]]
     entries += [{"argv": argv} for argv in USAGE_ERRORS]
+    entries += oracle_entries(generate)
     entries += [{"demo": str(p)} for p in sorted((ROOT / "demos").glob("*.py"))]
     return entries
 

@@ -1,4 +1,5 @@
-"""Wall times of the trace-form index on irreps of growing size.
+"""Wall times of the trace-form index and of tensor products on irreps of
+growing size.
 
 Run from the repo root:
 
@@ -9,10 +10,11 @@ For each irrep in CASES it prints the best of scale_chains.REPEAT runs of
 every run computes the weight system and the Freudenthal multiplicities
 afresh.  The long A1 strings and the A2 (k, k) family show how the cost
 grows with string length; B3 (0, 0, k) and C3 (0, 0, k) put all of lam on
-the short and on the long last simple root, the extremes of the label
-bound behind the weight code; B3 (1, 3, 1) and D4 (3, 2, 0, 0) have
-dimension over 10,000.  Times are seconds at the reference speed (see
-scale_chains.best_time).  Standard library only.
+the short and on the long last simple root, which gives the longest
+strings for their size; B3 (1, 3, 1) and D4 (3, 2, 0, 0) have
+dimension over 10,000.  TENSOR_CASES time `oracle.tensor_decompose` the same
+way, on products of dimension up to TENSOR_DIM_BOUND.  Times are seconds at
+the reference speed (see scale_chains.best_time).  Standard library only.
 """
 
 import sys
@@ -29,6 +31,11 @@ CASES = (
     + [("B3", (1, 3, 1)), ("D4", (3, 2, 0, 0))]
 )
 DIM_BOUND = 20_000
+TENSOR_CASES = (
+    ("A2", (3, 3), (3, 3)), ("A2", (5, 5), (5, 5)), ("C3", (2, 1, 0), (0, 0, 2)),
+    ("B3", (0, 0, 4), (0, 0, 4)), ("D4", (1, 1, 0, 0), (0, 0, 1, 1)),
+)
+TENSOR_DIM_BOUND = 100_000
 
 
 def main() -> int:
@@ -38,6 +45,13 @@ def main() -> int:
         alg = algebras.SimpleAlgebra.parse(name)
         seconds, value = best_time(lambda: oracle.trace_index(alg, lam, DIM_BOUND))
         print(f"{name:<8} {str(lam):<14} {algebras.dimension(alg, lam):>6} {value:>12} "
+              f"{seconds:>9.4f}", flush=True)
+    print(f"{'algebra':<8} {'tensor':<30} {'dim':>6} {'summands':>12} {'tensor_s':>9}")
+    for name, lam, mu in TENSOR_CASES:
+        alg = algebras.SimpleAlgebra.parse(name)
+        seconds, value = best_time(lambda: oracle.tensor_decompose(alg, lam, mu, TENSOR_DIM_BOUND))
+        dim = algebras.dimension(alg, lam) * algebras.dimension(alg, mu)
+        print(f"{name:<8} {f'{lam} x {mu}':<30} {dim:>6} {len(value.summands):>12} "
               f"{seconds:>9.4f}", flush=True)
     return 0
 
