@@ -57,8 +57,6 @@ from .subspaces import (
     descriptor_sum,
     double_perp_closed,
     perp,
-    uniqueness_check,
-    uniqueness_invariant,
 )
 from .system import (
     BratteliGraph,

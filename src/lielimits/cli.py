@@ -10,13 +10,12 @@ explicit --seed.
 from __future__ import annotations
 
 import argparse
-import math
 import random
 import sys
 
 from . import formats, oracle, socle, subspaces, system
 from .algebras import SimpleAlgebra, dimension
-from .errors import DomainError, LieLimitsError, NotStabilizedError, ParseError, ResourceBoundError
+from .errors import DomainError, LieLimitsError, NotStabilizedError, ParseError
 from .index import (
     Embedding,
     classify_embedding,
@@ -89,35 +88,24 @@ def cmd_index(cfg: RunConfig, args) -> int:
     weight = _parse_weight_arg(alg, args.weight)
     value = index_of_irrep(alg, weight)
     dim = dimension(alg, weight)
-    try:
-        lines = [
-            f"algebra   {alg}",
-            f"weight    {','.join(map(str, weight))}",
-            f"dimension {dim}",
-            f"index     {value}",
-        ]
-    except ValueError:  # past sys.get_int_max_str_digits, which json obeys too
-        raise ResourceBoundError(
-            f"the dimension has {_digits(dim)} digits and the index {_digits(value)}, "
-            "more than Python prints"
-        ) from None
-    _emit(cfg, formats.index_report(alg, weight, value, dim), lines)
+    doc = formats.build_report("index", algebra=alg, weight=weight, index=value, dimension=dim)
+    _emit(cfg, doc, [
+        f"algebra   {alg}",
+        f"weight    {','.join(map(str, weight))}",
+        f"dimension {dim}",
+        f"index     {value}",
+    ])
     return 0
-
-
-def _digits(n: int) -> int:
-    """Decimal digits of n > 0, without printing it."""
-    k = int(n.bit_length() * math.log10(2))
-    return k + 1 if n >= 10**k else k
 
 
 def _report_embedding(cfg: RunConfig, emb: Embedding) -> int:
     indices = embedding_index(emb)
     if len(emb.source.factors) == 1:
-        classification = classify_embedding(emb)
+        classification = str(classify_embedding(emb))
     else:
         classification = "per-factor"
-    doc = formats.embedding_report(emb, indices, classification)
+    doc = formats.build_report("embedding", source=emb.source.factors, target=emb.target,
+                               index=indices, classification=classification)
     _emit(cfg, doc, [
         f"source          {emb.source}",
         f"target          {emb.target}",
@@ -374,6 +362,12 @@ def main(argv=None) -> int:
         return 3
     except LieLimitsError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:  # only an int past sys.get_int_max_str_digits, which json obeys too
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"error: a number has more than {sys.get_int_max_str_digits()} digits, "
+              "more than Python prints", file=sys.stderr)
         return 1
 
 

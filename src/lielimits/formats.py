@@ -492,15 +492,6 @@ def build_report(kind: str, **values) -> dict:
     return REPORTS[kind].dump(SimpleNamespace(**values))
 
 
-def index_report(algebra: SimpleAlgebra, weight, index: int, dim: int) -> dict:
-    return build_report("index", algebra=algebra, weight=weight, index=index, dimension=dim)
-
-
-def embedding_report(emb: Embedding, indices, classification) -> dict:
-    return build_report("embedding", source=emb.source.factors, target=emb.target,
-                        index=indices, classification=str(classification))
-
-
 def limit_report(graph, constituents, sums, stab) -> dict:
     return build_report("limit", levels=graph.levels, alpha=graph.alpha, beta=graph.beta,
                         level_sums=sums, stabilization=stab, constituents=constituents)
@@ -557,7 +548,7 @@ def load_json(path):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 

@@ -176,14 +176,6 @@ class SubspaceDescriptor(Record):
         return SubspaceDescriptor._of(space, window, small, tail_from is not None)
 
     @staticmethod
-    def zero(space="V") -> "SubspaceDescriptor":
-        return SubspaceDescriptor(space, 1, [], False)
-
-    @staticmethod
-    def full(space="V") -> "SubspaceDescriptor":
-        return SubspaceDescriptor(space, 1, [[Fraction(1)]], True)
-
-    @staticmethod
     def span(vectors, space="V") -> "SubspaceDescriptor":
         return SubspaceDescriptor.build(space, generators=vectors)
 
@@ -540,38 +532,3 @@ def _classify_form(g_kind: str, w: SubspaceDescriptor, form: StandardForm) -> Ve
         perp_space=p,
         witness=total,
     )
-
-
-# -- uniqueness harness --------------------------------------------------------
-
-
-class UniquenessReport(Record):
-    same_case: bool
-    same_invariant: bool
-    witness_vector: tuple[tuple[int, str], ...] | None
-
-
-def uniqueness_invariant(verdict: Verdict):
-    """The canonical object that determines the stabilizer in each maximal case."""
-    if not verdict.maximal:
-        raise DomainError("uniqueness applies to maximal verdicts only")
-    if verdict.tag in ("ia", "iia"):
-        return verdict.tag
-    if verdict.tag == "iiia":
-        return frozenset((verdict.subspace, verdict.perp_space))
-    return verdict.subspace
-
-
-def uniqueness_check(g_kind: str, a: Verdict, b: Verdict) -> UniquenessReport:
-    """Compare the canonical invariants of two maximal verdicts; when they
-    differ, exhibit a vector separating the two subspaces."""
-    if a.algebra != g_kind or b.algebra != g_kind:
-        raise DomainError("verdicts come from a different algebra kind")
-    same_case = a.tag == b.tag
-    same_invariant = same_case and uniqueness_invariant(a) == uniqueness_invariant(b)
-    witness = None
-    if not same_invariant and a.subspace is not None and b.subspace is not None:
-        gap = _gap_vector(a.subspace, b.subspace) or _gap_vector(b.subspace, a.subspace)
-        if gap:
-            witness = _vec_doc(gap)
-    return UniquenessReport(same_case, same_invariant, witness)

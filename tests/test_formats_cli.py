@@ -126,14 +126,50 @@ def test_cli_embed_and_classification(tmp_path):
     assert code == 0 and json.loads(out)["classification"] == "per-factor"
 
 
+TOO_LONG_TO_PRINT = "error: a number has more than 4300 digits, more than Python prints\n"
+
+
 @pytest.mark.parametrize("fmt", ["human", "json"])
 def test_cli_index_too_long_to_print(fmt):
     # dim and index of A200 (1, ..., 1) have over 6,000 digits, more than
     # the interpreter's default limit for printing an int
     code, out, err = run_cli("--format", fmt, "index", "A200", ",".join(["1"] * 200))
-    assert (code, out) == (1, "")
-    message = "the dimension has 6051 digits and the index 6053, more than Python prints"
-    assert err == f"error: {message}\n"
+    assert (code, out, err) == (1, "", TOO_LONG_TO_PRINT)
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_cli_maximal_basis_too_long_to_print(tmp_path, fmt):
+    # 10^5000 loads as a Fraction, but the report's basis prints it
+    path = tmp_path / "subspace.json"
+    path.write_text(json.dumps({"format": formats.SUBSPACE_FORMAT,
+                                "generators": [{"1": "1e5000", "2": "1"}, {"3": "1"}]}))
+    assert run_cli("--format", fmt, "maximal", "gl", str(path)) == (1, "", TOO_LONG_TO_PRINT)
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_cli_oversized_json_integer_is_a_parse_error(tmp_path, fmt):
+    # json.load refuses an int past the digit limit with a plain ValueError
+    path = tmp_path / "system.json"
+    text = formats.fixture_path("s2.json").read_text(encoding="utf-8")
+    path.write_text(text.replace('"mult": 1', '"mult": ' + "1" * 5001, 1))
+    code, out, err = run_cli("--format", fmt, "limit", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: cannot read {path}: Exceeds the limit (4300 digits)")
+
+
+def test_cli_handles_only_the_digit_limit_value_error(monkeypatch):
+    def printing(cfg, args):
+        return print(10**5000)
+
+    def broken(cfg, args):
+        raise ValueError("not about digits")
+
+    _, *rest = cli._COMMANDS["limit"]
+    monkeypatch.setitem(cli._COMMANDS, "limit", (printing, *rest))
+    assert run_cli("limit", fixture("s2.json")) == (1, "", TOO_LONG_TO_PRINT)
+    monkeypatch.setitem(cli._COMMANDS, "limit", (broken, *rest))
+    with pytest.raises(ValueError, match="not about digits"):
+        run_cli("limit", fixture("s2.json"))
 
 
 def test_cli_limit_kinds():

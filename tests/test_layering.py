@@ -105,3 +105,53 @@ def test_import_loads_no_introspection_modules():
     run = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True,
                          timeout=60)
     assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+
+# Where a public name may be used: the library itself, the demos, the tools,
+# the bench and the acceptance criteria; the unit tests do not count.
+REPO = PACKAGE.parent.parent
+CALLERS = [REPO / "tests" / "test_acceptance.py",
+           *(path for folder in ("demos", "tools", "bench") for path in sorted((REPO / folder).glob("*.py")))]
+
+
+def referenced(tree, skip=None) -> set[str]:
+    """Identifiers that `tree` names, reads as an attribute or spells in a
+    string constant (the bench traces its targets by dotted name), outside
+    the subtree `skip`."""
+    out, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(node.value.split("."))
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def public_definitions(tree):
+    """(qualified name, node) of each public top-level function or class and
+    each public method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_every_public_name_has_a_caller_besides_the_unit_tests():
+    library = {name: tree for name, tree in MODULES.items() if name != "__init__"}  # re-exports
+    outside = set().union(*(referenced(ast.parse(path.read_text(encoding="utf-8"))) for path in CALLERS))
+    unused = []
+    for name, tree in sorted(library.items()):
+        others = set().union(*(referenced(t) for n, t in library.items() if n != name))
+        for qualified, node in public_definitions(tree):
+            if node.name not in outside | others | referenced(tree, skip=node):
+                unused.append(f"{name}.{qualified}")
+    assert unused == []

@@ -11,8 +11,7 @@ from lielimits.oracle import DEFAULT_DIM_BOUND, WeightMultiset
 from lielimits.record import Record
 from lielimits.socle import (ConstituentSocle, ExtendedDim, InvariantsReport, IsotypicRow,
                              SocleReport, SubsetInvariants)
-from lielimits.subspaces import (EvConstFunctional, StandardForm, SubspaceDescriptor, UniquenessReport,
-                                 Verdict)
+from lielimits.subspaces import EvConstFunctional, StandardForm, SubspaceDescriptor, Verdict
 from lielimits.system import BratteliGraph, Constituent, EdgeSpec, LevelSpec, RefinementReport
 
 A1, A2, A3 = A(1), A(2), A(3)
@@ -42,7 +41,6 @@ EXAMPLES = {
     StandardForm: ("symplectic",),
     SubspaceDescriptor: ("V", 3, [[1, 2, 0]], False),
     Verdict: ("gl", "ia", True, "the commutator", None, None, None, ((1, "1/2"),)),
-    UniquenessReport: (True, False, None),
     LevelSpec: (ONE, A3, DOUBLED, DOUBLED),
     EdgeSpec: ((DOUBLED,),),
     BratteliGraph: (S2.levels, S2.edges, S2.alpha, S2.beta),
@@ -59,7 +57,7 @@ IDS = [cls.__name__ for cls in TYPES]
 def test_every_record_type_has_an_example():
     library = {cls for cls in Record.__subclasses__() if cls.__module__.startswith("lielimits.")}
     assert library == set(EXAMPLES)
-    assert len(library) == 26
+    assert len(library) == 25
 
 
 @pytest.mark.parametrize("cls", TYPES, ids=IDS)

@@ -24,8 +24,6 @@ from lielimits.subspaces import (
     descriptor_sum,
     double_perp_closed,
     perp,
-    uniqueness_check,
-    uniqueness_invariant,
     vector,
 )
 from lielimits.system import compute_labels
@@ -240,8 +238,8 @@ def test_canonical_equality_of_presentations():
 
 
 def test_dims_and_codims():
-    assert SubspaceDescriptor.zero().dim == 0
-    assert SubspaceDescriptor.full().codim == 0
+    assert SubspaceDescriptor.build("V").dim == 0
+    assert SubspaceDescriptor.build("V", tail_from=1).codim == 0
     assert SubspaceDescriptor.tail(3).codim == 2
     assert SubspaceDescriptor.span([{1: 1}, {4: 1}]).dim == 2
     k = SubspaceDescriptor.kernel([ALL_ONES])
@@ -269,7 +267,7 @@ def test_double_perp_examples():
     ok, witness = double_perp_closed(SubspaceDescriptor.kernel([ALL_ONES]))
     assert not ok and witness is not None
     assert not SubspaceDescriptor.kernel([ALL_ONES]).contains(witness)
-    ok, _ = double_perp_closed(SubspaceDescriptor.zero())
+    ok, _ = double_perp_closed(SubspaceDescriptor.build("V"))
     assert ok
 
 
@@ -471,9 +469,9 @@ def test_not_maximal_cases():
 
 def test_classification_domain_errors():
     with pytest.raises(DomainError):
-        classify_maximal("gl", SubspaceDescriptor.zero())
+        classify_maximal("gl", SubspaceDescriptor.build("V"))
     with pytest.raises(DomainError):
-        classify_maximal("gl", SubspaceDescriptor.full())
+        classify_maximal("gl", SubspaceDescriptor.build("V", tail_from=1))
     with pytest.raises(DomainError):
         classify_maximal("sl", COMMUTATOR_TOKEN)
     with pytest.raises(DomainError):
@@ -579,42 +577,33 @@ def test_cases_mutually_exclusive_and_exhaustive(rng):
 
 
 def test_uniqueness_checks():
+    # equal subspaces give equal verdicts, whatever the description
     t2 = SubspaceDescriptor.tail(2)
     rebuilt = SubspaceDescriptor.build("V", generators=[{2: 1}, {3: 1}], tail_from=4)
-    a = classify_maximal("gl", t2)
-    b = classify_maximal("gl", rebuilt)
-    rep = uniqueness_check("gl", a, b)
-    assert rep.same_case and rep.same_invariant
+    assert classify_maximal("gl", t2) == classify_maximal("gl", rebuilt)
     assert len({t2, SubspaceDescriptor.build("V", tail_from=2)}) == 1
 
-    # (iiia): the pair (W, W-perp) is unordered
+    # (iiia): the pair {W, W-perp} is the same set from either side
     w = SubspaceDescriptor.tail(5)
     v1 = classify_maximal("so", w, SYM)
     v2 = classify_maximal("so", v1.perp_space, SYM)
-    assert uniqueness_invariant(v1) == uniqueness_invariant(v2)
+    assert v1.tag == v2.tag == "iiia"
+    assert {v1.subspace, v1.perp_space} == {v2.subspace, v2.perp_space}
 
-    # distinct codimension-1 kernels have distinct invariants and a separator
+    # distinct codimension-1 kernels: same case, different subspaces, and a
+    # basis vector of one lies outside the other
     k1 = classify_maximal("gl", SubspaceDescriptor.kernel([ALL_ONES]))
     k2 = classify_maximal("gl", SubspaceDescriptor.kernel([EvConstFunctional((2,), 1)]))
-    rep = uniqueness_check("gl", k1, k2)
-    assert rep.same_case and not rep.same_invariant
-    assert rep.witness_vector is not None
-
-    with pytest.raises(DomainError):
-        uniqueness_invariant(classify_maximal("so", SubspaceDescriptor.span([{1: 1}, {2: 1}]), SYM))
+    assert k1.tag == k2.tag and k1.subspace != k2.subspace
+    m = max(k1.subspace.window, k2.subspace.window)
+    assert any(not k2.subspace.contains(row) for row in k1.subspace.basis(m))
 
 
 def test_uniqueness_of_token_cases_and_algebra_kind():
     commutator = classify_maximal("gl", COMMUTATOR_TOKEN)
-    assert uniqueness_invariant(commutator) == "ia"
+    assert (commutator.algebra, commutator.tag, commutator.maximal) == ("gl", "ia", True)
     forms = [classify_maximal("sl", token) for token in FORM_TOKENS]
-    assert [uniqueness_invariant(v) for v in forms] == ["iia", "iia"]
-    rep = uniqueness_check("gl", commutator, commutator)
-    assert (rep.same_case, rep.same_invariant, rep.witness_vector) == (True, True, None)
-    with pytest.raises(DomainError, match="verdicts come from a different algebra kind"):
-        uniqueness_check("sl", commutator, forms[0])
-    with pytest.raises(DomainError, match="verdicts come from a different algebra kind"):
-        uniqueness_check("gl", commutator, forms[0])
+    assert [(v.algebra, v.tag, v.maximal) for v in forms] == [("sl", "iia", True)] * 2
 
 
 # span{e1 + e2, e3 + e4} under the split symmetric form: each spanning vector
@@ -653,12 +642,12 @@ _REAL_PERP = perp
 
 def _perp_of_nothing(w, context="gl"):
     """gl: every W has zero perp, so every double perp is the whole space."""
-    return SubspaceDescriptor.zero("V*") if w.space == "V" else SubspaceDescriptor.full("V")
+    return SubspaceDescriptor.build("V*") if w.space == "V" else SubspaceDescriptor.build("V", tail_from=1)
 
 
 def _lost_closure(w, context="gl"):
     """The true perp of a finite W, but a tail W's perp is lost."""
-    return SubspaceDescriptor.zero() if w.has_tail else _REAL_PERP(w, context)
+    return SubspaceDescriptor.build("V") if w.has_tail else _REAL_PERP(w, context)
 
 
 @pytest.mark.parametrize(
@@ -667,7 +656,7 @@ def _lost_closure(w, context="gl"):
         ("gl", {"tail_from": 1, "kernels": [{"tail": "1"}, {"head": ["2"], "tail": "1"}]},
          "NotMaximal", _perp_of_nothing, "dense non-closed descriptor of codimension >= 2"),
         ("so", {"generators": [{"1": "1"}]}, "iiic", _lost_closure, "isotropic descriptors are finite"),
-        ("so", {"tail_from": 3}, "NotMaximal", lambda w, context: SubspaceDescriptor.zero(),
+        ("so", {"tail_from": 3}, "NotMaximal", lambda w, context: SubspaceDescriptor.build("V"),
          "zero perp forces codimension 1"),
     ],
     ids=["dense-non-closed", "isotropic-not-closed", "zero-perp-codim-2"],

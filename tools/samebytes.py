@@ -21,6 +21,7 @@ and 555 (from bench/generate.py); every single-field mutation (MUTATIONS,
 deletion included) of s2.json, example4.json, tensor2.json, so_chain.json
 and diag_a5_a11.json under the commands of its document kind; --help and
 every command's --help; the usage errors of USAGE_ERRORS; both formats x
+the numbers too long to print or to read of too_long_entries; both formats x
 `oracle freudenthal` and `oracle trace` on every irrep of dimension <=
 ORACLE_DIM_BOUND over the bench's sweep algebras, `oracle tensor` on
 ORACLE_TENSOR_PAIRS pairs drawn with ORACLE_SEED, and ORACLE_EXTRAS (the
@@ -99,6 +100,19 @@ def oracle_entries(generate) -> list[dict]:
     return [{"argv": fmt + argv} for argv in argvs + list(ORACLE_EXTRAS) for fmt in FORMATS]
 
 
+def too_long_entries(work: Path) -> list[dict]:
+    """An index, a subspace basis entry and a system file integer past the
+    interpreter's limit on int digits."""
+    subspace, system = work / "too_long_subspace.json", work / "too_long_system.json"
+    subspace.write_text(json.dumps({"format": "lielimits-subspace/1",
+                                    "generators": [{"1": "1e5000", "2": "1"}, {"3": "1"}]}))
+    text = (FIXTURES / "s2.json").read_text(encoding="utf-8")
+    system.write_text(text.replace('"mult": 1', '"mult": ' + "1" * 5001, 1))
+    argvs = (["index", "A200", ",".join(["1"] * 200)], ["maximal", "gl", str(subspace)],
+             ["limit", str(system)])
+    return [{"argv": fmt + argv} for argv in argvs for fmt in FORMATS]
+
+
 def table(work: Path) -> list[dict]:
     """The entries: {"argv": [...]}, {"demo": path} or, for a mutation, an argv on
     MUTATED_FILE and "mutate": [fixture, path, value, delete]."""
@@ -124,6 +138,7 @@ def table(work: Path) -> list[dict]:
                             for command in COMMANDS[doc["format"]]]
     entries += [{"argv": argv} for argv in [["--help"]] + [[name, "--help"] for name in COMMAND_NAMES]]
     entries += [{"argv": argv} for argv in USAGE_ERRORS]
+    entries += too_long_entries(work)
     entries += oracle_entries(generate)
     entries += [{"demo": str(p)} for p in sorted((ROOT / "demos").glob("*.py"))]
     return entries
