@@ -5,6 +5,11 @@ oracle.  Exit codes: 0 success, 1 domain error, 2 parse error,
 3 insufficient prefix.  Structured output (--format json) is stable:
 equal reports are byte-identical, and randomized self-checks take an
 explicit --seed.
+
+Each command returns (kind, report, human lines) and `main` is the one
+output step: it dumps the report through `formats.REPORTS[kind]` in both
+formats, so a number too long to print exits 1 in either, then writes the
+document or the lines.
 """
 
 from __future__ import annotations
@@ -12,30 +17,18 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from types import SimpleNamespace
 
 from . import formats, oracle, socle, subspaces, system
 from .algebras import SimpleAlgebra, dimension
-from .errors import DomainError, LieLimitsError, NotStabilizedError, ParseError
-from .index import (
-    Embedding,
-    classify_embedding,
-    embedding_index,
-    index_of_irrep,
-    index_of_module,
-)
-from .record import Record
-
-
-class RunConfig(Record):
-    output: str = "human"
-    seed: int = 0
-    dim_bound: int = oracle.DEFAULT_DIM_BOUND
-    enum_bound: int = 20
-
+from .errors import (DomainError, InternalConsistencyError, LieLimitsError, NotStabilizedError,
+                     ParseError)
+from .index import classify_embedding, embedding_index, index_of_irrep, index_of_module
 
 # (flags, add_argument keywords).  Both parsers of a call take these with no
 # default, so an option after the command overrides one before it, and an
-# option given nowhere keeps RunConfig's default.
+# option given nowhere keeps its value in _DEFAULTS, where `main` starts.
+_DEFAULTS = {"output": "human", "seed": 0, "dim_bound": oracle.DEFAULT_DIM_BOUND, "enum_bound": 20}
 _GLOBAL_OPTIONS = (
     (("--format",), {"dest": "output", "choices": ("human", "json"),
                      "help": "output format (json is stable and re-parseable)"}),
@@ -63,14 +56,6 @@ def _parser(prog: str, description: str, arguments, **kw) -> argparse.ArgumentPa
     return _PARSERS[prog]
 
 
-def _emit(cfg: RunConfig, doc: dict, human_lines) -> None:
-    if cfg.output == "json":
-        sys.stdout.write(formats.dumps(doc))
-    else:
-        for line in human_lines:
-            print(line)
-
-
 def _parse_weight_arg(alg: SimpleAlgebra, text: str):
     weight = formats.parse_weight(text)
     if len(weight) != alg.rank:
@@ -78,46 +63,38 @@ def _parse_weight_arg(alg: SimpleAlgebra, text: str):
     return weight
 
 
-def cmd_index(cfg: RunConfig, args) -> int:
+def cmd_index(args):
     if args.embedding:
-        emb = formats.embedding_from_doc(formats.load_json(args.embedding))
-        return _report_embedding(cfg, emb)
+        return cmd_embed(argparse.Namespace(path=args.embedding))
     if not args.algebra or args.weight is None:
         raise ParseError("index needs an algebra and a weight, or --embedding FILE")
     alg = formats.parse_algebra(args.algebra)
     weight = _parse_weight_arg(alg, args.weight)
     value = index_of_irrep(alg, weight)
     dim = dimension(alg, weight)
-    doc = formats.build_report("index", algebra=alg, weight=weight, index=value, dimension=dim)
-    _emit(cfg, doc, [
+    return "index", SimpleNamespace(algebra=alg, weight=weight, index=value, dimension=dim), [
         f"algebra   {alg}",
         f"weight    {','.join(map(str, weight))}",
         f"dimension {dim}",
         f"index     {value}",
-    ])
-    return 0
+    ]
 
 
-def _report_embedding(cfg: RunConfig, emb: Embedding) -> int:
+def cmd_embed(args):
+    emb = formats.embedding_from_doc(formats.load_json(args.path))
     indices = embedding_index(emb)
     if len(emb.source.factors) == 1:
         classification = str(classify_embedding(emb))
     else:
         classification = "per-factor"
-    doc = formats.build_report("embedding", source=emb.source.factors, target=emb.target,
-                               index=indices, classification=classification)
-    _emit(cfg, doc, [
+    report = SimpleNamespace(source=emb.source.factors, target=emb.target, index=indices,
+                             classification=classification)
+    return "embedding", report, [
         f"source          {emb.source}",
         f"target          {emb.target}",
         f"index           {indices}",
         f"classification  {classification}",
-    ])
-    return 0
-
-
-def cmd_embed(cfg: RunConfig, args) -> int:
-    emb = formats.embedding_from_doc(formats.load_json(args.path))
-    return _report_embedding(cfg, emb)
+    ]
 
 
 def _load_graph(path):
@@ -125,12 +102,13 @@ def _load_graph(path):
     return system.compute_labels(levels, edges)
 
 
-def cmd_limit(cfg: RunConfig, args) -> int:
+def cmd_limit(args):
     graph = _load_graph(args.path)
     constituents = system.decompose(graph)
     sums = [(v, system.level_sums(graph, v)) for v in sorted(graph.vertices())]
     stab = [(v, system.stabilization(graph, v)) for v in sorted(graph.vertices())]
-    doc = formats.limit_report(graph, constituents, sums, stab)
+    report = SimpleNamespace(graph=graph, level_sums=sums, stabilization=stab,
+                             constituents=constituents)
     lines = ["vertex labels (level, component): alpha"]
     for (n, j), v in sorted(graph.alpha.items()):
         lines.append(f"  ({n},{j}) {graph.algebra_at((n, j))}  alpha={v}")
@@ -145,27 +123,23 @@ def cmd_limit(cfg: RunConfig, args) -> int:
         name = f" {c.algebra}" if c.algebra else ""
         flag = " (tail assumed)" if c.tail_assumed else ""
         lines.append(f"  #{c.cid} {c.kind}{name}{flag} string={list(c.string)}")
-    _emit(cfg, doc, lines)
-    return 0
+    return "limit", report, lines
 
 
-def cmd_refine(cfg: RunConfig, args) -> int:
+def cmd_refine(args):
     graph = _load_graph(args.path)
     report = system.extract_refinement(graph, constituent_id=args.constituent)
-    doc = formats.refinement_report(report)
     lines = ["nested simple ideals"]
     for vertex, alg, in zip(report.chain, report.algebras):
         lines.append(f"  {vertex}: {alg}")
     lines.append(f"standard edges: {list(report.standard_edges)}")
     lines.append(f"all standard from level {report.n0}")
-    _emit(cfg, doc, lines)
-    return 0
+    return "refinement", report, lines
 
 
-def cmd_socle(cfg: RunConfig, args) -> int:
+def cmd_socle(args):
     graph = _load_graph(args.path)
     report = socle.socle_report(graph)
-    doc = formats.socle_report_doc(report)
     lines = []
     for row in report.constituents:
         lines.append(
@@ -178,11 +152,10 @@ def cmd_socle(cfg: RunConfig, args) -> int:
         )
     lines.append(f"quotient V/V' = {report.quotient}")
     lines.append(f"quotient V*/(V*)' = {report.quotient_dual}")
-    _emit(cfg, doc, lines)
-    return 0
+    return "socle", report, lines
 
 
-def cmd_invariants(cfg: RunConfig, args) -> int:
+def cmd_invariants(args):
     graph = _load_graph(args.path)
     subsets = None
     if args.subset:
@@ -193,7 +166,6 @@ def cmd_invariants(cfg: RunConfig, args) -> int:
             except ValueError as exc:
                 raise ParseError(f"bad subset {text!r}; expected e.g. '0,1'") from exc
     report = socle.standard_invariants(graph, subsets=subsets)
-    doc = formats.invariants_report_doc(report)
     lines = ["multiplicity pairs (id, k, l)"]
     for cid, k, l in report.multiplicity_pairs:
         lines.append(f"  #{cid}: k={k} l={l}")
@@ -202,11 +174,10 @@ def cmd_invariants(cfg: RunConfig, args) -> int:
             f"J={list(row.ids)}: dim N^J={row.dim_trivial} dim N*^J={row.dim_trivial_dual} "
             f"dim V/V'_J={row.quotient} dim V*/(V*)'_J={row.quotient_dual}"
         )
-    _emit(cfg, doc, lines)
-    return 0
+    return "invariants", report, lines
 
 
-def cmd_maximal(cfg: RunConfig, args) -> int:
+def cmd_maximal(args):
     payload = formats.subspace_input_from_doc(formats.load_json(args.path))
     form = None
     if args.kind == "so":
@@ -214,7 +185,6 @@ def cmd_maximal(cfg: RunConfig, args) -> int:
     elif args.kind == "sp":
         form = subspaces.StandardForm("symplectic")
     verdict = subspaces.classify_maximal(args.kind, payload, form)
-    doc = formats.verdict_report(verdict)
     lines = [
         f"algebra  {verdict.algebra}",
         f"tag      {verdict.tag}",
@@ -226,8 +196,7 @@ def cmd_maximal(cfg: RunConfig, args) -> int:
     if verdict.witness_vector:
         coords = ", ".join(f"v{i}: {c}" for i, c in verdict.witness_vector)
         lines.append(f"witness vector: {coords}")
-    _emit(cfg, doc, lines)
-    return 0
+    return "maximal", verdict, lines
 
 
 def _oracle_algebra_weight(args, count):
@@ -237,61 +206,53 @@ def _oracle_algebra_weight(args, count):
     return alg, [_parse_weight_arg(alg, w) for w in args.args[1:]]
 
 
-def cmd_oracle(cfg: RunConfig, args) -> int:
+def cmd_oracle(args):
     if args.op == "freudenthal":
         alg, (weight,) = _oracle_algebra_weight(args, 2)
-        ms = oracle.freudenthal(alg, weight, cfg.dim_bound)
-        doc = formats.multiset_report(ms)
+        ms = oracle.freudenthal(alg, weight, args.dim_bound)
         lines = [f"{','.join(map(str, w))}: {m}" for w, m in ms.entries]
         lines.append(f"total {ms.total}")
-        _emit(cfg, doc, lines)
-        return 0
+        return "oracle", ms, lines
     if args.op == "trace":
         alg, (weight,) = _oracle_algebra_weight(args, 2)
-        value = oracle.trace_index(alg, weight, cfg.dim_bound)
-        doc = formats.build_report("oracle-trace", algebra=alg, weight=weight, trace_index=value)
-        _emit(cfg, doc, [f"trace index {value}"])
-        return 0
+        value = oracle.trace_index(alg, weight, args.dim_bound)
+        report = SimpleNamespace(algebra=alg, weight=weight, trace_index=value)
+        return "oracle-trace", report, [f"trace index {value}"]
     if args.op == "tensor":
         alg, (w1, w2) = _oracle_algebra_weight(args, 3)
-        decomp = oracle.tensor_decompose(alg, w1, w2, cfg.dim_bound)
-        doc = formats.build_report("oracle-tensor", algebra=alg, factors=(w1, w2),
-                                   summands=decomp)
+        decomp = oracle.tensor_decompose(alg, w1, w2, args.dim_bound)
         lines = [
             f"{','.join(map(str, s.weights[0]))} x{s.mult}" for s in decomp.summands
         ]
-        _emit(cfg, doc, lines)
-        return 0
+        return "oracle-tensor", SimpleNamespace(algebra=alg, factors=(w1, w2), summands=decomp), lines
     if args.args:  # selftest: the parser admits no other op
         raise ParseError("oracle selftest expects 0 arguments")
-    return _oracle_selftest(cfg)
+    return _oracle_selftest(args)
 
 
-def _oracle_selftest(cfg: RunConfig) -> int:
+def _oracle_selftest(args):
     """Seeded consistency sweep: tensor-product index via summands equals the
     product rule, and the trace oracle equals the closed form."""
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     algebras = [SimpleAlgebra("A", 1), SimpleAlgebra("A", 2), SimpleAlgebra("B", 2)]
     checked = []
-    for _ in range(cfg.enum_bound):
+    for _ in range(args.enum_bound):
         alg = rng.choice(algebras)
         lam = tuple(rng.randrange(0, 3) for _ in range(alg.rank))
         mu = tuple(rng.randrange(0, 2) for _ in range(alg.rank))
-        if dimension(alg, lam) * dimension(alg, mu) > cfg.dim_bound:
+        if dimension(alg, lam) * dimension(alg, mu) > args.dim_bound:
             continue
-        product = oracle.tensor_decompose(alg, lam, mu, cfg.dim_bound)
+        product = oracle.tensor_decompose(alg, lam, mu, args.dim_bound)
         by_sum = index_of_module(product, 0)
         dl, dm = dimension(alg, lam), dimension(alg, mu)
         by_rule = dm * index_of_irrep(alg, lam) + dl * index_of_irrep(alg, mu)
-        trace_ok = oracle.trace_index(alg, lam, cfg.dim_bound) == index_of_irrep(alg, lam)
+        trace_ok = oracle.trace_index(alg, lam, args.dim_bound) == index_of_irrep(alg, lam)
         if by_sum != by_rule or not trace_ok:
-            print(f"FAIL {alg} {lam} {mu}: {by_sum} vs {by_rule}, trace_ok={trace_ok}",
-                  file=sys.stderr)
-            return 1
+            raise InternalConsistencyError(f"oracle selftest failed at {alg} {lam} {mu}: "
+                                           f"{by_sum} vs {by_rule}, trace_ok={trace_ok}")
         checked.append((alg, lam, mu, by_sum))
-    doc = formats.build_report("oracle-selftest", seed=cfg.seed, checked=checked)
-    _emit(cfg, doc, [f"{len(checked)} consistency checks passed (seed {cfg.seed})"])
-    return 0
+    report = SimpleNamespace(seed=args.seed, checked=checked)
+    return "oracle-selftest", report, [f"{len(checked)} consistency checks passed (seed {args.seed})"]
 
 
 # name -> (handler, help, arguments): dispatch, the command's parser and
@@ -345,15 +306,19 @@ def main(argv=None) -> int:
     # Two small parsers: the global options and the command name, then the
     # chosen command's own arguments.
     args = _parser("lielimits", _DESCRIPTION, (_COMMAND,), epilog=_EPILOG,
-                   formatter_class=argparse.RawDescriptionHelpFormatter).parse_args(argv)
+                   formatter_class=argparse.RawDescriptionHelpFormatter,
+                   ).parse_args(argv, argparse.Namespace(**_DEFAULTS))
     name, *rest = args.command
     handler, help_text, arguments = _COMMANDS[name]
     args = _parser(f"lielimits {name}", help_text, arguments).parse_args(rest, args)
     try:
-        cfg = RunConfig(**{f: getattr(args, f) for f in RunConfig._fields if hasattr(args, f)})
-        if cfg.dim_bound < 1 or cfg.enum_bound < 1:
+        if args.dim_bound < 1 or args.enum_bound < 1:
             raise DomainError("resource bounds must be positive")
-        return handler(cfg, args)
+        kind, report, lines = handler(args)
+        doc = formats.REPORTS[kind].dump(report)
+        text = formats.dumps(doc) if args.output == "json" else "".join(f"{s}\n" for s in lines)
+        sys.stdout.write(text)
+        return 0
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -363,7 +328,7 @@ def main(argv=None) -> int:
     except LieLimitsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # only an int past sys.get_int_max_str_digits, which json obeys too
+    except ValueError as exc:  # only an int past sys.get_int_max_str_digits() as it prints
         if "integer string conversion" not in str(exc):
             raise
         print(f"error: a number has more than {sys.get_int_max_str_digits()} digits, "

@@ -23,6 +23,7 @@ Weights are lists of integers; rational numbers travel as strings like
 from __future__ import annotations
 
 import json
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -432,7 +433,8 @@ _DIM = record(
 _DIMS = (("trivial", "dim_trivial", _DIM), ("trivial_dual", "dim_trivial_dual", _DIM))
 
 _REPORT_FORMAT = ("format", None, _const(REPORT_FORMAT))
-# kind -> table; parse_report returns what the table's `make` builds.
+# kind -> table; parse_report returns what the table's `make` builds, and the
+# table dumps the record or namespace a command reports.
 REPORTS = {
     kind: record(make, _REPORT_FORMAT, ("kind", None, _const(kind)), *fields)
     for kind, make, *fields in (
@@ -442,8 +444,9 @@ REPORTS = {
          ("source", listof(ALGEBRA)), ("target", ALGEBRA), ("index", ROW), ("classification", STR)),
         ("limit", lambda levels, alpha, beta, sums, stab, constituents: (alpha, beta, constituents),
          # levels, level_sums and stabilization are for display: checked when present
-         ("levels", opt(listof(record(_values, _COMPONENTS, ("ambient", ALGEBRA))), ())),
-         ("alpha", _keyed(3)), ("beta", _keyed(4)),
+         ("levels", "graph.levels",
+          opt(listof(record(_values, _COMPONENTS, ("ambient", ALGEBRA))), ())),
+         ("alpha", "graph.alpha", _keyed(3)), ("beta", "graph.beta", _keyed(4)),
          ("level_sums", opt(listof(fixed(ROW, ROW)), ())),
          ("stabilization", opt(listof(fixed(ROW, nullable(INT))), ())),
          ("constituents", listof(record(
@@ -487,21 +490,6 @@ REPORTS = {
 }
 
 
-def build_report(kind: str, **values) -> dict:
-    """The `kind` report of the field values given by attribute name."""
-    return REPORTS[kind].dump(SimpleNamespace(**values))
-
-
-def limit_report(graph, constituents, sums, stab) -> dict:
-    return build_report("limit", levels=graph.levels, alpha=graph.alpha, beta=graph.beta,
-                        level_sums=sums, stabilization=stab, constituents=constituents)
-
-
-refinement_report = REPORTS["refinement"].dump
-socle_report_doc = REPORTS["socle"].dump
-invariants_report_doc = REPORTS["invariants"].dump
-verdict_report = REPORTS["maximal"].dump
-multiset_report = REPORTS["oracle"].dump
 _ENVELOPE = record(_same, _REPORT_FORMAT, ("kind", _one_of(*REPORTS)))
 
 
@@ -549,6 +537,9 @@ def load_json(path):
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
     except (OSError, ValueError, RecursionError) as exc:
+        if "integer string conversion" in str(exc):  # an int past sys.get_int_max_str_digits()
+            raise ParseError(f"{path}: a JSON integer has more than "
+                             f"{sys.get_int_max_str_digits()} digits") from exc
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from random import Random
+from types import SimpleNamespace
 
 from conftest import A, graph_from_fixture, load_fixture, random_diagonal_system
 from lielimits import formats
@@ -343,16 +344,16 @@ def test_criterion_8_roundtrip_and_determinism(tmp_path):
     constituents = decompose(graph)
     sums = [(v, level_sums(graph, v)) for v in sorted(graph.vertices())]
     stab = [(v, stabilization(graph, v)) for v in sorted(graph.vertices())]
-    docs = {
-        "limit": formats.limit_report(graph, constituents, sums, stab),
-        "socle": formats.socle_report_doc(socle_report(graph)),
-        "invariants": formats.invariants_report_doc(standard_invariants(graph)),
-        "maximal": formats.verdict_report(
-            classify_maximal("gl", SubspaceDescriptor.tail(2))
-        ),
-        "oracle": formats.multiset_report(freudenthal(A(2), (1, 1))),
+    reports = {
+        "limit": SimpleNamespace(graph=graph, level_sums=sums, stabilization=stab,
+                                 constituents=constituents),
+        "socle": socle_report(graph),
+        "invariants": standard_invariants(graph),
+        "maximal": classify_maximal("gl", SubspaceDescriptor.tail(2)),
+        "oracle": freudenthal(A(2), (1, 1)),
     }
-    for kind, doc in docs.items():
+    for kind, report in reports.items():
+        doc = formats.REPORTS[kind].dump(report)
         reparsed = json.loads(formats.dumps(doc))
         assert reparsed == doc, kind
         formats.parse_report(reparsed)

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -74,27 +75,28 @@ def test_report_roundtrips():
     cs = decompose(g)
     sums = [(v, level_sums(g, v)) for v in sorted(g.vertices())]
     stab = [(v, stabilization(g, v)) for v in sorted(g.vertices())]
-    limit_doc = roundtrip(formats.limit_report(g, cs, sums, stab))
+    limit = SimpleNamespace(graph=g, level_sums=sums, stabilization=stab, constituents=cs)
+    limit_doc = roundtrip(formats.REPORTS["limit"].dump(limit))
     alpha, beta, constituents = formats.parse_report(limit_doc)
     assert alpha == g.alpha and beta == g.beta
     assert constituents == tuple(cs)
 
-    socle_doc = roundtrip(formats.socle_report_doc(socle_report(g)))
+    socle_doc = roundtrip(formats.REPORTS["socle"].dump(socle_report(g)))
     assert formats.parse_report(socle_doc) == socle_report(g)
 
-    inv_doc = roundtrip(formats.invariants_report_doc(standard_invariants(g)))
+    inv_doc = roundtrip(formats.REPORTS["invariants"].dump(standard_invariants(g)))
     assert formats.parse_report(inv_doc) == standard_invariants(g)
 
     ref = extract_refinement(graph_from_fixture("s1.json"))
-    ref_doc = roundtrip(formats.refinement_report(ref))
+    ref_doc = roundtrip(formats.REPORTS["refinement"].dump(ref))
     assert formats.parse_report(ref_doc) == ref
 
     verdict = classify_maximal("so", SubspaceDescriptor.tail(5), StandardForm("symmetric"))
-    v_doc = roundtrip(formats.verdict_report(verdict))
+    v_doc = roundtrip(formats.REPORTS["maximal"].dump(verdict))
     assert formats.parse_report(v_doc) == verdict
 
     ms = freudenthal(A(2), (1, 1))
-    ms_doc = roundtrip(formats.multiset_report(ms))
+    ms_doc = roundtrip(formats.REPORTS["oracle"].dump(ms))
     assert formats.parse_report(ms_doc) == ms
 
 
@@ -153,15 +155,14 @@ def test_cli_oversized_json_integer_is_a_parse_error(tmp_path, fmt):
     text = formats.fixture_path("s2.json").read_text(encoding="utf-8")
     path.write_text(text.replace('"mult": 1', '"mult": ' + "1" * 5001, 1))
     code, out, err = run_cli("--format", fmt, "limit", str(path))
-    assert (code, out) == (2, "")
-    assert err.startswith(f"parse error: cannot read {path}: Exceeds the limit (4300 digits)")
+    assert (code, out, err) == (2, "", f"parse error: {path}: a JSON integer has more than 4300 digits\n")
 
 
 def test_cli_handles_only_the_digit_limit_value_error(monkeypatch):
-    def printing(cfg, args):
+    def printing(args):
         return print(10**5000)
 
-    def broken(cfg, args):
+    def broken(args):
         raise ValueError("not about digits")
 
     _, *rest = cli._COMMANDS["limit"]
@@ -401,7 +402,7 @@ def test_summand_codec_mutations(tmp_path, where, mutation):
 
 def _maximal_report():
     kernel = SubspaceDescriptor.kernel([ALL_ONES])
-    return roundtrip(formats.verdict_report(classify_maximal("gl", kernel)))
+    return roundtrip(formats.REPORTS["maximal"].dump(classify_maximal("gl", kernel)))
 
 
 def _subspace_field(key, value):
@@ -515,8 +516,15 @@ def _redumped(kind, typed):
     if kind == "limit":  # the typed limit report leaves out the fields shown for display
         alpha, beta, constituents = typed
         typed = ((), alpha, beta, (), (), constituents)
+    report = SimpleNamespace()
     names = [attr for _, attr, _ in formats.REPORTS[kind].fields if attr]
-    return formats.build_report(kind, **dict(zip(names, typed)))
+    for name, value in zip(names, typed):  # a dotted name, e.g. graph.alpha, is a nested one
+        *outer, last = name.split(".")
+        node = report
+        for part in outer:
+            node = vars(node).setdefault(part, SimpleNamespace())
+        setattr(node, last, value)
+    return formats.REPORTS[kind].dump(report)
 
 
 def test_report_commands_cover_every_kind():
@@ -716,7 +724,7 @@ def test_cli_oracle_selftest_fails_on_a_wrong_index(monkeypatch, fmt):
     monkeypatch.setattr(cli, "index_of_irrep", lambda alg, lam: real(alg, lam) + 1)
     # the first draw of seed 0: index 26 by the summands, 37 by the (wrong) product rule
     assert run_cli("--format", fmt, "oracle", "selftest") == (
-        1, "", "FAIL A2 (1, 0) (1, 1): 26 vs 37, trace_ok=False\n")
+        1, "", "error: oracle selftest failed at A2 (1, 0) (1, 1): 26 vs 37, trace_ok=False\n")
 
 
 @pytest.mark.parametrize("fmt", ["human", "json"])
@@ -886,18 +894,34 @@ def test_cli_command_help_names_its_arguments(capsys, monkeypatch, name):
         assert argument in out, argument
 
 
+GLOBAL_VALUES = ("--format", "json", "--seed", "4", "--dim-bound", "900", "--enum-bound", "6")
+
+
 @pytest.mark.parametrize(
-    "command",
-    [("limit", fixture("s2.json")), ("index", "A2", "1,1"),
-     ("maximal", "so", fixture("dim2_nondeg.json")), ("oracle", "selftest")],
-    ids=["limit", "index", "maximal", "selftest"],
+    "argv, same_as",
+    [
+        # all given before the command, or all after it
+        *[((*GLOBAL_VALUES, *command), (*command, *GLOBAL_VALUES)) for command in (
+            ("limit", fixture("s2.json")), ("index", "A2", "1,1"),
+            ("maximal", "so", fixture("dim2_nondeg.json")), ("oracle", "selftest"))],
+        # given on both sides: the value after the command wins
+        (("--seed", "1", "--format", "json", "oracle", "selftest", "--seed", "2", "--format", "human"),
+         ("oracle", "selftest", "--seed", "2")),
+        # given nowhere: human output, seed 0, 20 draws and a dimension bound of 5000
+        (("oracle", "selftest"), (0, "20 consistency checks passed (seed 0)\n", "")),
+        (("oracle", "trace", "A1", "5000"),
+         (1, "", "error: dimension 5001 of (5000,) over A1 exceeds the configured bound 5000\n")),
+    ],
+    ids=["limit", "index", "maximal", "selftest", "both-sides", "nowhere", "nowhere-dim-bound"],
 )
-def test_cli_global_options_before_or_after_the_command(command):
-    options = ("--format", "json", "--seed", "4", "--dim-bound", "900", "--enum-bound", "6")
-    before = run_cli(*options, *command)
-    after = run_cli(*command, *options)
-    assert before[0] == 0 and before[1]
-    assert after == before
+def test_cli_global_options_before_or_after_the_command(argv, same_as):
+    """`same_as` is another argv with the same output, or the output itself."""
+    got = run_cli(*argv)
+    if isinstance(same_as[0], str):
+        assert got[0] == 0 and got[1]
+        assert got == run_cli(*same_as)
+    else:
+        assert got == same_as
 
 
 def test_module_entry_point_help():

@@ -4,10 +4,9 @@ import pytest
 
 from conftest import A, graph_from_fixture
 from lielimits.algebras import SimpleAlgebra
-from lielimits.cli import RunConfig
 from lielimits.index import (Diagonal, Embedding, General, ModuleDecomposition, SemisimpleAlgebra,
                              Standard, Summand, decomposition)
-from lielimits.oracle import DEFAULT_DIM_BOUND, WeightMultiset
+from lielimits.oracle import WeightMultiset
 from lielimits.record import Record
 from lielimits.socle import (ConstituentSocle, ExtendedDim, InvariantsReport, IsotypicRow,
                              SocleReport, SubsetInvariants)
@@ -46,10 +45,9 @@ EXAMPLES = {
     BratteliGraph: (S2.levels, S2.edges, S2.alpha, S2.beta),
     Constituent: (0, "SlInf", None, ((1, 0), (2, 0)), True),
     RefinementReport: (((1, 0), (2, 0)), (A1, A3), (True,), 1),
-    RunConfig: ("json", 3, 100, 5),
 }
 # Types whose every field has a default.
-ALL_DEFAULT = {Standard, General, RunConfig}
+ALL_DEFAULT = {Standard, General}
 TYPES = list(EXAMPLES)
 IDS = [cls.__name__ for cls in TYPES]
 
@@ -57,7 +55,7 @@ IDS = [cls.__name__ for cls in TYPES]
 def test_every_record_type_has_an_example():
     library = {cls for cls in Record.__subclasses__() if cls.__module__.startswith("lielimits.")}
     assert library == set(EXAMPLES)
-    assert len(library) == 25
+    assert len(library) == 24
 
 
 @pytest.mark.parametrize("cls", TYPES, ids=IDS)
@@ -128,8 +126,8 @@ def test_generic_constructor_messages():
     with pytest.raises(TypeError, match=r"^IsotypicRow\(\) takes the fields \(cid, algebra, weight, "
                                         r"mult\), got 2 by position and \(\) by name$"):
         IsotypicRow(1, "A1")
-    with pytest.raises(TypeError, match=r"got 0 by position and \(seed, colour\) by name$"):
-        RunConfig(seed=1, colour="red")
+    with pytest.raises(TypeError, match=r"got 0 by position and \(dual, colour\) by name$"):
+        Standard(dual=True, colour="red")
 
 
 def test_defaults_apply_when_left_out():
@@ -142,8 +140,6 @@ def test_defaults_apply_when_left_out():
     assert Standard().dual is False
     verdict = Verdict("gl", "ia", True, "the commutator")
     assert (verdict.subspace, verdict.perp_space, verdict.witness, verdict.witness_vector) == (None,) * 4
-    assert RunConfig() == RunConfig("human", 0, DEFAULT_DIM_BOUND, 20)
-    assert RunConfig(seed=5) == RunConfig("human", 5)
 
 
 def test_derived_attributes_are_not_fields():

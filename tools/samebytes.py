@@ -25,7 +25,8 @@ the numbers too long to print or to read of too_long_entries; both formats x
 `oracle freudenthal` and `oracle trace` on every irrep of dimension <=
 ORACLE_DIM_BOUND over the bench's sweep algebras, `oracle tensor` on
 ORACLE_TENSOR_PAIRS pairs drawn with ORACLE_SEED, and ORACLE_EXTRAS (the
-selftest, a dimension bound and a non-dominant weight); the demos.
+selftest, a dimension bound, a non-dominant weight, and global options given
+on both sides of the command or nowhere); the demos.
 It is a correctness check, not a timer.  The exit code is 1 when some
 entry differs.
 """
@@ -71,7 +72,11 @@ ORACLE_SEED = 22
 ORACLE_EXTRAS = (["oracle", "selftest"], ["--seed", "5", "oracle", "selftest"],
                  ["--dim-bound", "10", "oracle", "freudenthal", "A2", "2,2"],
                  ["--dim-bound", "10", "oracle", "tensor", "A2", "1,1", "1,1"],
-                 ["oracle", "trace", "A2", "1,-1"], ["oracle", "tensor", "B2", "1,0", "2,-1"])
+                 ["oracle", "trace", "A2", "1,-1"], ["oracle", "tensor", "B2", "1,0", "2,-1"],
+                 ["--seed", "1", "oracle", "selftest", "--seed", "2"],
+                 ["--format", "json", "index", "A2", "1,1", "--format", "human"],
+                 ["oracle", "trace", "A1", "5000"],
+                 ["oracle", "trace", "A2", "3,3", "--dim-bound", "10"])
 
 
 def _positions(node, path=()):
