@@ -179,12 +179,7 @@ def cmd_invariants(args):
 
 def cmd_maximal(args):
     payload = formats.subspace_input_from_doc(formats.load_json(args.path))
-    form = None
-    if args.kind == "so":
-        form = subspaces.StandardForm("symmetric")
-    elif args.kind == "sp":
-        form = subspaces.StandardForm("symplectic")
-    verdict = subspaces.classify_maximal(args.kind, payload, form)
+    verdict = subspaces.classify_maximal(args.kind, payload)
     lines = [
         f"algebra  {verdict.algebra}",
         f"tag      {verdict.tag}",

@@ -23,6 +23,7 @@ Weights are lists of integers; rational numbers travel as strings like
 from __future__ import annotations
 
 import json
+import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -51,6 +52,7 @@ _INT_ONLY = frozenset({int})
 _STR_ONLY = frozenset({str})
 _ESCAPE = json.encoder.encode_basestring_ascii  # the C escaper json.dumps uses
 _algebra = lru_cache(maxsize=1024)(SimpleAlgebra.parse)  # one object per literal
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")  # of a decimal rational string
 
 
 # How one JSON value loads (raising ParseError) and dumps.  `default` is what
@@ -132,6 +134,15 @@ def _row(width=None) -> Codec:
 
 
 def _fraction(x) -> Fraction:
+    """Fraction builds 10 ** exponent before anything else, so a decimal exponent
+    larger than the interpreter's limit on int digits (0: none) is refused first."""
+    limit = sys.get_int_max_str_digits()
+    exponent = _EXPONENT.search(x) if limit and type(x) is str else None
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(limit)) or int(digits or "0") > limit:
+            raise _fail(f"bad rational {x!r}: its exponent is larger than {limit}, "
+                        "the limit on int digits")
     try:
         return Fraction(x)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
@@ -407,10 +418,8 @@ _DESCRIPTOR = record(
 # Each entry point is its table's walker.
 embedding_to_doc = _EMBEDDING.dump
 decomposition_to_doc = _SUMMANDS.dump
-descriptor_to_doc = _DESCRIPTOR.dump
 system_from_doc = _parser(_SYSTEM, "system file")
 embedding_from_doc = _parser(_EMBEDDING, "embedding file")
-descriptor_from_doc = _parser(_DESCRIPTOR, "descriptor")
 
 
 def system_to_doc(levels, edges) -> dict:
@@ -475,7 +484,7 @@ REPORTS = {
          ("subspace", opt(nullable(_DESCRIPTOR))),
          ("perp", "perp_space", opt(nullable(_DESCRIPTOR))),
          ("witness", opt(nullable(_DESCRIPTOR))),
-         ("witness_vector", opt(nullable(listof(fixed(INT, STR)))))),
+         ("witness_vector", opt(nullable(listof(fixed(INT, RATIONAL)))))),
         ("oracle", lambda algebra, entries, total: WeightMultiset(algebra, entries),
          ("algebra", ALGEBRA), ("entries", listof(fixed(ROW, INT))), ("total", INT)),
         ("oracle-trace", _values,

@@ -345,12 +345,17 @@ def perp(w: SubspaceDescriptor, context=GL_PAIRING) -> SubspaceDescriptor:
 def double_perp_closed(w: SubspaceDescriptor, context=GL_PAIRING):
     """Whether W equals its double perp; on failure, a witness in the gap."""
     closure = perp(perp(w, context), context)
-    if closure == w:
-        return True, None
-    gap = _gap_vector(closure, w)
-    if gap is None:
-        raise InternalConsistencyError("double perp differs but no witness row found")
-    return False, gap
+    return (True, None) if closure == w else (False, _gap_vector(closure, w))
+
+
+def _gap_vector(larger: SubspaceDescriptor, smaller: SubspaceDescriptor) -> Coords:
+    """A basis row of `larger` outside `smaller`; a basis row at window m is
+    the vector with its S entry at coordinate m."""
+    m = max(larger.window, smaller.window)
+    for row in larger.basis(m):
+        if not smaller.contains(row):
+            return row
+    raise InternalConsistencyError("double perp differs but no witness row found")
 
 
 # -- maximality classification ----------------------------------------------
@@ -379,78 +384,59 @@ class Verdict(Record):
     subspace: SubspaceDescriptor | None = None
     perp_space: SubspaceDescriptor | None = None
     witness: SubspaceDescriptor | None = None
-    witness_vector: tuple[tuple[int, str], ...] | None = None
+    witness_vector: tuple[tuple[int, Fraction], ...] | None = None
 
 
-def _vec_doc(vec: Coords):
-    return tuple(sorted((i, str(c)) for i, c in vec.items()))
+def _verdict(g_kind, tag, w=None, p=None, text=None, witness=None, gap=None) -> Verdict:
+    """The one maker of a verdict: the tag decides `maximal`, and the case
+    summary is the description unless `text` is given."""
+    return Verdict(g_kind, tag, tag != "NotMaximal", text or CASE_SUMMARY[tag], w, p, witness,
+                   None if gap is None else tuple(sorted(gap.items())))
 
 
 def classify_maximal(g_kind: str, w, form: StandardForm | None = None) -> Verdict:
     """Classify Stab(W) inside gl/sl/so/sp; returns the matching case tag or
-    NotMaximal with an explicit witness object."""
+    NotMaximal with an explicit witness object.  W is a SubspaceDescriptor or
+    a token (COMMUTATOR_TOKEN for gl, a FORM_TOKENS key for sl).  so and sp
+    use the split form of their kind, symmetric or symplectic, unless `form`
+    is given, and a form of the other kind is a DomainError."""
     if g_kind not in ("gl", "sl", "so", "sp"):
         raise DomainError(f"unknown algebra kind {g_kind!r}")
 
     if isinstance(w, str):
         if g_kind == "gl" and w == COMMUTATOR_TOKEN:
-            return Verdict("gl", "ia", True, CASE_SUMMARY["ia"])
+            return _verdict("gl", "ia")
         if g_kind == "sl" and w in FORM_TOKENS:
-            return Verdict("sl", "iia", True, CASE_SUMMARY["iia"] + f" ({FORM_TOKENS[w]})")
+            return _verdict("sl", "iia", text=f"{CASE_SUMMARY['iia']} ({FORM_TOKENS[w]})")
         raise DomainError(f"token {w!r} has no meaning for {g_kind}")
     if not isinstance(w, SubspaceDescriptor):
         raise DomainError("expected a SubspaceDescriptor or a recognized token")
 
-    if g_kind in ("gl", "sl"):
-        return _classify_gl_sl(g_kind, w)
-    if form is None:
-        raise DomainError(f"{g_kind} classification needs a StandardForm context")
-    if g_kind == "so" and form.kind != "symmetric":
-        raise DomainError("so(V) requires the symmetric form")
-    if g_kind == "sp" and form.kind != "symplectic":
-        raise DomainError("sp(V) requires the symplectic form")
-    return _classify_form(g_kind, w, form)
-
-
-def _require_proper(w: SubspaceDescriptor):
+    if g_kind in ("so", "sp"):
+        kind = FORM_TOKENS[f"{g_kind}_form"]
+        form = form or StandardForm(kind)
+        if form.kind != kind:
+            raise DomainError(f"{g_kind}(V) requires the {kind} form")
     if w.is_zero() or w.is_full():
-        raise DomainError(
-            "the zero and full subspaces have the whole algebra as stabilizer; "
-            "classification needs a proper non-zero subspace"
-        )
-
-
-def _gap_vector(larger: SubspaceDescriptor, smaller: SubspaceDescriptor):
-    # a basis row at window m is the vector with its S entry at coordinate m
-    m = max(larger.window, smaller.window)
-    return next((row for row in larger.basis(m) if not smaller.contains(row)), None)
+        raise DomainError("the zero and full subspaces have the whole algebra as stabilizer; "
+                          "classification needs a proper non-zero subspace")
+    return _classify_gl_sl(g_kind, w) if g_kind in ("gl", "sl") else _classify_form(g_kind, w, form)
 
 
 def _classify_gl_sl(g_kind: str, w: SubspaceDescriptor) -> Verdict:
-    _require_proper(w)
     p = perp(w)
     closure = perp(p)
     tag_b, tag_c = ("ib", "ic") if g_kind == "gl" else ("iib", "iic")
     if closure == w:
-        return Verdict(g_kind, tag_c, True, CASE_SUMMARY[tag_c], subspace=w, perp_space=p)
+        return _verdict(g_kind, tag_c, w, p)
     if w.codim == 1 and p.is_zero():
-        return Verdict(g_kind, tag_b, True, CASE_SUMMARY[tag_b], subspace=w, perp_space=p)
+        return _verdict(g_kind, tag_b, w, p)
     if closure.is_full():
-        raise InternalConsistencyError(
-            "dense non-closed descriptor of codimension >= 2; unreachable in this class"
-        )
-    gap = _gap_vector(closure, w)
-    return Verdict(
-        g_kind,
-        "NotMaximal",
-        False,
-        "the double perp is a strictly larger proper subspace with a strictly "
-        "larger stabilizer",
-        subspace=w,
-        perp_space=p,
-        witness=closure,
-        witness_vector=_vec_doc(gap) if gap else None,
-    )
+        raise InternalConsistencyError("dense non-closed descriptor of codimension >= 2; "
+                                       "unreachable in this class")
+    return _verdict(g_kind, "NotMaximal", w, p,
+                    "the double perp is a strictly larger proper subspace with a strictly "
+                    "larger stabilizer", witness=closure, gap=_gap_vector(closure, w))
 
 
 def _isotropic_line(w: SubspaceDescriptor, form: StandardForm):
@@ -481,54 +467,29 @@ def _rational_sqrt(q: Fraction):
 
 
 def _classify_form(g_kind: str, w: SubspaceDescriptor, form: StandardForm) -> Verdict:
-    _require_proper(w)
     p = perp(w, form)
-    core = descriptor_intersection(w, p)
     if p.contains_space(w):
-        closure = perp(p, form)
-        if closure != w:
+        if perp(p, form) != w:
             raise InternalConsistencyError("isotropic descriptors are finite, hence closed")
-        return Verdict(g_kind, "iiic", True, CASE_SUMMARY["iiic"], subspace=w, perp_space=p)
+        return _verdict(g_kind, "iiic", w, p)
+    core = descriptor_intersection(w, p)
     if not core.is_zero():
-        return Verdict(
-            g_kind,
-            "NotMaximal",
-            False,
-            "W is degenerate: its stabilizer preserves the isotropic core W ∩ W^perp, "
-            "whose stabilizer is strictly larger",
-            subspace=w,
-            perp_space=p,
-            witness=core,
-        )
+        return _verdict(g_kind, "NotMaximal", w, p,
+                        "W is degenerate: its stabilizer preserves the isotropic core W ∩ W^perp, "
+                        "whose stabilizer is strictly larger", witness=core)
     if p.is_zero():
         if w.codim != 1:
-            raise InternalConsistencyError(
-                "zero perp forces codimension 1 in the descriptor class"
-            )
-        return Verdict(g_kind, "iiib", True, CASE_SUMMARY["iiib"], subspace=w, perp_space=p)
+            raise InternalConsistencyError("zero perp forces codimension 1 in the descriptor class")
+        return _verdict(g_kind, "iiib", w, p)
     total = descriptor_sum(w, p)
-    if total.is_full():
-        if g_kind == "so" and (w.dim == 2 or p.dim == 2):
-            side = w if w.dim == 2 else p
-            line = _isotropic_line(side, form)
-            return Verdict(
-                g_kind,
-                "NotMaximal",
-                False,
-                "a nondegenerate plane summand of a split symmetric form contains "
-                "isotropic lines fixed by its rank-1 orthogonal algebra; the "
-                "stabilizer of such a line is strictly larger",
-                subspace=w,
-                perp_space=p,
-                witness=line,
-            )
-        return Verdict(g_kind, "iiia", True, CASE_SUMMARY["iiia"], subspace=w, perp_space=p)
-    return Verdict(
-        g_kind,
-        "NotMaximal",
-        False,
-        "W ⊕ W^perp is a proper subspace; its stabilizer strictly contains Stab W",
-        subspace=w,
-        perp_space=p,
-        witness=total,
-    )
+    if not total.is_full():
+        return _verdict(g_kind, "NotMaximal", w, p,
+                        "W ⊕ W^perp is a proper subspace; its stabilizer strictly contains Stab W",
+                        witness=total)
+    if g_kind == "so" and 2 in (w.dim, p.dim):
+        return _verdict(g_kind, "NotMaximal", w, p,
+                        "a nondegenerate plane summand of a split symmetric form contains "
+                        "isotropic lines fixed by its rank-1 orthogonal algebra; the "
+                        "stabilizer of such a line is strictly larger",
+                        witness=_isotropic_line(w if w.dim == 2 else p, form))
+    return _verdict(g_kind, "iiia", w, p)

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -19,7 +20,6 @@ from lielimits.errors import ParseError
 from lielimits.socle import socle_report, standard_invariants
 from lielimits.subspaces import (
     ALL_ONES,
-    StandardForm,
     SubspaceDescriptor,
     classify_maximal,
 )
@@ -45,11 +45,14 @@ def test_embedding_file_roundtrip():
 
 
 def test_descriptor_doc_roundtrip():
-    w = SubspaceDescriptor.build(
-        "V", generators=[{1: "1/2", 3: -2}], tail_from=4, kernels=[ALL_ONES]
-    )
-    doc = roundtrip(formats.descriptor_to_doc(w))
-    assert formats.descriptor_from_doc(doc) == w
+    # a descriptor travels as a field of a maximal report; this W is not
+    # closed, so its verdict also ships a gap vector, which reloads exact
+    w = SubspaceDescriptor.build("V", generators=[{1: 2, 3: -3}], tail_from=4, kernels=[ALL_ONES])
+    verdict = classify_maximal("gl", w)
+    back = formats.parse_report(roundtrip(formats.REPORTS["maximal"].dump(verdict)))
+    assert back == verdict and back.subspace == w and back.tag == "NotMaximal"
+    assert back.witness_vector == ((1, 1), (3, Fraction(-3, 2)))
+    assert {type(x) for _, x in back.witness_vector} == {Fraction}
 
 
 def test_subspace_file_inputs():
@@ -91,7 +94,7 @@ def test_report_roundtrips():
     ref_doc = roundtrip(formats.REPORTS["refinement"].dump(ref))
     assert formats.parse_report(ref_doc) == ref
 
-    verdict = classify_maximal("so", SubspaceDescriptor.tail(5), StandardForm("symmetric"))
+    verdict = classify_maximal("so", SubspaceDescriptor.tail(5))
     v_doc = roundtrip(formats.REPORTS["maximal"].dump(verdict))
     assert formats.parse_report(v_doc) == verdict
 
@@ -141,11 +144,26 @@ def test_cli_index_too_long_to_print(fmt):
 
 @pytest.mark.parametrize("fmt", ["human", "json"])
 def test_cli_maximal_basis_too_long_to_print(tmp_path, fmt):
-    # 10^5000 loads as a Fraction, but the report's basis prints it
+    # 10^3000 and 10^-3000 load as Fractions, but the report's basis holds 10^6000
     path = tmp_path / "subspace.json"
     path.write_text(json.dumps({"format": formats.SUBSPACE_FORMAT,
-                                "generators": [{"1": "1e5000", "2": "1"}, {"3": "1"}]}))
+                                "generators": [{"1": "1e3000", "2": "1e-3000"}, {"3": "1"}]}))
     assert run_cli("--format", fmt, "maximal", "gl", str(path)) == (1, "", TOO_LONG_TO_PRINT)
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+@pytest.mark.parametrize("fields,where,text", [
+    ({"generators": [{"1": "1e4000000", "2": "1"}, {"3": "1"}]}, "generators[0]", "1e4000000"),
+    ({"tail_from": 1, "kernels": [{"head": ["1E-5_000"], "tail": "1"}]}, "kernels[0].head[0]",
+     "1E-5_000"),
+], ids=["generator", "kernel-head"])
+def test_cli_huge_exponent_is_a_parse_error(tmp_path, fmt, fields, where, text):
+    # Fraction would build 10 ** exponent first: seconds at 4e6, no bound beyond
+    path = tmp_path / "subspace.json"
+    path.write_text(json.dumps({"format": formats.SUBSPACE_FORMAT, **fields}))
+    assert run_cli("--format", fmt, "maximal", "gl", str(path)) == (
+        2, "", f"parse error: subspace file: $.{where}: bad rational {text!r}: its exponent is "
+        "larger than 4300, the limit on int digits\n")
 
 
 @pytest.mark.parametrize("fmt", ["human", "json"])

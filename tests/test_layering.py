@@ -134,15 +134,27 @@ def referenced(tree, skip=None) -> set[str]:
 
 
 def public_definitions(tree):
-    """(qualified name, node) of each public top-level function or class and
-    each public method."""
+    """(qualified name, name, node) of each public top-level function, class
+    or name bound by assignment, and of each public method."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node.name, node
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+        else:
+            names = []
+        yield from ((n, n, node) for n in names if not n.startswith("_"))
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}", item
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def test_public_definitions_read_assigned_names():
+    tree = ast.parse("A = B, _c = 1, 2\nD: int = 3\n_E = 4\ndef f(): pass\n"
+                     "class K:\n    x = 5\n    def g(self): pass\n")
+    assert [q for q, _, _ in public_definitions(tree)] == ["A", "B", "D", "f", "K", "K.g"]
 
 
 def test_every_public_name_has_a_caller_besides_the_unit_tests():
@@ -151,7 +163,7 @@ def test_every_public_name_has_a_caller_besides_the_unit_tests():
     unused = []
     for name, tree in sorted(library.items()):
         others = set().union(*(referenced(t) for n, t in library.items() if n != name))
-        for qualified, node in public_definitions(tree):
-            if node.name not in outside | others | referenced(tree, skip=node):
+        for qualified, bound, node in public_definitions(tree):
+            if bound not in outside | others | referenced(tree, skip=node):
                 unused.append(f"{name}.{qualified}")
     assert unused == []

@@ -1,5 +1,7 @@
 """The contract of `Record`, checked on an example of every record type."""
 
+from fractions import Fraction
+
 import pytest
 
 from conftest import A, graph_from_fixture
@@ -39,7 +41,7 @@ EXAMPLES = {
     EvConstFunctional: ((1, 2), 0),
     StandardForm: ("symplectic",),
     SubspaceDescriptor: ("V", 3, [[1, 2, 0]], False),
-    Verdict: ("gl", "ia", True, "the commutator", None, None, None, ((1, "1/2"),)),
+    Verdict: ("gl", "ia", True, "the commutator", None, None, None, ((1, Fraction(1, 2)),)),
     LevelSpec: (ONE, A3, DOUBLED, DOUBLED),
     EdgeSpec: ((DOUBLED,),),
     BratteliGraph: (S2.levels, S2.edges, S2.alpha, S2.beta),

@@ -396,6 +396,28 @@ def test_classification_case_table():
     assert classify_maximal("sp", SubspaceDescriptor.kernel([ALL_ONES]), SYMP).tag == "iiib"
     assert classify_maximal("so", SubspaceDescriptor.span([{1: 1}]), SYM).tag == "iiic"
     assert classify_maximal("sp", SubspaceDescriptor.span([{1: 1}]), SYMP).tag == "iiic"
+    # on every subspace fixture: the tag decides `maximal`, and so and sp
+    # without a form take the split one of their kind
+    fixtures = sorted(formats.fixture_path("s1.json").parent.glob("*.json"))
+    payloads = [formats.subspace_input_from_doc(doc) for doc in map(formats.load_json, fixtures)
+                if doc["format"] == formats.SUBSPACE_FORMAT]
+    forms = {"gl": None, "sl": None, "so": SYM, "sp": SYMP}
+    outcomes = []
+    for w in payloads:
+        for kind, form in forms.items():
+            outcome = _verdict_or_error(kind, w)
+            assert outcome == _verdict_or_error(kind, w, form)
+            if isinstance(outcome, subspaces.Verdict):
+                assert outcome.maximal == (outcome.tag != "NotMaximal")
+                outcomes.append(outcome.tag)
+    assert len(payloads) == 12 and len(outcomes) == 37 and "NotMaximal" in outcomes
+
+
+def _verdict_or_error(*call):
+    try:
+        return classify_maximal(*call)
+    except DomainError as exc:
+        return str(exc)
 
 
 def test_descriptor_rebuilt_at_a_wider_window_is_the_same_record(rng):
@@ -476,8 +498,8 @@ def test_classification_domain_errors():
         classify_maximal("sl", COMMUTATOR_TOKEN)
     with pytest.raises(DomainError):
         classify_maximal("gl", "so_form")
-    with pytest.raises(DomainError):
-        classify_maximal("so", SubspaceDescriptor.tail(5))
+    assert classify_maximal("so", SubspaceDescriptor.tail(5)) == classify_maximal(
+        "so", SubspaceDescriptor.tail(5), SYM)
     with pytest.raises(DomainError):
         classify_maximal("so", SubspaceDescriptor.tail(5), SYMP)
 
@@ -502,7 +524,8 @@ _DUAL_LINE = SubspaceDescriptor.span([{1: 1}], "V*")
         (lambda: is_isotropic(_DUAL_LINE, SYM), DomainError, "isotropy is a property"),
         (lambda: classify_maximal("xx", _LINE), DomainError, "unknown algebra kind"),
         (lambda: classify_maximal("gl", 42), DomainError, "expected a SubspaceDescriptor"),
-        (lambda: classify_maximal("sp", _LINE, SYM), DomainError, "requires the symplectic"),
+        (lambda: classify_maximal("sp", _LINE, SYM), DomainError, r"^sp\(V\) requires the symplectic form$"),
+        (lambda: classify_maximal("so", _LINE, SYMP), DomainError, r"^so\(V\) requires the symmetric form$"),
         (
             lambda: ModuleDecomposition(
                 SemisimpleAlgebra((SimpleAlgebra("A", 1),)), (Summand(((1,), (0,))),)
@@ -545,7 +568,7 @@ _DUAL_LINE = SubspaceDescriptor.span([{1: 1}], "V*")
     ids=[
         "vector-index-0", "finite-tail-entry", "row-length", "space-W", "tail-from-0",
         "shrink-window", "contains-across-spaces", "form-kind", "perp-context", "form-perp-of-dual",
-        "isotropy-of-dual", "algebra-kind", "not-a-descriptor", "sp-symmetric-form",
+        "isotropy-of-dual", "algebra-kind", "not-a-descriptor", "sp-symmetric-form", "so-symplectic-form",
         "summand-weight-count", "semisimple-no-factors", "semisimple-empty-iterator",
         "system-no-levels",
         "unreadable-summand-record", "fractional-multiplicity", "bool-multiplicity",
@@ -674,11 +697,17 @@ def test_classification_guards_fire(monkeypatch, tmp_path, kind, fields, tag, fa
 
 
 def test_double_perp_guard_fires(monkeypatch):
-    dense = SubspaceDescriptor.kernel([ALL_ONES])
+    # both users of the gap vector refuse to go on without one
+    message = "double perp differs but no witness row found"
+    dense = SubspaceDescriptor.kernel([ALL_ONES, EvConstFunctional((2,), 1)])
     assert double_perp_closed(dense)[0] is False
-    monkeypatch.setattr(subspaces, "_gap_vector", lambda larger, smaller: None)
-    with pytest.raises(InternalConsistencyError, match="double perp differs but no witness row found"):
-        double_perp_closed(dense)
+    assert classify_maximal("gl", dense).witness_vector == ((2, 1),)
+    path = formats.fixture_path("codim2_kernel.json")
+    monkeypatch.setattr(SubspaceDescriptor, "contains", lambda self, vec: True)
+    for call in (lambda: double_perp_closed(dense), lambda: classify_maximal("gl", dense)):
+        with pytest.raises(InternalConsistencyError, match=message):
+            call()
+    assert run_cli("maximal", "gl", str(path)) == (1, "", f"error: {message}\n")
 
 
 def test_small_side_matches_big_side_reference(rng):

@@ -21,7 +21,8 @@ and 555 (from bench/generate.py); every single-field mutation (MUTATIONS,
 deletion included) of s2.json, example4.json, tensor2.json, so_chain.json
 and diag_a5_a11.json under the commands of its document kind; --help and
 every command's --help; the usage errors of USAGE_ERRORS; both formats x
-the numbers too long to print or to read of too_long_entries; both formats x
+the numbers too long to print or to read, and the rational exponents past
+the digit limit, of too_long_entries; both formats x
 `oracle freudenthal` and `oracle trace` on every irrep of dimension <=
 ORACLE_DIM_BOUND over the bench's sweep algebras, `oracle tensor` on
 ORACLE_TENSOR_PAIRS pairs drawn with ORACLE_SEED, and ORACLE_EXTRAS (the
@@ -106,15 +107,23 @@ def oracle_entries(generate) -> list[dict]:
 
 
 def too_long_entries(work: Path) -> list[dict]:
-    """An index, a subspace basis entry and a system file integer past the
-    interpreter's limit on int digits."""
-    subspace, system = work / "too_long_subspace.json", work / "too_long_system.json"
-    subspace.write_text(json.dumps({"format": "lielimits-subspace/1",
-                                    "generators": [{"1": "1e5000", "2": "1"}, {"3": "1"}]}))
+    """An index and a subspace basis entry past the interpreter's limit on int
+    digits, rational exponents past it in a generator and a kernel head, and a
+    system file integer past it."""
+    subspaces = {
+        "exponent_generator": {"generators": [{"1": "1e5000", "2": "1"}, {"3": "1"}]},
+        "too_long_basis": {"generators": [{"1": "1e3000", "2": "1e-3000"}, {"3": "1"}]},
+        "exponent_kernel_head": {"tail_from": 1, "kernels": [{"head": ["1e5000"], "tail": "1"}]},
+    }
+    argvs = [["index", "A200", ",".join(["1"] * 200)]]
+    for name, fields in subspaces.items():
+        path = work / f"{name}.json"
+        path.write_text(json.dumps({"format": "lielimits-subspace/1", **fields}))
+        argvs.append(["maximal", "gl", str(path)])
+    system = work / "too_long_system.json"
     text = (FIXTURES / "s2.json").read_text(encoding="utf-8")
     system.write_text(text.replace('"mult": 1', '"mult": ' + "1" * 5001, 1))
-    argvs = (["index", "A200", ",".join(["1"] * 200)], ["maximal", "gl", str(subspace)],
-             ["limit", str(system)])
+    argvs.append(["limit", str(system)])
     return [{"argv": fmt + argv} for argv in argvs for fmt in FORMATS]
 
 
