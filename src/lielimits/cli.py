@@ -313,6 +313,7 @@ def main(argv=None) -> int:
         doc = formats.REPORTS[kind].dump(report)
         text = formats.dumps(doc) if args.output == "json" else "".join(f"{s}\n" for s in lines)
         sys.stdout.write(text)
+        sys.stdout.flush()
         return 0
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -322,6 +323,9 @@ def main(argv=None) -> int:
         return 3
     except LieLimitsError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # only the write: input files fail as a ParseError
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:  # only an int past sys.get_int_max_str_digits() as it prints
         if "integer string conversion" not in str(exc):

@@ -23,7 +23,6 @@ Weights are lists of integers; rational numbers travel as strings like
 from __future__ import annotations
 
 import json
-import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -32,6 +31,7 @@ from itertools import repeat
 from operator import attrgetter
 from types import SimpleNamespace
 
+from . import linalg
 from .algebras import SimpleAlgebra
 from .errors import DomainError, ParseError
 from .index import Embedding, ModuleDecomposition, SemisimpleAlgebra, Summand
@@ -52,7 +52,6 @@ _INT_ONLY = frozenset({int})
 _STR_ONLY = frozenset({str})
 _ESCAPE = json.encoder.encode_basestring_ascii  # the C escaper json.dumps uses
 _algebra = lru_cache(maxsize=1024)(SimpleAlgebra.parse)  # one object per literal
-_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")  # of a decimal rational string
 
 
 # How one JSON value loads (raising ParseError) and dumps.  `default` is what
@@ -134,19 +133,10 @@ def _row(width=None) -> Codec:
 
 
 def _fraction(x) -> Fraction:
-    """Fraction builds 10 ** exponent before anything else, so a decimal exponent
-    larger than the interpreter's limit on int digits (0: none) is refused first."""
-    limit = sys.get_int_max_str_digits()
-    exponent = _EXPONENT.search(x) if limit and type(x) is str else None
-    if exponent:
-        digits = exponent[1].replace("_", "").lstrip("0")
-        if len(digits) > len(str(limit)) or int(digits or "0") > limit:
-            raise _fail(f"bad rational {x!r}: its exponent is larger than {limit}, "
-                        "the limit on int digits")
     try:
-        return Fraction(x)
-    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
-        raise _fail(f"bad rational {x!r}") from exc
+        return linalg.rational(x)
+    except DomainError as exc:
+        raise _fail(str(exc)) from exc
 
 
 def _index(i) -> int:

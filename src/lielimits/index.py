@@ -4,9 +4,9 @@ The index of an irreducible module U with highest weight lam over a simple
 algebra f is (dim U / dim f) * (lam, lam + 2 rho); it is always a
 non-negative integer.  Embedding indices divide out the index of the
 target's natural module, fixed per series as {A: 1, B: 2, C: 1, D: 2}
-(derived from the same formula and asserted at import).  The index of a
-composite embedding is Dynkin's sum formula over the middle factors; the
-restriction through the oracle's tensor products is the tests' reference.
+(the same formula on the natural weight).  The index of a composite
+embedding is Dynkin's sum formula over the middle factors; the restriction
+through the oracle's tensor products is the tests' reference.
 
 `natural_copies` counts the (k, l) copies of a factor's natural and
 conatural modules once, for the classification of embeddings, the socle
@@ -308,17 +308,3 @@ def min_nondiagonal_index(alg: SimpleAlgebra, dim_bound: int) -> int:
         )
     return best
 
-
-def _assert_natural_index_table():
-    probes = {"A": (1, 2, 5), "B": (2, 3, 5), "C": (1, 2, 5), "D": (4, 5, 6)}
-    for series, ranks in probes.items():
-        for rank in ranks:
-            alg = SimpleAlgebra(series, rank)
-            got = index_of_irrep(alg, alg.natural_weight)
-            if got != NATURAL_MODULE_INDEX[series]:
-                raise InternalConsistencyError(
-                    f"natural-module index table broken for {alg}: got {got}"
-                )
-
-
-_assert_natural_index_table()

@@ -5,13 +5,33 @@ absent columns are 0, and a row's pivot is its least key.  All routines are
 pure: they never change a row they are given and return fresh rows.  The
 work of each is proportional to the stored entries it touches, not to the
 number of columns, and everything is elimination-based and exact.
+`rational` is how a number from outside becomes an entry.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 
+from .errors import DomainError
+
 Row = dict[int, Fraction]
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")  # of a decimal rational string
+
+
+def rational(x) -> Fraction:
+    """Fraction(x), or a DomainError naming x.  Fraction builds 10 ** exponent first, so a
+    decimal exponent past the interpreter's limit on int digits (0: none) is refused before."""
+    limit = sys.get_int_max_str_digits()
+    exponent = _EXPONENT.search(x) if limit and type(x) is str else None
+    digits = exponent and exponent[1].replace("_", "").lstrip("0")
+    if digits and (len(digits) > len(str(limit)) or int(digits) > limit):
+        raise DomainError(f"bad rational {x!r}: its exponent is larger than {limit}, the limit on int digits")
+    try:
+        return Fraction(x)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise DomainError(f"bad rational {x!r}") from exc
 
 
 def _add(v: Row, f: Fraction, row: Row) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from math import prod
 
-from .algebras import Weight, dual_labels
+from .algebras import Weight
 from .errors import DomainError, InternalConsistencyError, NotStabilizedError
 from .index import NATURAL_MODULE_INDEX, ModuleDecomposition, natural_copies
 from .record import Record
@@ -120,22 +120,17 @@ def multiplicities(graph: BratteliGraph, constituent: Constituent) -> tuple[int,
 
 
 def _check_override(graph: BratteliGraph, vertex) -> None:
-    """A level's conatural override must mirror the primal multiplicities at
-    `vertex`: k copies of the conatural and l copies of the natural."""
+    """A level's conatural override must count at `vertex` what the dual of the
+    primal branching counts: k copies of the conatural and l of the natural."""
     n, j = vertex
     level = graph.levels[n - 1]
     if level.conatural_branching is None:
         return
     k, l = _pure_counts(level.ambient_branching, j, f"level {n}")
     k_dual, l_dual = _pure_counts(level.conatural, j, f"level {n} (conatural)")
-    alg = graph.algebra_at(vertex)
-    self_dual = dual_labels(alg, alg.natural_weight) == alg.natural_weight
-    mirrored = k_dual + l_dual == k + l if self_dual else (k_dual, l_dual) == (l, k)
-    if not mirrored:
-        raise DomainError(
-            f"conatural override at level {n} carries multiplicities "
-            f"({k_dual},{l_dual}), expected the mirror of ({k},{l})"
-        )
+    if (k_dual, l_dual) != _pure_counts(level.ambient_branching.dual(), j, f"level {n}"):
+        raise DomainError(f"conatural override at level {n} carries multiplicities "
+                          f"({k_dual},{l_dual}), expected the mirror of ({k},{l})")
 
 
 def trivial_dims(graph: BratteliGraph, constituent: Constituent) -> tuple[ExtendedDim, ExtendedDim]:
@@ -189,10 +184,7 @@ def socle_report(graph: BratteliGraph) -> SocleReport:
 
     rows = []
     finite_rows = []
-    top_level = graph.levels[-1]
-    endpoint_to_constituent = {c.string[-1]: c for c in constituents}
-    for vertex in sorted(endpoint_to_constituent):
-        c = endpoint_to_constituent[vertex]
+    for c in constituents:  # in top-vertex order
         if c.is_infinite():
             k, l = multiplicities(graph, c)
             dim_n, dim_n_star = trivial_dims(graph, c)
@@ -202,10 +194,10 @@ def socle_report(graph: BratteliGraph) -> SocleReport:
                 )
             )
         else:
-            j = vertex[1]
-            alg = graph.algebra_at(vertex)
+            j = c.string[-1][1]
+            alg = graph.algebra_at(c.string[-1])
             counts: dict[Weight, int] = {}
-            for s in top_level.ambient_branching.summands:
+            for s in graph.levels[-1].ambient_branching.summands:
                 w = s.weights[j]
                 if any(w):
                     counts[w] = counts.get(w, 0) + s.mult
@@ -264,10 +256,7 @@ def standard_invariants(graph: BratteliGraph, subsets=None) -> InvariantsReport:
         if J not in chosen:
             chosen.append(J)
 
-    pairs = []
-    for cid in infinite_ids:
-        k, l = multiplicities(graph, by_id[cid])
-        pairs.append((cid, k, l))
+    pairs = [(cid, *multiplicities(graph, by_id[cid])) for cid in infinite_ids]
 
     rows = []
     for J in chosen:

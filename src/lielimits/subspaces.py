@@ -19,8 +19,9 @@ Either way a row's S entry is its value at every index from M on, so
 widening the window repeats that entry (`small_at`), and a descriptor
 keeps the minimal window, so equal subspaces have equal rows.
 Perp swaps the two sides.  Sum and intersection are one rule: an
-intersection is a sum with the roles of the two sides swapped.  W is
-isotropic under a form exactly when W ⊆ W^perp.
+intersection is a sum with the roles of the two sides swapped.  Containment
+is that rule too: W' ⊆ W exactly when W ∩ W' equals W', and W is isotropic
+under a form exactly when W ∩ W^perp equals W.
 
 Perp is the annihilator under the gl pairing between V and V_*, or the
 orthogonal space under a fixed split form on V for the so/sp cases; the
@@ -47,7 +48,7 @@ def vector(entries) -> Coords:
         i = int(i)
         if i < 1:
             raise DomainError(f"basis indices start at 1, got {i}")
-        v = Fraction(v)
+        v = linalg.rational(v)
         if v:
             out[i] = v
     return out
@@ -64,8 +65,8 @@ class EvConstFunctional(Record):
     tail: Fraction
 
     def __init__(self, head, tail):
-        head = tuple(Fraction(x) for x in head)
-        tail = Fraction(tail)
+        head = tuple(map(linalg.rational, head))
+        tail = linalg.rational(tail)
         while head and head[-1] == tail:
             head = head[:-1]
         self.__dict__.update(head=head, tail=tail)
@@ -121,7 +122,7 @@ class SubspaceDescriptor(Record):
     has_tail: bool
 
     def __init__(self, space: str, window: int, rows, has_tail: bool):
-        rows = [[Fraction(x) for x in r] for r in rows]
+        rows = [list(map(linalg.rational, r)) for r in rows]
         if any(len(r) != window or (r[-1] and not has_tail) for r in rows):
             raise DomainError(f"each row needs {window} entries (the window), and the rows "
                               "of a finite descriptor a zero tail entry")
@@ -240,16 +241,7 @@ class SubspaceDescriptor(Record):
     def contains_space(self, other: "SubspaceDescriptor") -> bool:
         if other.space != self.space:
             raise DomainError("space mismatch")
-        if other.has_tail and not self.has_tail:
-            return False
-        m = max(self.window, other.window)
-        a, b = self.small_at(m), other.small_at(m)
-        if not self.has_tail:
-            return all(linalg.in_row_space(r, a) for r in b)
-        if not other.has_tail:
-            return all(linalg.dot(f, r) == 0 for f in a for r in b)
-        # U_b inside U_a iff the annihilator of U_a lies in that of U_b
-        return all(linalg.in_row_space(f, b) for f in a)
+        return _combine(self, other, False) == other  # descriptors are canonical
 
 
 def _combine(a: SubspaceDescriptor, b: SubspaceDescriptor, wide: bool) -> SubspaceDescriptor:
@@ -398,10 +390,14 @@ def classify_maximal(g_kind: str, w, form: StandardForm | None = None) -> Verdic
     """Classify Stab(W) inside gl/sl/so/sp; returns the matching case tag or
     NotMaximal with an explicit witness object.  W is a SubspaceDescriptor or
     a token (COMMUTATOR_TOKEN for gl, a FORM_TOKENS key for sl).  so and sp
-    use the split form of their kind, symmetric or symplectic, unless `form`
-    is given, and a form of the other kind is a DomainError."""
+    use the split symmetric and symplectic form: `form` is None or that form,
+    and for gl and sl it is None; anything else is a DomainError."""
     if g_kind not in ("gl", "sl", "so", "sp"):
         raise DomainError(f"unknown algebra kind {g_kind!r}")
+    split = StandardForm(FORM_TOKENS[f"{g_kind}_form"]) if g_kind in ("so", "sp") else None
+    if form is not None and form != split:
+        raise DomainError(f"{g_kind}(V) requires the {split.kind} form" if split
+                          else f"{g_kind}(V) takes no form")
 
     if isinstance(w, str):
         if g_kind == "gl" and w == COMMUTATOR_TOKEN:
@@ -412,15 +408,10 @@ def classify_maximal(g_kind: str, w, form: StandardForm | None = None) -> Verdic
     if not isinstance(w, SubspaceDescriptor):
         raise DomainError("expected a SubspaceDescriptor or a recognized token")
 
-    if g_kind in ("so", "sp"):
-        kind = FORM_TOKENS[f"{g_kind}_form"]
-        form = form or StandardForm(kind)
-        if form.kind != kind:
-            raise DomainError(f"{g_kind}(V) requires the {kind} form")
     if w.is_zero() or w.is_full():
         raise DomainError("the zero and full subspaces have the whole algebra as stabilizer; "
                           "classification needs a proper non-zero subspace")
-    return _classify_gl_sl(g_kind, w) if g_kind in ("gl", "sl") else _classify_form(g_kind, w, form)
+    return _classify_form(g_kind, w, split) if split else _classify_gl_sl(g_kind, w)
 
 
 def _classify_gl_sl(g_kind: str, w: SubspaceDescriptor) -> Verdict:
@@ -468,11 +459,11 @@ def _rational_sqrt(q: Fraction):
 
 def _classify_form(g_kind: str, w: SubspaceDescriptor, form: StandardForm) -> Verdict:
     p = perp(w, form)
-    if p.contains_space(w):
+    core = descriptor_intersection(w, p)
+    if core == w:  # W is isotropic
         if perp(p, form) != w:
             raise InternalConsistencyError("isotropic descriptors are finite, hence closed")
         return _verdict(g_kind, "iiic", w, p)
-    core = descriptor_intersection(w, p)
     if not core.is_zero():
         return _verdict(g_kind, "NotMaximal", w, p,
                         "W is degenerate: its stabilizer preserves the isotropic core W ∩ W^perp, "

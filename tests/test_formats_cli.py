@@ -191,6 +191,28 @@ def test_cli_handles_only_the_digit_limit_value_error(monkeypatch):
         run_cli("limit", fixture("s2.json"))
 
 
+class _FullStdout(io.StringIO):
+    """A stdout whose `method` fails as on a full disk."""
+
+    def __init__(self, method):
+        super().__init__()
+        setattr(self, method, self._full)
+
+    def _full(self, *args):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])
+@pytest.mark.parametrize("argv", [("index", "A1", "1"), ("--format", "json", "limit", fixture("s2.json"))],
+                         ids=["index", "limit-json"])
+def test_cli_failed_write_is_an_error(method, argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_FullStdout(method)), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert (code, err.getvalue()) == (
+        1, "error: cannot write the output: [Errno 28] No space left on device\n")
+
+
 def test_cli_limit_kinds():
     code, out, _ = run_cli("limit", fixture("s1.json"))
     assert code == 0 and "SlInf" in out

@@ -107,6 +107,21 @@ def test_import_loads_no_introspection_modules():
     assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
 
+def test_import_fills_no_cache():
+    # work done at import lands in the start-up of every command (the bench's setup_s)
+    code = ("import sys, lielimits, lielimits.cli\n"
+            "caches = {v for name, m in list(sys.modules.items()) if name.partition('.')[0] == 'lielimits'"
+            " for v in vars(m).values() if hasattr(v, 'cache_info')}\n"
+            "print(sorted((f'{c.__module__}.{c.__qualname__}', c.cache_info().currsize) for c in caches))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert (run.returncode, run.stderr) == (0, "")
+    caches = ast.literal_eval(run.stdout)
+    assert {"lielimits.algebras.weyl_dimension", "lielimits.index.irrep_index"} <= dict(caches).keys()
+    assert [(name, size) for name, size in caches if size] == []
+
+
 # Where a public name may be used: the library itself, the demos, the tools,
 # the bench and the acceptance criteria; the unit tests do not count.
 REPO = PACKAGE.parent.parent

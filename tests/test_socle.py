@@ -1,11 +1,13 @@
 import json
+import re
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import A, graph_from_fixture, run_cli
 from lielimits import formats, socle
 from lielimits.errors import DomainError, NotStabilizedError
-from lielimits.algebras import SimpleAlgebra
+from lielimits.algebras import SimpleAlgebra, dual_labels
 from lielimits.index import SemisimpleAlgebra, Summand, decomposition, natural_copies
 from lielimits.socle import (
     ExtendedDim,
@@ -263,6 +265,55 @@ def test_conatural_override_must_mirror_multiplicities():
     (c,) = decompose(g)
     with pytest.raises(DomainError):
         trivial_dims(g, c)
+
+
+def ref_override_mirrored(alg, counts, counts_dual) -> bool:
+    """The override rule socle used to state itself: a self-dual natural keeps
+    k + l, another natural swaps natural and conatural."""
+    (k, l), (k_dual, l_dual) = counts, counts_dual
+    if dual_labels(alg, alg.natural_weight) == alg.natural_weight:
+        return k_dual + l_dual == k + l
+    return (k_dual, l_dual) == (l, k)
+
+
+def test_check_override_agrees_with_the_mirror_rule(rng):
+    algs = [A(1), A(2), A(3), A(4), SimpleAlgebra("B", 2), SimpleAlgebra("B", 3),
+            SimpleAlgebra("C", 2), SimpleAlgebra("C", 3), SimpleAlgebra("D", 4), SimpleAlgebra("D", 5)]
+    seen = set()  # (natural is self-dual, override accepted)
+    for _ in range(200):
+        alg = rng.choice(algs)
+        other = rng.choice((None, A(1), A(2)))  # a second factor, left or right of alg
+        factors = [alg] if other is None else rng.choice(([alg, other], [other, alg]))
+        j = factors.index(alg)
+        zeros = tuple((0,) * f.rank for f in factors)
+
+        def module(nat, conat, trivial):
+            """nat and conat copies of alg's natural and conatural, trivial off alg, and trivials."""
+            recs = [(zeros[:j] + (w,) + zeros[j + 1:], m) for w, m in
+                    ((alg.natural_weight, nat), (dual_labels(alg, alg.natural_weight), conat)) if m]
+            return decomposition(factors, recs + [(zeros, trivial)] * bool(trivial))
+
+        k, l = rng.randint(0, 2), rng.randint(0, 2)
+        if k + l == 0:
+            k = 1
+        k_dual, l_dual = (l, k) if rng.random() < 0.5 else (rng.randint(0, 2), rng.randint(0, 2))
+        override = module(k_dual, l_dual, rng.randint(0, 1))
+        pad = max(1, override.total_dim - (k + l) * alg.natural_dim + 1)
+        primal = module(k, l, pad)
+        level = LevelSpec(SemisimpleAlgebra(factors), A(primal.total_dim - 1), primal, override)
+        graph = SimpleNamespace(levels=[level])
+        counts = _pure_counts(primal, j, "level 1")
+        counts_dual = _pure_counts(override, j, "level 1 (conatural)")
+        expected = ref_override_mirrored(alg, counts, counts_dual)
+        seen.add((dual_labels(alg, alg.natural_weight) == alg.natural_weight, expected))
+        if expected:
+            socle._check_override(graph, (1, j))
+        else:
+            with pytest.raises(DomainError, match=re.escape(
+                    f"carries multiplicities ({counts_dual[0]},{counts_dual[1]}), "
+                    f"expected the mirror of ({counts[0]},{counts[1]})")):
+                socle._check_override(graph, (1, j))
+    assert len(seen) == 4
 
 
 def test_extended_dim_from_sequence():

@@ -502,9 +502,23 @@ def test_classification_domain_errors():
         "so", SubspaceDescriptor.tail(5), SYM)
     with pytest.raises(DomainError):
         classify_maximal("so", SubspaceDescriptor.tail(5), SYMP)
+    # a form is None or the split form of the kind; gl and sl take none
+    for kind, w, form, message in (
+        ("so", SubspaceDescriptor.tail(5), "symmetric", r"^so\(V\) requires the symmetric form$"),
+        ("sp", SubspaceDescriptor.tail(5), object(), r"^sp\(V\) requires the symplectic form$"),
+        ("gl", SubspaceDescriptor.tail(5), SYM, r"^gl\(V\) takes no form$"),
+        ("sl", SubspaceDescriptor.tail(5), SYMP, r"^sl\(V\) takes no form$"),
+        ("gl", COMMUTATOR_TOKEN, SYM, r"^gl\(V\) takes no form$"),
+        ("sl", "so_form", "symmetric", r"^sl\(V\) takes no form$"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            classify_maximal(kind, w, form)
+    assert classify_maximal("sp", SubspaceDescriptor.tail(5), SYMP) == classify_maximal(
+        "sp", SubspaceDescriptor.tail(5))
 
 
 _LINE = SubspaceDescriptor.span([{1: 1}])
+_HUGE = r"^bad rational '1e1000000': its exponent is larger than 4300, the limit on int digits$"
 _DUAL_LINE = SubspaceDescriptor.span([{1: 1}], "V*")
 
 
@@ -564,6 +578,13 @@ _DUAL_LINE = SubspaceDescriptor.span([{1: 1}], "V*")
         ),
         (lambda: SimpleAlgebra("X", 1), DomainError, "unknown series 'X'"),
         (lambda: formats.fixture_path("nope.json"), ParseError, "no shipped fixture named 'nope.json'"),
+        # a library rational is read as a document's is: a bad one, or a decimal exponent
+        # past the digit limit, is refused before Fraction builds the power
+        (lambda: vector({1: "x"}), DomainError, r"^bad rational 'x'$"),
+        (lambda: SubspaceDescriptor.build(generators=[{1: "1e1000000"}]), DomainError, _HUGE),
+        (lambda: SubspaceDescriptor.build(tail_from=1, kernels=[(("1e1000000",), 0)]), DomainError,
+         _HUGE),
+        (lambda: SubspaceDescriptor("V", 1, [["1e1000000"]], True), DomainError, _HUGE),
     ],
     ids=[
         "vector-index-0", "finite-tail-entry", "row-length", "space-W", "tail-from-0",
@@ -573,7 +594,8 @@ _DUAL_LINE = SubspaceDescriptor.span([{1: 1}], "V*")
         "system-no-levels",
         "unreadable-summand-record", "fractional-multiplicity", "bool-multiplicity",
         "record-without-length", "bare-weights-record", "restrict-past-last-factor",
-        "unknown-series", "unknown-fixture",
+        "unknown-series", "unknown-fixture", "vector-bad-rational", "huge-exponent-generator",
+        "huge-exponent-kernel-head", "huge-exponent-report-row",
     ],
 )
 def test_public_api_guards(call, error, message):
