@@ -61,7 +61,6 @@ from .subspaces import (
 from .system import (
     BratteliGraph,
     Constituent,
-    EdgeSpec,
     LevelSpec,
     RefinementReport,
     compute_labels,

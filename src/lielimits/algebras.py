@@ -3,7 +3,8 @@
 Conventions, fixed once for the whole package:
 
 * Bourbaki numbering of simple roots.  For B_n the last simple root is
-  short, for C_n the last is long, for D_n the fork is at the end.
+  short, for C_n the last is long, for D_n the fork is at the end.  The
+  Cartan matrix is read off the simple roots' epsilon coordinates.
 * Weights are tuples of integers in fundamental-weight coordinates
   (Dynkin labels).  Doubled epsilon coordinates (eps2) are integers in
   every series; they carry the form and the Weyl dimension.
@@ -102,21 +103,10 @@ def check_dominant(alg: SimpleAlgebra, weight) -> Weight:
 
 @lru_cache(maxsize=None)
 def cartan_matrix(alg: SimpleAlgebra) -> tuple[tuple[int, ...], ...]:
-    """Cartan matrix a[i][j] = <alpha_i, alpha_j^vee>, Bourbaki numbering."""
+    """Cartan matrix a[i][j] = <alpha_i, alpha_j^vee>: row i is the labels of the simple root alpha_i."""
     n = alg.rank
-    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n - 1):
-        a[i][i + 1] = a[i + 1][i] = -1
-    if alg.series == "B" and n >= 2:
-        a[n - 2][n - 1] = -2      # last root short
-        a[n - 1][n - 2] = -1
-    elif alg.series == "C" and n >= 2:
-        a[n - 2][n - 1] = -1      # last root long
-        a[n - 1][n - 2] = -2
-    elif alg.series == "D":
-        a[n - 2][n - 1] = a[n - 1][n - 2] = 0
-        a[n - 3][n - 1] = a[n - 1][n - 3] = -1
-    return tuple(tuple(row) for row in a)
+    last = {"A": {n - 1: 1, n: -1}, "B": {n - 1: 1}, "C": {n - 1: 2}, "D": {n - 2: 1, n - 1: 1}}[alg.series]
+    return tuple(_labels(alg, root) for root in [*({i: 1, i + 1: -1} for i in range(n - 1)), last])
 
 
 def form_scale(alg: SimpleAlgebra) -> int:
@@ -167,6 +157,23 @@ def fundamental_weight(alg: SimpleAlgebra, i: int) -> Weight:
     return tuple(1 if j == i else 0 for j in range(alg.rank))
 
 
+def _labels(alg: SimpleAlgebra, root: dict[int, int]) -> Weight:
+    """The labels of a root given by its nonzero epsilon coordinates, 0-based."""
+    n = alg.rank
+    e = [root.get(i, 0) for i in range(n + 1)]
+    lab = [e[k] - e[k + 1] for k in range(n - 1)]
+    if alg.series == "A":
+        lab.append(e[n - 1] - e[n])
+    elif alg.series == "B":
+        lab.append(2 * e[n - 1])
+    elif alg.series == "C":
+        lab.append(e[n - 1])
+    else:
+        lab[n - 2] = e[n - 2] - e[n - 1]
+        lab.append(e[n - 2] + e[n - 1])
+    return tuple(lab)
+
+
 @lru_cache(maxsize=None)
 def positive_roots(alg: SimpleAlgebra) -> tuple[Weight, ...]:
     """All positive roots, in fundamental-weight coordinates.
@@ -193,23 +200,7 @@ def positive_roots(alg: SimpleAlgebra) -> tuple[Weight, ...]:
         elif alg.series == "C":
             eps_roots.extend(e((i, 2)) for i in range(n))
 
-    def labels(root: dict[int, int]) -> Weight:
-        def coord(i):
-            return root.get(i, 0)
-
-        lab = [coord(k) - coord(k + 1) for k in range(n - 1)]
-        if alg.series == "A":
-            lab.append(coord(n - 1) - coord(n))
-        elif alg.series == "B":
-            lab.append(2 * coord(n - 1))
-        elif alg.series == "C":
-            lab.append(coord(n - 1))
-        else:
-            lab[n - 2] = coord(n - 2) - coord(n - 1)
-            lab.append(coord(n - 2) + coord(n - 1))
-        return tuple(lab)
-
-    roots = tuple(sorted(labels(r) for r in eps_roots))
+    roots = tuple(sorted(_labels(alg, r) for r in eps_roots))
     expected = {"A": n * (n + 1) // 2, "B": n * n, "C": n * n, "D": n * (n - 1)}[alg.series]
     if len(roots) != expected:
         raise DomainError(f"positive root count for {alg}: got {len(roots)}, expected {expected}")

@@ -40,7 +40,7 @@ from .socle import (ConstituentSocle, ExtendedDim, InvariantsReport, IsotypicRow
                     SubsetInvariants)
 from .subspaces import (COMMUTATOR_TOKEN, FORM_TOKENS, EvConstFunctional, SubspaceDescriptor,
                         Verdict)
-from .system import Constituent, EdgeSpec, LevelSpec, RefinementReport
+from .system import Constituent, LevelSpec, RefinementReport
 
 SYSTEM_FORMAT = "lielimits-system/1"
 SUBSPACE_FORMAT = "lielimits-subspace/1"
@@ -141,9 +141,9 @@ def _fraction(x) -> Fraction:
 
 def _index(i) -> int:
     try:
-        return int(i)
-    except ValueError as exc:
-        raise _fail(f"bad basis index {i!r}") from exc
+        return linalg.basis_index(i)
+    except DomainError as exc:
+        raise _fail(str(exc)) from exc
 
 
 def parse_weight(text) -> tuple[int, ...]:
@@ -328,9 +328,9 @@ def _system(levels, edges):
         if len(branchings) != len(targets):
             raise _fail(f"expected {len(targets)} branchings, one per component of the "
                         "next level", "edges", n, "branchings")
-        specs.append(EdgeSpec(tuple(
+        specs.append(tuple(
             _decomposition(source, b, "edges", n, "branchings", k) for k, b in enumerate(branchings)
-        )))
+        ))
     return levels, tuple(specs)
 
 
@@ -373,7 +373,7 @@ _SYSTEM = record(
         _level, _COMPONENTS, ("ambient", ALGEBRA),
         ("ambient_branching", _SUMMANDS), ("conatural_branching", opt(_SUMMANDS)),
     ))),
-    ("edges", opt(listof(record(_same, ("branchings", listof(_SUMMANDS)))), ())),
+    ("edges", opt(listof(record(_same, ("branchings", _same, listof(_SUMMANDS)))), ())),
 )
 _EMBEDDING = record(
     _embedding,

@@ -5,7 +5,7 @@ absent columns are 0, and a row's pivot is its least key.  All routines are
 pure: they never change a row they are given and return fresh rows.  The
 work of each is proportional to the stored entries it touches, not to the
 number of columns, and everything is elimination-based and exact.
-`rational` is how a number from outside becomes an entry.
+`rational` and `basis_index` turn a number and a key from outside into an entry and a column.
 """
 
 from __future__ import annotations
@@ -34,6 +34,16 @@ def rational(x) -> Fraction:
         raise DomainError(f"bad rational {x!r}") from exc
 
 
+def basis_index(i) -> int:
+    """An int that is not a bool, or a string as int() reads it; else a DomainError naming i."""
+    if isinstance(i, (int, str)) and not isinstance(i, bool):
+        try:
+            return int(i)
+        except ValueError:
+            pass
+    raise DomainError(f"bad basis index {i!r}")
+
+
 def _add(v: Row, f: Fraction, row: Row) -> None:
     """v += f * row in place, dropping the entries that cancel."""
     for c, x in row.items():
@@ -49,11 +59,11 @@ def dot(a: Row, b: Row) -> Fraction:
 
 
 def lincomb(coeffs: Row, rows) -> Row:
-    """sum of coeffs[j] * rows[j - 1] for j = 1..len(rows); later keys are ignored."""
+    """sum of coeffs[j] * rows[j - 1] over the keys j = 1..len(rows) of coeffs; other keys are ignored."""
     out: Row = {}
-    for j, r in enumerate(rows, 1):
-        if j in coeffs:
-            _add(out, coeffs[j], r)
+    for j, f in coeffs.items():
+        if 0 < j <= len(rows):
+            _add(out, f, rows[j - 1])
     return out
 
 

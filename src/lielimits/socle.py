@@ -6,7 +6,8 @@ window, so every verdict ships its evidence sequence: `finite(t)` when the
 trivial mass is constant across the window, `countable` when it grows
 strictly, `undetermined_at_horizon` otherwise.  The dual side uses the
 level's conatural override when present and the factorwise dual of the
-primal branching when not.
+primal branching when not; an override is checked against that dual once
+per infinite constituent, by `multiplicities`.
 
 A finite prefix cannot tell trivial directions that persist (socle) from
 trivial directions that keep escaping into later naturals (quotient); the
@@ -69,11 +70,17 @@ def _trivial_mass(decomp: ModuleDecomposition, positions) -> int:
                if not any(any(s.weights[j]) for j in positions))
 
 
-def _trivial_dims(graph: BratteliGraph, positions_by_level) -> tuple[ExtendedDim, ExtendedDim]:
-    """Trivial masses of V and V_* over the factors listed per level, as (n, positions)."""
-    levels = [(graph.levels[n - 1], positions) for n, positions in positions_by_level]
+def _trivial_dims(levels) -> tuple[ExtendedDim, ExtendedDim]:
+    """Trivial masses of V and V_* over the factors listed per level, as (level, positions) pairs."""
     return (ExtendedDim.from_sequence(_trivial_mass(lv.ambient_branching, ps) for lv, ps in levels),
             ExtendedDim.from_sequence(_trivial_mass(lv.conatural, ps) for lv, ps in levels))
+
+
+def _string_dims(graph: BratteliGraph, constituents) -> tuple[ExtendedDim, ExtendedDim]:
+    """Trivial masses over the constituents' string vertices, from their latest start level."""
+    strings = [dict(c.string) for c in constituents]
+    start = max(c.string[0][0] for c in constituents)
+    return _trivial_dims([(graph.levels[n - 1], [s[n] for s in strings]) for n in range(start, graph.top + 1)])
 
 
 def _pure_counts(decomp: ModuleDecomposition, j: int, where: str) -> tuple[int, int]:
@@ -115,18 +122,14 @@ def multiplicities(graph: BratteliGraph, constituent: Constituent) -> tuple[int,
             f"(k+l) = {k + l} does not match the embedding index "
             f"{graph.alpha[top_vertex]} of {top_vertex}"
         )
-    _check_override(graph, top_vertex)
+    _check_override(graph.levels[n - 1], n, j, k, l)
     return k, l
 
 
-def _check_override(graph: BratteliGraph, vertex) -> None:
-    """A level's conatural override must count at `vertex` what the dual of the
-    primal branching counts: k copies of the conatural and l of the natural."""
-    n, j = vertex
-    level = graph.levels[n - 1]
+def _check_override(level, n: int, j: int, k: int, l: int) -> None:
+    """At factor j, level n's conatural override must count what the dual of the primal (k, l) counts."""
     if level.conatural_branching is None:
         return
-    k, l = _pure_counts(level.ambient_branching, j, f"level {n}")
     k_dual, l_dual = _pure_counts(level.conatural, j, f"level {n} (conatural)")
     if (k_dual, l_dual) != _pure_counts(level.ambient_branching.dual(), j, f"level {n}"):
         raise DomainError(f"conatural override at level {n} carries multiplicities "
@@ -134,11 +137,11 @@ def _check_override(graph: BratteliGraph, vertex) -> None:
 
 
 def trivial_dims(graph: BratteliGraph, constituent: Constituent) -> tuple[ExtendedDim, ExtendedDim]:
-    """Dimensions of the trivial parts of V and V_* over one constituent."""
+    """Dimensions of the trivial parts of V and V_* over one constituent, checked as `multiplicities`."""
     if not constituent.is_infinite():
         raise DomainError("trivial parts are tracked for infinite constituents")
-    _check_override(graph, constituent.string[-1])
-    return _trivial_dims(graph, ((n, (j,)) for n, j in constituent.string))
+    multiplicities(graph, constituent)
+    return _string_dims(graph, [constituent])
 
 
 class ConstituentSocle(Record):
@@ -187,7 +190,7 @@ def socle_report(graph: BratteliGraph) -> SocleReport:
     for c in constituents:  # in top-vertex order
         if c.is_infinite():
             k, l = multiplicities(graph, c)
-            dim_n, dim_n_star = trivial_dims(graph, c)
+            dim_n, dim_n_star = _string_dims(graph, [c])
             rows.append(
                 ConstituentSocle(
                     c.cid, c.kind, str(c.algebra) if c.algebra else None, k, l, dim_n, dim_n_star
@@ -204,9 +207,7 @@ def socle_report(graph: BratteliGraph) -> SocleReport:
             for w in sorted(counts):
                 finite_rows.append(IsotypicRow(c.cid, str(alg), w, counts[w]))
 
-    quotient, quotient_dual = _trivial_dims(
-        graph, ((n, range(len(lv.components.factors))) for n, lv in enumerate(graph.levels, 1))
-    )
+    quotient, quotient_dual = _trivial_dims([(lv, range(len(lv.components.factors))) for lv in graph.levels])
     return SocleReport(
         constituents=tuple(rows),
         finite_part=tuple(finite_rows),
@@ -260,10 +261,6 @@ def standard_invariants(graph: BratteliGraph, subsets=None) -> InvariantsReport:
 
     rows = []
     for J in chosen:
-        strings = [dict(by_id[cid].string) for cid in J]
-        start = max(s[0][0] for s in (by_id[cid].string for cid in J))
-        dim_n, dim_n_star = _trivial_dims(
-            graph, ((n, [s[n] for s in strings]) for n in range(start, graph.top + 1))
-        )
+        dim_n, dim_n_star = _string_dims(graph, [by_id[cid] for cid in J])
         rows.append(SubsetInvariants(J, dim_n, dim_n_star, dim_n, dim_n_star))
     return InvariantsReport(tuple(pairs), tuple(rows))

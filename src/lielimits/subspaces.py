@@ -44,8 +44,7 @@ Coords = linalg.Row
 def vector(entries) -> Coords:
     """Normalize {index: value} data to a finitely supported vector."""
     out: Coords = {}
-    for i, v in sorted(dict(entries).items(), key=lambda kv: int(kv[0])):
-        i = int(i)
+    for i, v in sorted(((linalg.basis_index(i), v) for i, v in dict(entries).items()), key=lambda iv: iv[0]):
         if i < 1:
             raise DomainError(f"basis indices start at 1, got {i}")
         v = linalg.rational(v)
@@ -157,7 +156,7 @@ class SubspaceDescriptor(Record):
             k if isinstance(k, EvConstFunctional) else EvConstFunctional(tuple(k[0]), k[1])
             for k in kernels
         ]
-        if tail_from is not None and tail_from < 1:
+        if tail_from is not None and (tail_from := linalg.basis_index(tail_from)) < 1:
             raise DomainError(f"tail_from must be >= 1, got {tail_from}")
         window = max(
             [tail_from or 1]

@@ -72,19 +72,13 @@ class LevelSpec(Record):
         return self.conatural_branching or self.ambient_branching.dual()
 
 
-class EdgeSpec(Record):
-    """Branchings of the next level's component naturals over this level."""
-
-    branchings: tuple[ModuleDecomposition, ...]  # one per component of level n+1
-
-
 class BratteliGraph(Record):
     """Levels and edges (the fields) with their labels: `alpha` of each vertex (n, j), `beta` of
     each edge (n, j, k).  `succ` maps (n, j) to its [(k, beta), ...] in increasing k (none at
     the top level), and `walks` memoizes each vertex's `closure`."""
 
     levels: tuple[LevelSpec, ...]
-    edges: tuple[EdgeSpec, ...]
+    edges: tuple[tuple[ModuleDecomposition, ...], ...]  # per level gap, one per upper component
 
     def __init__(self, levels, edges, alpha, beta):
         succ: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -113,9 +107,9 @@ class BratteliGraph(Record):
 
 
 def compute_labels(levels, edges) -> BratteliGraph:
-    """Build and validate the labeled graph from level and edge specs."""
+    """Build and validate the labeled graph from level specs and edges (tuples of branchings)."""
     levels = tuple(levels)
-    edges = tuple(edges)
+    edges = tuple(map(tuple, edges))
     if not levels:
         raise DomainError("a system needs at least one level")
     if len(edges) != len(levels) - 1:
@@ -147,12 +141,10 @@ def compute_labels(levels, edges) -> BratteliGraph:
     for n, edge in enumerate(edges, start=1):
         sources = levels[n - 1].components
         targets = levels[n].components.factors
-        if len(edge.branchings) != len(targets):
-            raise DimensionMismatchError(
-                f"edge {n} has {len(edge.branchings)} branchings for {len(targets)} "
-                f"components of level {n + 1}"
-            )
-        for k, branching in enumerate(edge.branchings):
+        if len(edge) != len(targets):
+            raise DimensionMismatchError(f"edge {n} has {len(edge)} branchings for {len(targets)} "
+                                         f"components of level {n + 1}")
+        for k, branching in enumerate(edge):
             if branching.algebra != sources:
                 raise DomainError(
                     f"edge {n}: branching of component {k} must decompose over level {n}"
@@ -362,7 +354,7 @@ def extract_refinement(graph: BratteliGraph, constituent_id=None) -> RefinementR
     string = infinite[0].string
     flags = []
     for (n, j), (_, k) in zip(string, string[1:]):
-        copies, dual_copies, odd = natural_copies(graph.edges[n - 1].branchings[k], j)
+        copies, dual_copies, odd = natural_copies(graph.edges[n - 1][k], j)
         flags.append(odd is None and copies + dual_copies == 1)
     n0 = string[0][0]
     for pos, flag in enumerate(flags):

@@ -12,7 +12,7 @@ from lielimits import algebras, formats, index, oracle
 from lielimits.cli import main
 from lielimits.algebras import SimpleAlgebra
 from lielimits.index import ModuleDecomposition, SemisimpleAlgebra, Summand
-from lielimits.system import EdgeSpec, LevelSpec, compute_labels
+from lielimits.system import LevelSpec, compute_labels
 
 
 def load_fixture(name):
@@ -136,7 +136,7 @@ def random_diagonal_system(rng: random.Random, max_levels=6, max_comps=4, dim_ca
             branchings.append(
                 ModuleDecomposition(SemisimpleAlgebra(sources), tuple(summands))
             )
-        edges.append(EdgeSpec(tuple(branchings)))
+        edges.append(tuple(branchings))
     return levels, edges
 
 

@@ -73,9 +73,35 @@ def test_weight_form_dimension_error():
 # -- reference form: Cartan inverse times the symmetrizer, in local Fractions --
 
 
+def ref_cartan_matrix(alg):
+    """The Cartan matrix a[i][j] = <alpha_i, alpha_j^vee> built by hand: the A chain, then the
+    B, C and D patches at its end."""
+    n = alg.rank
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n - 1):
+        a[i][i + 1] = a[i + 1][i] = -1
+    if alg.series == "B" and n >= 2:
+        a[n - 2][n - 1] = -2      # last root short
+        a[n - 1][n - 2] = -1
+    elif alg.series == "C" and n >= 2:
+        a[n - 2][n - 1] = -1      # last root long
+        a[n - 1][n - 2] = -2
+    elif alg.series == "D":
+        a[n - 2][n - 1] = a[n - 1][n - 2] = 0
+        a[n - 3][n - 1] = a[n - 1][n - 3] = -1
+    return tuple(tuple(row) for row in a)
+
+
+@pytest.mark.parametrize("series, floor", [("A", 1), ("B", 2), ("C", 1), ("D", 4)])
+def test_cartan_matrix_is_read_off_the_simple_roots(series, floor):
+    for rank in range(floor, 41):
+        alg = SimpleAlgebra(series, rank)
+        assert cartan_matrix(alg) == ref_cartan_matrix(alg), alg
+
+
 def simple_roots(alg):
     """Simple roots in fundamental-weight coordinates: the rows of the Cartan matrix."""
-    return [tuple(row) for row in cartan_matrix(alg)]
+    return [tuple(row) for row in ref_cartan_matrix(alg)]
 
 
 def symmetrizer(alg):
@@ -106,7 +132,7 @@ def _inverse(matrix):
 @lru_cache(maxsize=None)
 def reference_gram(alg):
     """(omega_i, omega_j) = (Cartan^-1)_ij * d_j."""
-    inv = _inverse(cartan_matrix(alg))
+    inv = _inverse(ref_cartan_matrix(alg))
     d = symmetrizer(alg)
     return [[inv[i][j] * d[j] for j in range(alg.rank)] for i in range(alg.rank)]
 

@@ -75,3 +75,27 @@ def test_sparse_routines_leave_their_arguments_alone(rng):
         for r in m:
             linalg.in_row_space(r, red)
         assert m == before
+
+
+class _RowsByIndex:
+    """A sequence of rows that can be indexed and measured but not walked."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        return self.rows[i]
+
+    def __iter__(self):
+        raise AssertionError("lincomb walked every row")
+
+
+def test_lincomb_walks_its_coefficients_not_the_rows():
+    F = Fraction
+    rows = _RowsByIndex([{1: F(1)}, {2: F(1)}, {1: F(2), 3: F(1)}])
+    # keys outside 1..len(rows) are ignored; 2 * row 1 cancels column 1 of row 3
+    assert linalg.lincomb({3: F(1), 1: F(-2), 0: F(7), -1: F(7), 4: F(5)}, rows) == {3: F(1)}
+    assert linalg.lincomb({}, rows) == {}

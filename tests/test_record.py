@@ -13,7 +13,7 @@ from lielimits.record import Record
 from lielimits.socle import (ConstituentSocle, ExtendedDim, InvariantsReport, IsotypicRow,
                              SocleReport, SubsetInvariants)
 from lielimits.subspaces import EvConstFunctional, StandardForm, SubspaceDescriptor, Verdict
-from lielimits.system import BratteliGraph, Constituent, EdgeSpec, LevelSpec, RefinementReport
+from lielimits.system import BratteliGraph, Constituent, LevelSpec, RefinementReport
 
 A1, A2, A3 = A(1), A(2), A(3)
 ONE = SemisimpleAlgebra((A1,))
@@ -43,7 +43,6 @@ EXAMPLES = {
     SubspaceDescriptor: ("V", 3, [[1, 2, 0]], False),
     Verdict: ("gl", "ia", True, "the commutator", None, None, None, ((1, Fraction(1, 2)),)),
     LevelSpec: (ONE, A3, DOUBLED, DOUBLED),
-    EdgeSpec: ((DOUBLED,),),
     BratteliGraph: (S2.levels, S2.edges, S2.alpha, S2.beta),
     Constituent: (0, "SlInf", None, ((1, 0), (2, 0)), True),
     RefinementReport: (((1, 0), (2, 0)), (A1, A3), (True,), 1),
@@ -57,7 +56,7 @@ IDS = [cls.__name__ for cls in TYPES]
 def test_every_record_type_has_an_example():
     library = {cls for cls in Record.__subclasses__() if cls.__module__.startswith("lielimits.")}
     assert library == set(EXAMPLES)
-    assert len(library) == 24
+    assert len(library) == 23
 
 
 @pytest.mark.parametrize("cls", TYPES, ids=IDS)

@@ -1,14 +1,14 @@
 import json
+import random
 import re
-from types import SimpleNamespace
 
 import pytest
 
-from conftest import A, graph_from_fixture, run_cli
+from conftest import A, graph_from_fixture, random_diagonal_system, run_cli
 from lielimits import formats, socle
-from lielimits.errors import DomainError, NotStabilizedError
+from lielimits.errors import DomainError, LieLimitsError, NotStabilizedError
 from lielimits.algebras import SimpleAlgebra, dual_labels
-from lielimits.index import SemisimpleAlgebra, Summand, decomposition, natural_copies
+from lielimits.index import ModuleDecomposition, SemisimpleAlgebra, Summand, decomposition, natural_copies
 from lielimits.socle import (
     ExtendedDim,
     _pure_counts,
@@ -17,7 +17,7 @@ from lielimits.socle import (
     standard_invariants,
     trivial_dims,
 )
-from lielimits.system import EdgeSpec, LevelSpec, compute_labels, decompose
+from lielimits.system import LevelSpec, compute_labels, decompose
 
 
 def analyzed(name):
@@ -44,7 +44,7 @@ def diagonal_system(copies_nat, copies_dual, levels=4):
     for n in range(1, levels):
         f = A(n)
         recs = [((f.natural_weight,), 1), (((0,) * n,), 1)]
-        edge_specs.append(EdgeSpec((decomposition([f], recs),)))
+        edge_specs.append((decomposition([f], recs),))
     return compute_labels(level_specs, edge_specs)
 
 
@@ -128,7 +128,7 @@ def test_multiplicity_instability_detected():
     lv2 = LevelSpec(
         SemisimpleAlgebra((a3,)), A(7), decomposition([a3], [(((1, 0, 0),), 2)])
     )
-    edge = EdgeSpec((decomposition([a2], [(((1, 0),), 1), (((0, 0),), 1)]),))
+    edge = (decomposition([a2], [(((1, 0),), 1), (((0, 0),), 1)]),)
     g = compute_labels([lv1, lv2], [edge])
     (c,) = decompose(g)
     with pytest.raises(NotStabilizedError):
@@ -201,10 +201,10 @@ def test_disjoint_supports_enforced():
     a1, a3 = A(1), A(3)
     tensor = decomposition([a1, a1], [(((1,), (1,)), 1)])
     lv = LevelSpec(SemisimpleAlgebra((a1, a1)), a3, tensor)
-    e = EdgeSpec((
+    e = (
         decomposition([a1, a1], [(((1,), (0,)), 1)]),
         decomposition([a1, a1], [(((0,), (1,)), 1)]),
-    ))
+    )
     g = compute_labels([lv, lv], [e])
     with pytest.raises(DomainError):
         socle_report(g)
@@ -259,7 +259,7 @@ def test_conatural_override_must_mirror_multiplicities():
     for n in range(2, 4):
         f = A(n)
         edges.append(
-            EdgeSpec((decomposition([f], [((f.natural_weight,), 1), (((0,) * n,), 1)]),))
+            (decomposition([f], [((f.natural_weight,), 1), (((0,) * n,), 1)]),)
         )
     g = compute_labels(levels, edges)
     (c,) = decompose(g)
@@ -301,18 +301,17 @@ def test_check_override_agrees_with_the_mirror_rule(rng):
         pad = max(1, override.total_dim - (k + l) * alg.natural_dim + 1)
         primal = module(k, l, pad)
         level = LevelSpec(SemisimpleAlgebra(factors), A(primal.total_dim - 1), primal, override)
-        graph = SimpleNamespace(levels=[level])
         counts = _pure_counts(primal, j, "level 1")
         counts_dual = _pure_counts(override, j, "level 1 (conatural)")
         expected = ref_override_mirrored(alg, counts, counts_dual)
         seen.add((dual_labels(alg, alg.natural_weight) == alg.natural_weight, expected))
         if expected:
-            socle._check_override(graph, (1, j))
+            socle._check_override(level, 1, j, *counts)
         else:
             with pytest.raises(DomainError, match=re.escape(
                     f"carries multiplicities ({counts_dual[0]},{counts_dual[1]}), "
                     f"expected the mirror of ({counts[0]},{counts[1]})")):
-                socle._check_override(graph, (1, j))
+                socle._check_override(level, 1, j, *counts)
     assert len(seen) == 4
 
 
@@ -362,3 +361,57 @@ def test_undetermined_constituent_is_not_reported_as_finite(tmp_path):
     for command in ("socle", "invariants"):
         code, out, err = run_cli(command, str(path))
         assert (code, out) == (3, "") and "#0" in err
+
+
+SYSTEM_FIXTURES = [p.name for p in sorted(formats.fixture_path("s1.json").parent.glob("*.json"))
+                   if formats.load_json(p)["format"] == formats.SYSTEM_FORMAT]
+
+
+@pytest.mark.parametrize("command", ["socle", "invariants"])
+def test_example4_builds_the_primal_dual_once(monkeypatch, command):
+    # the one infinite constituent has a conatural override, checked against the primal's dual
+    builds = []
+    dual = ModuleDecomposition.dual
+    monkeypatch.setattr(ModuleDecomposition, "dual", lambda self: builds.append(self) or dual(self))
+    assert run_cli(command, str(formats.fixture_path("example4.json")))[0] == 0
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("name", SYSTEM_FIXTURES)
+def test_the_mirror_check_runs_once_per_infinite_constituent(monkeypatch, name):
+    checks = []
+    check = socle._check_override
+    monkeypatch.setattr(socle, "_check_override", lambda *args: checks.append(args) or check(*args))
+    g = graph_from_fixture(name)
+    for run in (socle_report, standard_invariants):
+        checks.clear()
+        try:
+            run(g)
+        except LieLimitsError:
+            continue
+        assert len(checks) == sum(c.is_infinite() for c in decompose(g)), run.__name__
+
+
+def _trivial_dims_agree(g) -> int:
+    """For each infinite constituent, trivial_dims, its socle_report row and its singleton
+    standard_invariants row give the same pair; returns how many constituents were checked."""
+    try:
+        rows, subsets = socle_report(g).constituents, standard_invariants(g).subsets
+    except LieLimitsError:
+        return 0
+    singletons = {s.ids: (s.dim_trivial, s.dim_trivial_dual) for s in subsets}
+    infinite = [c for c in decompose(g) if c.is_infinite()]
+    assert [row.cid for row in rows] == [c.cid for c in infinite]
+    for c, row in zip(infinite, rows):
+        dims = trivial_dims(g, c)
+        assert dims == (row.dim_trivial, row.dim_trivial_dual) == singletons[(c.cid,)]
+    return len(infinite)
+
+
+def test_trivial_dims_agree_across_the_three_readers_on_fixtures():
+    assert sum(_trivial_dims_agree(graph_from_fixture(name)) for name in SYSTEM_FIXTURES) >= 8
+
+
+def test_trivial_dims_agree_across_the_three_readers_on_random_systems():
+    rng = random.Random(4040)  # the first 200 systems of the closure differential in test_system
+    assert sum(_trivial_dims_agree(compute_labels(*random_diagonal_system(rng))) for _ in range(200)) >= 5

@@ -585,6 +585,14 @@ _DUAL_LINE = SubspaceDescriptor.span([{1: 1}], "V*")
         (lambda: SubspaceDescriptor.build(tail_from=1, kernels=[(("1e1000000",), 0)]), DomainError,
          _HUGE),
         (lambda: SubspaceDescriptor("V", 1, [["1e1000000"]], True), DomainError, _HUGE),
+        # a basis index is an int that is not a bool, or a string int() reads
+        (lambda: vector({"a": 1}), DomainError, r"^bad basis index 'a'$"),
+        (lambda: vector({None: 1}), DomainError, r"^bad basis index None$"),
+        (lambda: vector({1.5: 1}), DomainError, r"^bad basis index 1\.5$"),
+        (lambda: vector({True: 1}), DomainError, r"^bad basis index True$"),
+        (lambda: SubspaceDescriptor.build(tail_from=2.5), DomainError, r"^bad basis index 2\.5$"),
+        (lambda: SubspaceDescriptor.build(tail_from=True), DomainError, r"^bad basis index True$"),
+        (lambda: SubspaceDescriptor.build(tail_from="0"), DomainError, r"^tail_from must be >= 1, got 0$"),
     ],
     ids=[
         "vector-index-0", "finite-tail-entry", "row-length", "space-W", "tail-from-0",
@@ -596,6 +604,8 @@ _DUAL_LINE = SubspaceDescriptor.span([{1: 1}], "V*")
         "record-without-length", "bare-weights-record", "restrict-past-last-factor",
         "unknown-series", "unknown-fixture", "vector-bad-rational", "huge-exponent-generator",
         "huge-exponent-kernel-head", "huge-exponent-report-row",
+        "vector-index-letter", "vector-index-none", "vector-index-float", "vector-index-bool",
+        "tail-from-float", "tail-from-bool", "tail-from-string-0",
     ],
 )
 def test_public_api_guards(call, error, message):

@@ -22,7 +22,6 @@ from lielimits.socle import _pure_counts
 from lielimits.system import (
     BratteliGraph,
     Closure,
-    EdgeSpec,
     LevelSpec,
     _classify_tail,
     closure,
@@ -121,7 +120,7 @@ def test_eq4_violation_reported():
     a1, a3 = A(1), A(3)
     lv1 = LevelSpec(SemisimpleAlgebra((a1,)), a3, decomposition([a1], [(((1,),), 2)]))
     lv2 = LevelSpec(SemisimpleAlgebra((a3,)), a3, decomposition([a3], [(((1, 0, 0),), 1)]))
-    edge = EdgeSpec((decomposition([a1], [(((1,),), 1), (((0,),), 2)]),))
+    edge = (decomposition([a1], [(((1,),), 1), (((0,),), 2)]),)
     with pytest.raises(DomainError) as err:
         compute_labels([lv1, lv2], [edge])
     assert "level 1" in str(err.value)
@@ -133,7 +132,7 @@ def test_edge_dimension_mismatch_is_spec_error():
         SemisimpleAlgebra((a1, a1)), a3, decomposition([a1, a1], [(((1,), (1,)), 1)])
     )
     lv2 = LevelSpec(SemisimpleAlgebra((a3,)), a3, decomposition([a3], [(((1, 0, 0),), 1)]))
-    bad_edge = EdgeSpec((decomposition([a1, a1], [(((1,), (0,)), 1)]),))
+    bad_edge = (decomposition([a1, a1], [(((1,), (0,)), 1)]),)
     with pytest.raises(DimensionMismatchError):
         compute_labels([lv1, lv2], [bad_edge])
 
@@ -144,7 +143,7 @@ def test_mixed_ambient_kinds_rejected():
     lv2 = LevelSpec(
         SemisimpleAlgebra((c2,)), c2, decomposition([c2], [(((1, 0),), 1)])
     )
-    edge = EdgeSpec((decomposition([a1], [(((1,),), 2)]),))
+    edge = (decomposition([a1], [(((1,),), 2)]),)
     with pytest.raises(DomainError):
         compute_labels([lv1, lv2], [edge])
 
@@ -242,14 +241,14 @@ def test_split_vertex_stabilizes_after_the_split():
     pair_branching = decomposition([a1, a1], [(((1,), (0,)), 1), (((0,), (1,)), 1)])
     lv2 = LevelSpec(two, a3, pair_branching)
     lv3 = LevelSpec(two, a3, pair_branching)
-    split_edge = EdgeSpec((
+    split_edge = (
         decomposition([a1], [(((1,),), 1)]),
         decomposition([a1], [(((1,),), 1)]),
-    ))
-    straight_edge = EdgeSpec((
+    )
+    straight_edge = (
         decomposition([a1, a1], [(((1,), (0,)), 1)]),
         decomposition([a1, a1], [(((0,), (1,)), 1)]),
-    ))
+    )
     g = compute_labels([lv1, lv2, lv3], [split_edge, straight_edge])
     assert level_sums(g, (1, 0)) == [2, 2, 2]
     assert stabilization(g, (1, 0)) == 2
@@ -265,7 +264,7 @@ def test_dimension_shrink_rejected():
         decomposition([a1, a1], [(((1,), (0,)), 1), (((0,), (1,)), 1)]),
     )
     lv2 = LevelSpec(SemisimpleAlgebra((a1,)), a3, decomposition([a1], [(((1,),), 2)]))
-    merge_edge = EdgeSpec((decomposition([a1, a1], [(((1,), (0,)), 1), (((0,), (1,)), 1)]),))
+    merge_edge = (decomposition([a1, a1], [(((1,), (0,)), 1), (((0,), (1,)), 1)]),)
     with pytest.raises(DomainError):
         compute_labels([lv1, lv2], [merge_edge])
 
@@ -383,7 +382,7 @@ def _assert_engine_matches_reference(g):
 
 def ref_standard_edge(graph, v, w):
     (n, j), (_, k) = v, w
-    restricted = restrict_to_factor(graph.edges[n - 1].branchings[k], j)
+    restricted = restrict_to_factor(graph.edges[n - 1][k], j)
     emb = Embedding(SemisimpleAlgebra((graph.algebra_at(v),)), graph.algebra_at(w), restricted)
     return isinstance(classify_embedding(emb), Standard)
 
@@ -428,13 +427,13 @@ def _assert_counts_match_reference(g) -> set:
     for the messages."""
     seen = set()
     branchings = [b for lv in g.levels for b in (lv.ambient_branching, lv.conatural)]
-    for b in branchings + [b for edge in g.edges for b in edge.branchings]:
+    for b in branchings + [b for edge in g.edges for b in edge]:
         for j in range(len(b.algebra.factors)):
             got = _counts_or_message(_pure_counts, b, j)
             assert got == _counts_or_message(ref_pure_counts, b, j)
             seen.update(m for m in ("mixes", "not diagonal") if m in got)
     for n, j, k in g.beta:
-        copies, dual_copies, odd = natural_copies(g.edges[n - 1].branchings[k], j)
+        copies, dual_copies, odd = natural_copies(g.edges[n - 1][k], j)
         flag = odd is None and copies + dual_copies == 1
         assert flag == ref_standard_edge(g, (n, j), (n + 1, k))
         seen.add(flag)
@@ -468,7 +467,7 @@ def test_trusted_dual_and_restriction_match_validating_constructor(name):
     # dual() and restrict_to_factor() skip re-validation; the public
     # constructor, fed the same summands, must build the same decomposition.
     levels, edges = formats.system_from_doc(load_fixture(name))
-    branchings = [lv.ambient_branching for lv in levels] + [b for e in edges for b in e.branchings]
+    branchings = [lv.ambient_branching for lv in levels] + [b for e in edges for b in e]
     for b in branchings:
         factors = b.algebra.factors
         assert b.dual() == ModuleDecomposition(b.algebra, tuple(
@@ -511,7 +510,7 @@ def test_parsing_builds_each_summand_once(name, monkeypatch):
     assert len(built) == len(list(_summand_records(doc)))
     assert len(built) == {"s3.json": 19, "example4.json": 23}.get(name, len(built))
     monkeypatch.undo()
-    branchings = [lv.ambient_branching for lv in levels] + [b for e in edges for b in e.branchings]
+    branchings = [lv.ambient_branching for lv in levels] + [b for e in edges for b in e]
     assert {id(s) for b in branchings for s in b.summands} <= set(map(id, built))
     for b in branchings:
         backwards = b.summands[::-1]
@@ -525,7 +524,7 @@ def test_parsing_shares_one_algebra_per_level(name):
     # components object of the level, and each literal gives one algebra
     levels, edges = formats.system_from_doc(load_fixture(name))
     for n, lv in enumerate(levels):
-        outgoing = edges[n].branchings if n < len(edges) else ()
+        outgoing = edges[n] if n < len(edges) else ()
         over = [lv.ambient_branching, lv.conatural, lv.embedding.branching, *outgoing]
         assert all(b.algebra is lv.components for b in over)
         assert lv.embedding.source is lv.components
@@ -624,14 +623,14 @@ def test_level_and_graph_guards_of_the_library():
     with pytest.raises(DomainError, match="^a system needs at least one level$"):
         compute_labels([], [])
     with pytest.raises(DimensionMismatchError, match="^1 levels need 0 edge specs, got 1$"):
-        compute_labels([lower], [EdgeSpec(())])
+        compute_labels([lower], [()])
     with pytest.raises(DimensionMismatchError,
                        match="^edge 1 has 0 branchings for 1 components of level 2$"):
-        compute_labels([lower, upper], [EdgeSpec(())])
+        compute_labels([lower, upper], [()])
     over_a2 = decomposition([a2], [(((1, 0),), 1), (((0, 0),), 1)])
     with pytest.raises(DomainError, match="^edge 1: branching of component 0 must decompose over level 1$"):
-        compute_labels([lower, upper], [EdgeSpec((over_a2,))])
-    graph = compute_labels([lower, upper], [EdgeSpec((decomposition([a1], [(((1,),), 2)]),))])
+        compute_labels([lower, upper], [(over_a2,)])
+    graph = compute_labels([lower, upper], [(decomposition([a1], [(((1,),), 2)]),)])
     for origin in [(3, 0), (1, 1), (0, 0)]:
         with pytest.raises(DomainError, match=rf"^no vertex \({origin[0]}, {origin[1]}\) in the graph$"):
             stabilization(graph, origin)

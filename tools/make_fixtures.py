@@ -6,7 +6,7 @@ from pathlib import Path
 from lielimits import formats
 from lielimits.algebras import SimpleAlgebra
 from lielimits.index import Embedding, SemisimpleAlgebra, decomposition
-from lielimits.system import EdgeSpec, LevelSpec
+from lielimits.system import LevelSpec
 
 OUT = Path(__file__).resolve().parents[1] / "src" / "lielimits" / "fixtures"
 
@@ -55,7 +55,7 @@ def std_edge(src, tgt):
 def make_s1():
     algs = [A(n) for n in range(1, 6)]
     levels = [std_level(a) for a in algs]
-    edges = [EdgeSpec((std_edge(a, b),)) for a, b in zip(algs, algs[1:])]
+    edges = [(std_edge(a, b),) for a, b in zip(algs, algs[1:])]
     save("s1.json", formats.system_to_doc(levels, edges))
 
 
@@ -70,7 +70,7 @@ def make_s2():
         f, g = A(n), A(n + 1)
         b0 = decomposition([f, f], [((nat(f), zero(f)), 1), ((zero(f), zero(f)), 1)])
         b1 = decomposition([f, f], [((zero(f), nat(f)), 1), ((zero(f), zero(f)), 1)])
-        edges.append(EdgeSpec((b0, b1)))
+        edges.append((b0, b1))
     save("s2.json", formats.system_to_doc(levels, edges))
 
 
@@ -103,7 +103,7 @@ def blocks_system(extra_trivial: bool):
                 brs.append(decomposition(src, [(tuple(ws), 1)]))
             else:
                 brs.append(decomposition(src, [(((0,),) * n, 2)]))
-        edges.append(EdgeSpec(tuple(brs)))
+        edges.append(tuple(brs))
     return levels, edges
 
 
@@ -128,7 +128,7 @@ def make_example1():
         f, block = A(n), A(1)
         b0 = decomposition([f, block], [((nat(f), zero(block)), 1), ((zero(f), zero(block)), 1)])
         b1 = decomposition([f, block], [((zero(f), nat(block)), 1)])
-        edges.append(EdgeSpec((b0, b1)))
+        edges.append((b0, b1))
     save("example1.json", formats.system_to_doc(levels, edges))
 
 
@@ -151,7 +151,7 @@ def make_s4():
         f, a1, g = C(n + 1), A(1), C(n + 2)
         b0 = decomposition([f, a1], [((nat(f), zero(a1)), 1), ((zero(f), zero(a1)), 2)])
         b1 = decomposition([f, a1], [((zero(f), nat(a1)), 1)])
-        edges.append(EdgeSpec((b0, b1)))
+        edges.append((b0, b1))
     save("s4.json", formats.system_to_doc(levels, edges))
 
 
@@ -161,7 +161,7 @@ def make_tensor2():
         SemisimpleAlgebra((a1, a1)), a3, decomposition([a1, a1], [(((1,), (1,)), 1)])
     )
     lv2 = std_level(a3)
-    edge = EdgeSpec((decomposition([a1, a1], [(((1,), (1,)), 1)]),))
+    edge = (decomposition([a1, a1], [(((1,), (1,)), 1)]),)
     save("tensor2.json", formats.system_to_doc([lv1, lv2], [edge]))
 
 
@@ -172,7 +172,7 @@ def make_notstab():
         SemisimpleAlgebra((a3,)), a7,
         decomposition([a3], [(((1, 0, 0),), 1), (((0, 0, 1),), 1)]),
     )
-    edge = EdgeSpec((decomposition([a1], [(((1,),), 2)]),))
+    edge = (decomposition([a1], [(((1,),), 2)]),)
     save("notstab.json", formats.system_to_doc([lv1, lv2], [edge]))
 
 
@@ -185,14 +185,14 @@ def make_example4():
         con = decomposition([f], [((tuple(reversed(nat(f))),), 1)])
         levels.append(LevelSpec(SemisimpleAlgebra((f,)), amb, br, con))
     for n in range(1, 5):
-        edges.append(EdgeSpec((std_edge(A(n), A(n + 1)),)))
+        edges.append((std_edge(A(n), A(n + 1)),))
     save("example4.json", formats.system_to_doc(levels, edges))
 
 
 def make_so_chain():
     algs = [B(2), B(3), D(4), D(5)]
     levels = [std_level(a) for a in algs]
-    edges = [EdgeSpec((std_edge(a, b),)) for a, b in zip(algs, algs[1:])]
+    edges = [(std_edge(a, b),) for a, b in zip(algs, algs[1:])]
     save("so_chain.json", formats.system_to_doc(levels, edges))
 
 
@@ -203,8 +203,8 @@ def make_refine_mixed():
         decomposition([a2], [(((1, 0),), 1), (((0, 1),), 1), (((0, 0),), 2)]),
     )
     levels = [lv1, std_level(d4), std_level(d5)]
-    e1 = EdgeSpec((decomposition([a2], [(((1, 0),), 1), (((0, 1),), 1), (((0, 0),), 2)]),))
-    e2 = EdgeSpec((std_edge(d4, d5),))
+    e1 = (decomposition([a2], [(((1, 0),), 1), (((0, 1),), 1), (((0, 0),), 2)]),)
+    e2 = (std_edge(d4, d5),)
     save("refine_mixed.json", formats.system_to_doc(levels, [e1, e2]))
 
 

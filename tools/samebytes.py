@@ -22,7 +22,9 @@ deletion included) of s2.json, example4.json, tensor2.json, so_chain.json
 and diag_a5_a11.json under the commands of its document kind; --help and
 every command's --help; the usage errors of USAGE_ERRORS; both formats x
 the numbers too long to print or to read, and the rational exponents past
-the digit limit, of too_long_entries; both formats x
+the digit limit, of too_long_entries; both formats x `maximal gl` and
+`maximal sl` on a tail from WIDE_TAIL_FROM, a window far wider than any
+other entry's; both formats x
 `oracle freudenthal` and `oracle trace` on every irrep of dimension <=
 ORACLE_DIM_BOUND over the bench's sweep algebras, `oracle tensor` on
 ORACLE_TENSOR_PAIRS pairs drawn with ORACLE_SEED, and ORACLE_EXTRAS (the
@@ -67,6 +69,7 @@ CLI_MIX_SEEDS = (7, 201, 555)
 COMMAND_NAMES = ("index", "embed", "limit", "refine", "socle", "invariants", "maximal", "oracle")
 USAGE_ERRORS = ([], ["bogus", "FILE"], ["maximal", "xx", "FILE"], ["--seed", "abc", "index", "A1", "1"],
                 ["limit"])
+WIDE_TAIL_FROM = 2000  # about 0.5-0.8 s per entry on a 2-CPU sandbox
 ORACLE_DIM_BOUND = 60
 ORACLE_TENSOR_PAIRS = 64
 ORACLE_SEED = 22
@@ -127,6 +130,13 @@ def too_long_entries(work: Path) -> list[dict]:
     return [{"argv": fmt + argv} for argv in argvs for fmt in FORMATS]
 
 
+def wide_entries(work: Path) -> list[dict]:
+    """`maximal gl` and `maximal sl` on the tail span{v_i : i >= WIDE_TAIL_FROM}."""
+    path = work / "wide_tail.json"
+    path.write_text(json.dumps({"format": "lielimits-subspace/1", "tail_from": WIDE_TAIL_FROM}))
+    return [{"argv": fmt + ["maximal", kind, str(path)]} for kind in ("gl", "sl") for fmt in FORMATS]
+
+
 def table(work: Path) -> list[dict]:
     """The entries: {"argv": [...]}, {"demo": path} or, for a mutation, an argv on
     MUTATED_FILE and "mutate": [fixture, path, value, delete]."""
@@ -153,6 +163,7 @@ def table(work: Path) -> list[dict]:
     entries += [{"argv": argv} for argv in [["--help"]] + [[name, "--help"] for name in COMMAND_NAMES]]
     entries += [{"argv": argv} for argv in USAGE_ERRORS]
     entries += too_long_entries(work)
+    entries += wide_entries(work)
     entries += oracle_entries(generate)
     entries += [{"demo": str(p)} for p in sorted((ROOT / "demos").glob("*.py"))]
     return entries
