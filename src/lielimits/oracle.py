@@ -4,16 +4,19 @@ Weight multiplicities come from the Freudenthal recursion, the trace-form
 index evaluates Tr pi(h)^2 / 2 on a long simple coroot h, and small tensor
 products are decomposed by the Brauer-Klimyk formula.  Multiplicities are
 constant on Weyl orbits, so the recursion runs on the dominant weights
-alone: a walk by mu - alpha over the positive roots, which carries each
-weight's norm |mu + rho|^2 and its pairings with the positive roots, both
-linear in mu.  Each orbit is then filled by simple reflections.  None of
-these touch the closed-form index formula, so agreement with it is
-evidence rather than tautology.
+alone: a walk by mu - alpha over the positive roots carries each weight's
+norm |mu + rho|^2 and its pairings with the positive roots, both linear in
+mu, and each string sum is one step up, read at a dominant weight.  The
+trace is a sum over orbits, from their sizes, and only the full multiset
+fills each orbit.  None of these touch the closed-form index formula, so
+agreement with it is evidence rather than tautology.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
+from operator import add, sub
 
 from .algebras import (
     SimpleAlgebra,
@@ -22,6 +25,7 @@ from .algebras import (
     check_dominant,
     dimension,
     eps2,
+    form_scale,
     fundamental_weight,
     pairing,
     positive_roots,
@@ -81,57 +85,59 @@ def weight_system(alg: SimpleAlgebra, lam) -> dict[Weight, tuple[int, tuple[int,
     for mu in todo:
         norm, pairs = walk[mu]
         for (alpha, steps, cost), p in zip(moves, pairs):
-            down = tuple(x - a for x, a in zip(mu, alpha))
+            down = tuple(map(sub, mu, alpha))
             if min(down) >= 0 and down not in walk:
-                walk[down] = (norm - 2 * p - cost, tuple(q - s for q, s in zip(pairs, steps)))
+                walk[down] = (norm - 2 * p - cost, tuple(map(sub, pairs, steps)))
                 todo.append(down)
     return walk
 
 
-def freudenthal(alg: SimpleAlgebra, lam, dim_bound: int = DEFAULT_DIM_BOUND) -> WeightMultiset:
-    """Exact weight multiplicities via the Freudenthal recursion."""
-    lam = check_dominant(alg, lam)
-    dim = dimension(alg, lam)
-    if dim > dim_bound:
+def _checked(alg: SimpleAlgebra, lam, dim_bound: int) -> Weight:
+    """lam, once check_dominant accepts it and its dimension is within dim_bound."""
+    if (dim := dimension(alg, lam := check_dominant(alg, lam))) > dim_bound:
         raise ResourceBoundError(
             f"dimension {dim} of {lam} over {alg} exceeds the configured bound {dim_bound}"
         )
-    return _freudenthal(alg, lam)
+    return lam
 
 
 @lru_cache(maxsize=None)
-def _freudenthal(alg: SimpleAlgebra, lam: Weight) -> WeightMultiset:
-    """Memoized kernel of `freudenthal` for a weight it accepted.
+def _dominant(alg: SimpleAlgebra, lam: Weight) -> tuple[dict[Weight, tuple[int, int]], int]:
+    """Each dominant weight mu of lam with (m(mu), |W mu|), and the sum over
+    all weights nu of m(nu) pairing(nu, nu).
 
-    The recursion runs on the dominant weights of weight_system in
-    decreasing norm |mu + rho|^2, which is its denominator anyway: a
-    dominant weight above another has the larger norm, so every weight
-    mu + k alpha above mu lies in an orbit already filled.  Both sides are
-    integer pairings at the scale of algebras.form_scale, so each
-    multiplicity is one exact division.  The string sum T(mu) = sum over
-    k >= 1 of m(mu + k alpha) (mu + k alpha, alpha) is kept per root at
-    each dominant weight, so a climb stops at the first dominant weight of
-    its string.
+    The recursion runs in decreasing norm |mu + rho|^2, its denominator, and
+    each multiplicity is one exact division of integer pairings.  Per
+    positive root alpha it keeps T_alpha(mu) = m(nu) (nu, alpha) + T_alpha(nu)
+    at nu = mu + alpha.  A w that takes nu into the chamber gives
+    m(nu) = m(w nu) and T_alpha(nu) = T_{w alpha}(w nu); w nu has the larger
+    norm, and w alpha is a positive root: were it -gamma, then
+    |mu|^2 = |w nu + gamma|^2 > |w nu|^2 = |mu + alpha|^2 > |mu|^2.
+
+    The orbit of mu has |W| / |W_mu| weights.  |W| is the product of
+    (h + 1) / h over the positive roots, h = <rho, alpha^vee> the height of
+    the coroot (Macdonald, Math. Ann. 199, 1972), and its stabilizer W_mu
+    takes the product over the roots with (mu, alpha) = 0.  Each weight nu of
+    the orbit has pairing(nu, nu) = norm - sum(pairs) - pairing(rho, rho).
     """
     walk = weight_system(alg, lam)
-    roots = positive_roots(alg)
-    lengths = [sum(c * a for c, a in zip(form, alpha)) for form, alpha in zip(_root_forms(alg), roots)]
-    cartan, top_norm = cartan_matrix(alg), walk[lam][0]
-    mult: dict[Weight, int] = {}  # every weight of the orbits filled so far
-    sums: dict[Weight, list[int]] = {}  # dominant mu -> T(mu) per positive root
-    total = 0
+    roots, forms, cartan = positive_roots(alg), _root_forms(alg), cartan_matrix(alg)
+    lengths = [sum(c * a for c, a in zip(form, alpha)) for form, alpha in zip(forms, roots)]
+    heights = [2 * sum(form) // length for form, length in zip(forms, lengths)]
+    position = {alpha: r for r, alpha in enumerate(roots)}
+    top_norm, rho_norm = walk[lam][0], sum(map(sum, forms)) // 2
+    mult, sums, sizes = {}, {}, {}  # (m, |W mu|), T_alpha(mu) per positive root, |W mu| by zero labels
+    total = moment = 0
     for i, mu in enumerate(sorted(walk, key=lambda mu: walk[mu][0], reverse=True)):
         norm, pairs = walk[mu]
         row = []
-        for r, (alpha, length, p) in enumerate(zip(roots, lengths, pairs)):
-            t, nu = 0, mu
-            while (nu := tuple(x + a for x, a in zip(nu, alpha))) in mult:
-                p += length
-                t += mult[nu] * p
-                if nu in sums:
-                    t += sums[nu][r]
-                    break
-            row.append(t)
+        for alpha, length, p in zip(roots, lengths, pairs):
+            nu, beta = tuple(map(add, mu, alpha)), alpha
+            while (low := min(nu)) < 0:  # s_j nu = nu - nu_j alpha_j, and so for beta
+                j = nu.index(low)
+                nu = tuple(x - low * a for x, a in zip(nu, cartan[j]))
+                beta = tuple(x - beta[j] * a for x, a in zip(beta, cartan[j]))
+            row.append(mult[nu][0] * (p + length) + sums[nu][position[beta]] if nu in mult else 0)
         sums[mu] = row
         m = 1
         if i:
@@ -142,7 +148,32 @@ def _freudenthal(alg: SimpleAlgebra, lam: Weight) -> WeightMultiset:
             m, rest = divmod(acc, denom)
             if rest or m <= 0:
                 raise InternalConsistencyError(f"non-integral multiplicity {acc}/{denom} at {mu}")
-        # the orbit of mu, by s_i nu = nu - nu_i alpha_i for each nu_i > 0
+        if (size := sizes.get(zeros := tuple(map(bool, mu)))) is None:
+            kept = [h for h, q in zip(heights, pairs) if q]
+            size = sizes[zeros] = prod(h + 1 for h in kept) // prod(kept)
+        mult[mu] = m, size
+        total += m * size
+        moment += m * size * (norm - sum(pairs) - rho_norm)
+    dim = weyl_dimension(alg, lam)
+    if total != dim:
+        raise InternalConsistencyError(
+            f"multiplicities of {lam} over {alg} sum to {total}, expected {dim}"
+        )
+    return mult, moment
+
+
+def freudenthal(alg: SimpleAlgebra, lam, dim_bound: int = DEFAULT_DIM_BOUND) -> WeightMultiset:
+    """Exact weight multiplicities via the Freudenthal recursion."""
+    return _freudenthal(alg, _checked(alg, lam, dim_bound))
+
+
+@lru_cache(maxsize=None)
+def _freudenthal(alg: SimpleAlgebra, lam: Weight) -> WeightMultiset:
+    """Memoized kernel of `freudenthal` for a weight it accepted: the orbit of
+    each dominant weight of _dominant, filled by s_i nu = nu - nu_i alpha_i
+    for each nu_i > 0."""
+    cartan, mult = cartan_matrix(alg), {}
+    for mu, (m, _) in _dominant(alg, lam)[0].items():
         mult[mu] = m
         orbit = [mu]
         for nu in orbit:
@@ -150,12 +181,6 @@ def _freudenthal(alg: SimpleAlgebra, lam: Weight) -> WeightMultiset:
                 if x > 0 and (w := tuple(y - x * a for y, a in zip(nu, alpha))) not in mult:
                     mult[w] = m
                     orbit.append(w)
-        total += m * len(orbit)
-    dim = weyl_dimension(alg, lam)
-    if total != dim:
-        raise InternalConsistencyError(
-            f"multiplicities of {lam} over {alg} sum to {total}, expected {dim}"
-        )
     return WeightMultiset(alg, tuple(sorted(mult.items())))
 
 
@@ -163,24 +188,22 @@ freudenthal.cache_info = _freudenthal.cache_info
 freudenthal.cache_clear = _freudenthal.cache_clear
 
 
-def _long_simple_root_position(alg: SimpleAlgebra) -> int:
-    # All simple roots are long for A and D; for B only the last is short;
-    # for C only the last is long.
-    return alg.rank - 1 if alg.series == "C" else 0
-
-
 def trace_index(alg: SimpleAlgebra, lam, dim_bound: int = DEFAULT_DIM_BOUND) -> int:
     """Index as Tr pi(h)^2 / <h, h> for a long simple coroot h (<h, h> = 2).
 
-    Evaluating a weight on that coroot reads off a single Dynkin label, so
-    the trace is a plain sum over the Freudenthal multiset.
+    W acts irreducibly on the Cartan subalgebra of a simple algebra, so the
+    orbit of mu sums nu(h)^2 to |W mu| (mu, mu) (h, h) / rank, and the index
+    is the sum of m(mu) |W mu| (mu, mu) / rank over the dominant weights:
+    Freudenthal's multiplicities and the invariant form alone, never the
+    closed form in dim(lam) and (lam, lam + 2 rho).
     """
-    ms = freudenthal(alg, lam, dim_bound)
-    j = _long_simple_root_position(alg)
-    trace = sum(m * mu[j] * mu[j] for mu, m in ms.entries)
-    if trace % 2 != 0:
-        raise InternalConsistencyError(f"odd trace {trace} for {lam} over {alg}")
-    return trace // 2
+    lam = _checked(alg, lam, dim_bound)
+    moment, scale = _dominant(alg, lam)[1], form_scale(alg) * alg.rank
+    value, rest = divmod(moment, scale)
+    if rest:
+        raise InternalConsistencyError(
+            f"trace sum {moment} for {lam} over {alg} is not a multiple of {scale}")
+    return value
 
 
 def tensor_decompose(alg: SimpleAlgebra, lam, mu, dim_bound: int = DEFAULT_DIM_BOUND):

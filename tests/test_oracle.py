@@ -1,5 +1,6 @@
 import random
-from math import isqrt
+from math import factorial, isqrt
+from operator import add
 
 import pytest
 
@@ -230,13 +231,15 @@ def test_walk_and_string_sums_match_reference():
         assert dict(freudenthal(alg, lam).entries) == ref_freudenthal(alg, lam)
 
 
+KERNEL_CASES = DIFFERENTIAL_CASES + [
+    (alg, lam)
+    for alg in map(SimpleAlgebra.parse, ("A5", "B4", "C4", "D5"))
+    for lam in dominant_weights_up_to_dim(alg, 400)
+]
+
+
 def test_kernels_match_the_coded_walk():
-    cases = DIFFERENTIAL_CASES + [
-        (alg, lam)
-        for alg in map(SimpleAlgebra.parse, ("A5", "B4", "C4", "D5"))
-        for lam in dominant_weights_up_to_dim(alg, 400)
-    ]
-    for alg, lam in cases:
+    for alg, lam in KERNEL_CASES:
         walk = ref_walk(alg, lam)
         assert weight_system(alg, lam).keys() == dominant_part(mu for mu, _, _, _ in walk.values())
         assert freudenthal(alg, lam) == ref_walk_freudenthal(alg, lam)
@@ -252,6 +255,76 @@ def test_walk_carries_norm_and_pairings():
             assert norm == pairing(alg, shifted, shifted)
             a = eps2(alg, mu)
             assert pairs == tuple(pairing(alg, a, eps2(alg, alpha)) for alpha in roots)
+
+
+def ref_orbit(alg, mu):
+    """Reference: the Weyl orbit of a dominant mu, filled by s_i nu = nu - nu_i alpha_i
+    for each nu_i > 0."""
+    cartan = cartan_matrix(alg)
+    orbit, seen = [mu], {mu}
+    for nu in orbit:
+        for x, alpha in zip(nu, cartan):
+            if x > 0 and (w := tuple(y - x * a for y, a in zip(nu, alpha))) not in seen:
+                seen.add(w)
+                orbit.append(w)
+    return orbit
+
+
+def test_orbit_sizes_match_the_reflection_orbits():
+    sizes = {}
+    for alg, lam in KERNEL_CASES:
+        for mu, (_, size) in oracle._dominant(alg, lam)[0].items():
+            if (alg, mu) not in sizes:
+                sizes[alg, mu] = len(ref_orbit(alg, mu))
+            assert size == sizes[alg, mu], (alg, lam, mu)
+
+
+@pytest.mark.parametrize("literal", "A1 A2 A3 A4 A5 B2 B3 B4 C2 C3 C4 D4 D5".split())
+def test_regular_orbit_is_the_weyl_group(literal):
+    alg = SimpleAlgebra.parse(literal)
+    n, rho = alg.rank, (1,) * alg.rank
+    order = {"A": factorial(n + 1), "B": 2**n * factorial(n), "C": 2**n * factorial(n),
+             "D": 2 ** (n - 1) * factorial(n)}[alg.series]
+    assert oracle._dominant(alg, rho)[0][rho] == (1, order)
+
+
+def test_trace_is_the_sum_over_every_weight():
+    # nu(h) for the long simple coroot h is the label nu_j of the long simple root:
+    # all are long for A and D, only the last is short for B, only the last is long for C
+    for alg, lam in KERNEL_CASES:
+        j = alg.rank - 1 if alg.series == "C" else 0
+        trace = sum(m * mu[j] ** 2 for mu, m in freudenthal(alg, lam).entries)
+        assert trace % 2 == 0 and trace_index(alg, lam) == trace // 2, (alg, lam)
+
+
+def step_up_landings(alg, lam):
+    """Where the kernel's step up from each dominant mu by each positive root alpha
+    lands: on a dominant weight, on no weight at all, or on a weight outside the
+    chamber whose reflection into it takes alpha to a positive or a negative root."""
+    walk, cartan, roots = weight_system(alg, lam), cartan_matrix(alg), positive_roots(alg)
+    found = set()
+    for mu in walk:
+        for alpha in roots:
+            up = nu = tuple(map(add, mu, alpha))
+            beta = alpha
+            while (low := min(nu)) < 0:
+                j = nu.index(low)
+                nu = tuple(x - low * a for x, a in zip(nu, cartan[j]))
+                beta = tuple(x - beta[j] * a for x, a in zip(beta, cartan[j]))
+            if nu not in walk:
+                found.add("no weight")
+            elif nu == up:
+                found.add("dominant")
+            else:
+                found.add("positive" if beta in roots else "negative")
+    return found
+
+
+def test_step_up_lands_on_a_dominant_weight_no_weight_or_a_positive_root():
+    # the kernel reads w alpha among the positive roots only: -gamma would give
+    # |mu|^2 = |w nu + gamma|^2 > |w nu|^2 = |mu + alpha|^2 > |mu|^2
+    found = set().union(*(step_up_landings(alg, lam) for alg, lam in KERNEL_CASES))
+    assert found == {"dominant", "no weight", "positive"}
 
 
 @pytest.mark.parametrize(
@@ -410,6 +483,14 @@ def _top_only(real):
     return lambda alg, lam, bound=None: WeightMultiset(alg, ((tuple(lam), 1),))
 
 
+def _moment_off_by_one(real):
+    """_dominant whose sum of m(nu) pairing(nu, nu) is one too large."""
+    def kernel(alg, lam):
+        mult, moment = real(alg, lam)
+        return mult, moment + 1
+    return kernel
+
+
 def _negated(real):
     """freudenthal with every multiplicity negated."""
     return lambda alg, lam, bound: WeightMultiset(
@@ -426,7 +507,8 @@ ORACLE_FAULTS = {
                      "non-integral multiplicity 32/1000032 at (0,)"),
     "sum": ("weyl_dimension", lambda real: lambda alg, lam: real(alg, lam) + 1, ("trace", "2"),
             "multiplicities of (2,) over A1 sum to 3, expected 4"),
-    "odd-trace": ("freudenthal", _top_only, ("trace", "1"), "odd trace 1 for (1,) over A1"),
+    "trace-multiple": ("_dominant", _moment_off_by_one, ("trace", "1"),
+                       "trace sum 9 for (1,) over A1 is not a multiple of 8"),
     "negative": ("freudenthal", _negated, ("tensor", "1", "1"),
                  "negative Klimyk coefficient -1 at (0,)"),
     "not-exhausted": ("freudenthal", _top_only, ("tensor", "1", "1"),
