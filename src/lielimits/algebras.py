@@ -212,31 +212,6 @@ def rho(alg: SimpleAlgebra) -> Weight:
     return (1,) * alg.rank
 
 
-def _weyl_numerator(alg: SimpleAlgebra, doubled) -> int:
-    # One integer factor per positive root; the doubling cancels between
-    # the lam+rho and rho products.
-    c = doubled
-    n = len(c)
-    product = 1
-    if alg.series == "A":
-        for i in range(n):
-            for j in range(i + 1, n):
-                product *= c[i] - c[j]
-        return product
-    for i in range(n):
-        for j in range(i + 1, n):
-            product *= (c[i] - c[j]) * (c[i] + c[j])
-    if alg.series in ("B", "C"):
-        for x in c:
-            product *= x
-    return product
-
-
-@lru_cache(maxsize=None)
-def _rho_product(alg: SimpleAlgebra) -> int:
-    return _weyl_numerator(alg, eps2(alg, rho(alg)))
-
-
 def dimension(alg: SimpleAlgebra, lam) -> int:
     """Weyl dimension formula: prod over alpha > 0 of (lam+rho, alpha)/(rho, alpha).
 
@@ -247,8 +222,30 @@ def dimension(alg: SimpleAlgebra, lam) -> int:
 
 @lru_cache(maxsize=None)
 def weyl_dimension(alg: SimpleAlgebra, lam: Weight) -> int:
-    """Memoized kernel of `dimension` for a weight check_dominant accepted."""
-    dim, rest = divmod(_weyl_numerator(alg, eps2(alg, [x + 1 for x in lam])), _rho_product(alg))
+    """Memoized kernel of `dimension` for a weight check_dominant accepted.
+
+    One pass over the positive roots, with c = eps2(lam+rho) and r = eps2(rho)
+    side by side: the factor c_i - c_j, for B, C and D also c_i + c_j, for B
+    and C also c_i.  A factor enters top and bottom only where lam moves it
+    (the doubling cancels), then one exact division.
+    """
+    c = eps2(alg, [x + 1 for x in lam])
+    r = eps2(alg, rho(alg))
+    pairs, singles = alg.series != "A", alg.series in ("B", "C")
+    top = bottom = 1
+    for i, (a, b) in enumerate(zip(c, r)):
+        # a row's factors are small: multiplied first, they make one big product per row, not per root
+        u, v = (a, b) if singles and a != b else (1, 1)
+        for x, y in zip(c[i + 1:], r[i + 1:]):
+            if (p := a - x) != (q := b - y):
+                u *= p
+                v *= q
+            if pairs and (p := a + x) != (q := b + y):
+                u *= p
+                v *= q
+        top *= u
+        bottom *= v
+    dim, rest = divmod(top, bottom)
     if rest or dim <= 0:
         raise DomainError(f"Weyl dimension of {lam} over {alg} is not a positive integer")
     return dim

@@ -121,6 +121,8 @@ class SubspaceDescriptor(Record):
     has_tail: bool
 
     def __init__(self, space: str, window: int, rows, has_tail: bool):
+        if (window := linalg.basis_index(window)) < 1:
+            raise DomainError(f"window must be >= 1, got {window}")
         rows = [list(map(linalg.rational, r)) for r in rows]
         if any(len(r) != window or (r[-1] and not has_tail) for r in rows):
             raise DomainError(f"each row needs {window} entries (the window), and the rows "
@@ -211,7 +213,7 @@ class SubspaceDescriptor(Record):
     def basis(self, window: int | None = None) -> list[Coords]:
         """Sparse RREF basis of the model subspace U of Q^window (Q^M by
         default); a tail derives it from its annihilator."""
-        window = window or self.window
+        window = self.window if window is None else window
         if self.has_tail:
             return linalg.nullspace_basis(self.small_at(window), window)
         return list(self.small_at(window))

@@ -8,15 +8,16 @@ from conftest import run_cli
 from lielimits import algebras
 from lielimits.algebras import (
     SimpleAlgebra,
-    _rho_product,
     cartan_matrix,
     dimension,
     dominant_weights_up_to_dim,
     dual_weight,
+    eps2,
     fundamental_weight,
     positive_roots,
     rho,
     weight_form,
+    weyl_dimension,
 )
 from lielimits.errors import DimensionMismatchError, DomainError, ParseError
 
@@ -196,6 +197,82 @@ def test_dimension_matches_weyl_product(alg):
         assert dimension(alg, lam) == reference_dimension(alg, lam)
 
 
+# -- reference Weyl dimension: every root factor of lam+rho over the whole rho product --
+
+
+def ref_weyl_numerator(alg, doubled):
+    """The product of every positive root's factor at the doubled epsilon coordinates."""
+    c = doubled
+    n = len(c)
+    product = 1
+    if alg.series == "A":
+        for i in range(n):
+            for j in range(i + 1, n):
+                product *= c[i] - c[j]
+        return product
+    for i in range(n):
+        for j in range(i + 1, n):
+            product *= (c[i] - c[j]) * (c[i] + c[j])
+    if alg.series in ("B", "C"):
+        for x in c:
+            product *= x
+    return product
+
+
+def ref_weyl_dimension(alg, lam):
+    """The numerator of lam+rho over the rho product, as a Fraction: the doubling cancels."""
+    return Fraction(ref_weyl_numerator(alg, eps2(alg, [x + 1 for x in lam])),
+                    ref_weyl_numerator(alg, eps2(alg, rho(alg))))
+
+
+def random_dominant(rng, rank, support):
+    """A dominant weight with `support` nonzero labels: one or two give lam+rho few long runs,
+    all of them many short ones."""
+    lam = [0] * rank
+    for i in rng.sample(range(rank), min(support, rank)):
+        lam[i] = rng.randint(1, 3)
+    return tuple(lam)
+
+
+@pytest.mark.parametrize("alg", TEST_ALGEBRAS, ids=str)
+def test_weyl_dimension_matches_the_full_products(alg):
+    rng = random.Random(str(alg))
+    for lam in dominant_weights_up_to_dim(alg, 60) + [random_dominant(rng, alg.rank, support)
+                                                      for support in (1, 2, alg.rank)]:
+        assert weyl_dimension(alg, lam) == ref_weyl_dimension(alg, lam) == reference_dimension(alg, lam)
+
+
+@pytest.mark.parametrize("series, floor", [("A", 1), ("B", 2), ("C", 1), ("D", 4)])
+def test_weyl_dimension_matches_the_full_products_up_to_rank_40(series, floor):
+    # the Fraction product on the Gram table costs rank^4, so it checks one weight per rank up to 20
+    rng = random.Random(f"weyl {series}")
+    for rank in sorted(rng.sample(range(floor, 21), 3) + rng.sample(range(21, 40), 2)) + [40]:
+        alg = SimpleAlgebra(series, rank)
+        weights = [random_dominant(rng, rank, support) for support in (1, 2, rank) for _ in range(3)]
+        for lam in weights:
+            assert weyl_dimension(alg, lam) == ref_weyl_dimension(alg, lam), (alg, lam)
+        if rank <= 20:
+            assert weyl_dimension(alg, weights[0]) == reference_dimension(alg, weights[0]), alg
+
+
+def adjoint_weight(alg):
+    """The highest root: omega_1 + omega_n for A, 2 omega_1 for C, omega_2 for B and D (B2: 2 omega_2)."""
+    n = alg.rank
+    if alg.series == "A":
+        return (2,) if n == 1 else (1,) + (0,) * (n - 2) + (1,)
+    if alg.series == "C":
+        return (2,) + (0,) * (n - 1)
+    return (0, 2) if n == 2 else (0, 1) + (0,) * (n - 2)
+
+
+@pytest.mark.parametrize("series, floor", [("A", 1), ("B", 2), ("C", 1), ("D", 4)])
+def test_natural_and_adjoint_dimensions_up_to_rank_1000(series, floor):
+    for rank in (floor, floor + 1, floor + 2, 100, 1000):
+        alg = SimpleAlgebra(series, rank)
+        assert dimension(alg, alg.natural_weight) == alg.natural_dim
+        assert dimension(alg, adjoint_weight(alg)) == alg.dim
+
+
 def _leading_minor_pivots(matrix):
     m = [list(row) for row in matrix]
     pivots = []
@@ -305,7 +382,7 @@ ALGEBRA_FAULTS = {
     "root-count": ("sorted", lambda roots: sorted(roots)[1:],
                    lambda: positive_roots(SimpleAlgebra("A", 2)), ("oracle", "trace", "A2", "1,0"),
                    "positive root count for A2: got 2, expected 3"),
-    "weyl-dimension": ("_rho_product", lambda alg: -_rho_product(alg),
+    "weyl-dimension": ("rho", lambda alg: (1,) * (alg.rank - 1) + (2,),
                        lambda: dimension(SimpleAlgebra("A", 2), (1, 1)), ("index", "A2", "1,1"),
                        "Weyl dimension of (1, 1) over A2 is not a positive integer"),
 }

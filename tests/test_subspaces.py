@@ -429,6 +429,7 @@ def test_descriptor_rebuilt_at_a_wider_window_is_the_same_record(rng):
         for wider in (w.window, w.window + 1, w.window + 4):
             rebuilt = SubspaceDescriptor(w.space, wider, rows_at(w, wider), w.has_tail)
             assert rebuilt == w and hash(rebuilt) == hash(w) and repr(rebuilt) == repr(w)
+    assert SubspaceDescriptor("V", "5", rows_at(examples[0], 5), True) == examples[0]  # a window int() reads
     verdict = classify_maximal("gl", SubspaceDescriptor("V", 5, rows_at(examples[0], 5), True))
     assert verdict.tag == "ic" and verdict.subspace == examples[0]
 
@@ -593,6 +594,11 @@ _DUAL_LINE = SubspaceDescriptor.span([{1: 1}], "V*")
         (lambda: SubspaceDescriptor.build(tail_from=2.5), DomainError, r"^bad basis index 2\.5$"),
         (lambda: SubspaceDescriptor.build(tail_from=True), DomainError, r"^bad basis index True$"),
         (lambda: SubspaceDescriptor.build(tail_from="0"), DomainError, r"^tail_from must be >= 1, got 0$"),
+        # the constructor's window is read the same way, and basis() takes no window below M
+        (lambda: SubspaceDescriptor("V", -1, [], False), DomainError, r"^window must be >= 1, got -1$"),
+        (lambda: SubspaceDescriptor("V", 0, [], True), DomainError, r"^window must be >= 1, got 0$"),
+        (lambda: SubspaceDescriptor("V", True, [], True), DomainError, r"^bad basis index True$"),
+        (lambda: _LINE.basis(0), DomainError, "cannot shrink"),
     ],
     ids=[
         "vector-index-0", "finite-tail-entry", "row-length", "space-W", "tail-from-0",
@@ -606,6 +612,7 @@ _DUAL_LINE = SubspaceDescriptor.span([{1: 1}], "V*")
         "huge-exponent-kernel-head", "huge-exponent-report-row",
         "vector-index-letter", "vector-index-none", "vector-index-float", "vector-index-bool",
         "tail-from-float", "tail-from-bool", "tail-from-string-0",
+        "window-negative", "window-0", "window-bool", "basis-window-0",
     ],
 )
 def test_public_api_guards(call, error, message):

@@ -24,7 +24,8 @@ every command's --help; the usage errors of USAGE_ERRORS; both formats x
 the numbers too long to print or to read, and the rational exponents past
 the digit limit, of too_long_entries; both formats x `maximal gl` and
 `maximal sl` on a tail from WIDE_TAIL_FROM, a window far wider than any
-other entry's; both formats x
+other entry's; both formats x the CLI paths of coverage_entries that no
+other entry runs (index on large ranks among them); both formats x
 `oracle freudenthal` and `oracle trace` on every irrep of dimension <=
 ORACLE_DIM_BOUND over the bench's sweep algebras, `oracle tensor` on
 ORACLE_TENSOR_PAIRS pairs drawn with ORACLE_SEED, and ORACLE_EXTRAS (the
@@ -137,6 +138,31 @@ def wide_entries(work: Path) -> list[dict]:
     return [{"argv": fmt + ["maximal", kind, str(path)]} for kind in ("gl", "sl") for fmt in FORMATS]
 
 
+def coverage_entries(work: Path) -> list[dict]:
+    """Rows for the CLI paths no other entry runs: invariants subsets (good, finite and
+    unreadable), an embedding with a two-factor source, a truncated JSON file, the
+    argument-count errors of index and oracle, the resource bounds, and index on large
+    ranks (sparse and dense weights)."""
+    embedding = work / "two_factor_embedding.json"
+    embedding.write_text(json.dumps({
+        "format": "lielimits-embedding/1", "source": ["A1", "A2"], "target": "A5",
+        "branching": [{"weights": [[1], [0, 0]], "mult": 1}, {"weights": [[0], [1, 0]], "mult": 1},
+                      {"weights": [[0], [0, 0]], "mult": 1}]}))
+    truncated = work / "truncated.json"
+    text = (FIXTURES / "s2.json").read_text(encoding="utf-8")
+    truncated.write_text(text[:len(text) // 2])
+    s2, s4 = str(FIXTURES / "s2.json"), str(FIXTURES / "s4.json")
+    argvs = [["invariants", "--subset", "0", "--subset", "0,1", s2], ["invariants", "--subset", "1", s4],
+             ["invariants", "--subset", "0,x", s2], ["embed", str(embedding)],
+             ["index", "--embedding", str(embedding)], ["limit", str(truncated)], ["index"],
+             ["index", "B2", "1,1,1"], ["oracle", "trace", "A2"], ["oracle", "selftest", "1"],
+             ["--dim-bound", "0", "index", "A1", "1"], ["--dim-bound", "8", "oracle", "selftest"]]
+    argvs += [["index", literal, _labels(weight)] for literal, weight in
+              (("A400", [1] + [0] * 399), ("C300", [1] + [0] * 299), ("D300", [1] + [0] * 299),
+               ("A400", [0] * 199 + [1] + [0] * 200))]
+    return [{"argv": fmt + argv} for argv in argvs for fmt in FORMATS]
+
+
 def table(work: Path) -> list[dict]:
     """The entries: {"argv": [...]}, {"demo": path} or, for a mutation, an argv on
     MUTATED_FILE and "mutate": [fixture, path, value, delete]."""
@@ -164,6 +190,7 @@ def table(work: Path) -> list[dict]:
     entries += [{"argv": argv} for argv in USAGE_ERRORS]
     entries += too_long_entries(work)
     entries += wide_entries(work)
+    entries += coverage_entries(work)
     entries += oracle_entries(generate)
     entries += [{"demo": str(p)} for p in sorted((ROOT / "demos").glob("*.py"))]
     return entries

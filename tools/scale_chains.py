@@ -4,7 +4,11 @@ Run from the repo root:
 
     PYTHONPATH=src python3 tools/scale_chains.py
 
-For each depth L in DEPTHS it writes one system document to a temp dir and
+For each depth L in DEPTHS it writes one system document to a temp dir,
+then the two large-rank documents of LARGE_RANK (the 10-level diagonal
+doubling chain A1 -> A3 -> ... -> A1023 and a one-level A1000 document,
+where the Weyl dimension of the natural module dominates; their one
+constituent is finite, so they have no `refine` time and print nan), and
 prints the best of REPEAT runs of: parse (load_json + system_from_doc),
 compute_labels, decompose, and the whole `lielimits --format json limit`,
 `lielimits --format json socle` and `lielimits --format json refine
@@ -77,6 +81,23 @@ def chain_doc(depth: int) -> dict:
     return {"format": formats.SYSTEM_FORMAT, "levels": levels, "edges": edges}
 
 
+def natural_string(ranks) -> dict:
+    """One sl string through the ranks inside the top level's sl: the natural
+    of each level restricts to (r' + 1)/(r + 1) copies of the natural below
+    (diagonal edges), the ambient to (top + 1)/(r + 1) copies."""
+    top = ranks[-1]
+    levels = [{"components": [f"A{r}"], "ambient": f"A{top}",
+               "ambient_branching": [{"weights": [_weight(r, 1)], "mult": (top + 1) // (r + 1)}]}
+              for r in ranks]
+    edges = [{"branchings": [[{"weights": [_weight(r, 1)], "mult": (r_next + 1) // (r + 1)}]]}
+             for r, r_next in zip(ranks, ranks[1:])]
+    return {"format": formats.SYSTEM_FORMAT, "levels": levels, "edges": edges}
+
+
+LARGE_RANK = {"doubling-A1023": natural_string([2 ** k - 1 for k in range(1, 11)]),
+              "A1000": natural_string([1000])}
+
+
 def clear_caches():
     for name, module in sorted(sys.modules.items()):
         if module is not None and (name == "lielimits" or name.startswith("lielimits.")):
@@ -110,7 +131,7 @@ def best_time(fn) -> tuple[float, object]:
     return best, result
 
 
-def measure(path: str) -> dict[str, float]:
+def measure(path: str, refine: bool = True) -> dict[str, float]:
     def parse():
         return formats.system_from_doc(formats.load_json(path))
 
@@ -130,22 +151,25 @@ def measure(path: str) -> dict[str, float]:
     decompose_s, _ = best_time(lambda: system.decompose(graphs.pop()))
     limit_s, _ = best_time(lambda: command("limit"))
     socle_s, _ = best_time(lambda: command("socle"))
-    refine_s, _ = best_time(lambda: command("refine", "--constituent", "0"))
-    return {"parse": parse_s, "compute_labels": labels_s, "decompose": decompose_s,
-            "limit": limit_s, "socle": socle_s, "refine": refine_s}
+    times = {"parse": parse_s, "compute_labels": labels_s, "decompose": decompose_s,
+             "limit": limit_s, "socle": socle_s, "refine": float("nan")}
+    if refine:
+        times["refine"], _ = best_time(lambda: command("refine", "--constituent", "0"))
+    return times
 
 
 def main() -> int:
     print(f"lielimits {lielimits.__version__}, python {sys.version.split()[0]}, "
           f"width {WIDTH}, best of {REPEAT}, {SPEED}")
-    print(f"{'L':>5} {'parse_s':>9} {'labels_s':>9} {'decomp_s':>9} {'limit_s':>9} {'socle_s':>9} "
+    print(f"{'L':>14} {'parse_s':>9} {'labels_s':>9} {'decomp_s':>9} {'limit_s':>9} {'socle_s':>9} "
           f"{'refine_s':>9}")
+    docs = {str(depth): chain_doc(depth) for depth in DEPTHS} | LARGE_RANK
     with tempfile.TemporaryDirectory() as tmp:
-        for depth in DEPTHS:
-            path = Path(tmp) / f"chain{depth}.json"
-            path.write_text(json.dumps(chain_doc(depth)))
-            t = measure(str(path))
-            print(f"{depth:>5} {t['parse']:>9.4f} {t['compute_labels']:>9.4f} "
+        for name, doc in docs.items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            t = measure(str(path), refine=name not in LARGE_RANK)
+            print(f"{name:>14} {t['parse']:>9.4f} {t['compute_labels']:>9.4f} "
                   f"{t['decompose']:>9.4f} {t['limit']:>9.4f} {t['socle']:>9.4f} {t['refine']:>9.4f}",
                   flush=True)
     return 0
