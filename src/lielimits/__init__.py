@@ -9,7 +9,6 @@ from .algebras import (
     dominant_weights_up_to_dim,
     dual_weight,
     positive_roots,
-    rho,
     weight_form,
 )
 from .errors import (

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
-from .errors import DimensionMismatchError, DomainError, ParseError
+from .errors import DimensionMismatchError, DomainError, InternalConsistencyError, ParseError
 from .record import Record
 
 Weight = tuple[int, ...]
@@ -105,8 +106,9 @@ def check_dominant(alg: SimpleAlgebra, weight) -> Weight:
 def cartan_matrix(alg: SimpleAlgebra) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix a[i][j] = <alpha_i, alpha_j^vee>: row i is the labels of the simple root alpha_i."""
     n = alg.rank
-    last = {"A": {n - 1: 1, n: -1}, "B": {n - 1: 1}, "C": {n - 1: 2}, "D": {n - 2: 1, n - 1: 1}}[alg.series]
-    return tuple(_labels(alg, root) for root in [*({i: 1, i + 1: -1} for i in range(n - 1)), last])
+    last = {"A": (1, n - 1, -1, n), "B": (1, n - 1, 0, 0), "C": (2, n - 1, 0, 0), "D": (1, n - 2, 1, n - 1)}
+    return tuple(_labels(alg, _eps_row(alg, *t)) for t in [*((1, i, -1, i + 1) for i in range(n - 1)),
+                                                              last[alg.series]])
 
 
 def form_scale(alg: SimpleAlgebra) -> int:
@@ -153,63 +155,63 @@ def weight_form(alg: SimpleAlgebra, lam, mu) -> Fraction:
     return Fraction(pairing(alg, eps2(alg, lam), eps2(alg, mu)), form_scale(alg))
 
 
-def fundamental_weight(alg: SimpleAlgebra, i: int) -> Weight:
-    return tuple(1 if j == i else 0 for j in range(alg.rank))
+def _eps_row(alg: SimpleAlgebra, a: int, i: int, b: int, j: int) -> list[int]:
+    """The epsilon coordinates of a e_i + b e_j, 0-based: n+1 entries for A_n, n for B, C and D."""
+    return [a * (k == i) + b * (k == j) for k in range(alg.rank + (alg.series == "A"))]
 
 
-def _labels(alg: SimpleAlgebra, root: dict[int, int]) -> Weight:
-    """The labels of a root given by its nonzero epsilon coordinates, 0-based."""
-    n = alg.rank
-    e = [root.get(i, 0) for i in range(n + 1)]
-    lab = [e[k] - e[k + 1] for k in range(n - 1)]
-    if alg.series == "A":
-        lab.append(e[n - 1] - e[n])
-    elif alg.series == "B":
-        lab.append(2 * e[n - 1])
-    elif alg.series == "C":
-        lab.append(e[n - 1])
-    else:
-        lab[n - 2] = e[n - 2] - e[n - 1]
-        lab.append(e[n - 2] + e[n - 1])
+def _labels(alg: SimpleAlgebra, e: list[int]) -> Weight:
+    """The labels of a root given by its epsilon coordinates: for A all n are
+    differences of neighbours, for B, C and D the first n - 1 are."""
+    lab = [x - y for x, y in zip(e, e[1:])]
+    if alg.series != "A":
+        lab.append(2 * e[-1] if alg.series == "B" else e[-1] if alg.series == "C" else e[-2] + e[-1])
     return tuple(lab)
 
 
 @lru_cache(maxsize=None)
+def root_table(alg: SimpleAlgebra) -> tuple[tuple[Weight, ...], ...]:
+    """The positive roots alpha in labels, sorted, and per root the rows
+    pairing(omega_i, alpha) over the fundamental weights and pairing(alpha, beta)
+    over the roots beta.  Each root is a e_i + b e_j (Bourbaki, Lie Groups and
+    Lie Algebras VI, Plates I-IV): e_i - e_j, for B, C and D also e_i + e_j, for
+    B also e_i, for C also 2 e_i; A_n has n(n+1)/2, B_n and C_n n^2, D_n n(n-1).
+    On a root, pairing is k = 4(n+1) for A, 4 otherwise, times the epsilon dot
+    product: pairing(alpha, beta) = k (a beta_i + b beta_j), and pairing(omega_i,
+    alpha) is k times the first i+1 coordinates of alpha summed, halved at the
+    spin weights (the last of B; the last two of D, with
+    omega_{n-1} = (e_1 + ... + e_{n-1} - e_n) / 2)."""
+    n, series = alg.rank, alg.series
+    k, width = (4 * (n + 1), n + 1) if series == "A" else (4, n)
+    terms = [(1, i, c, j) for i in range(width) for j in range(i + 1, width)
+             for c in ((-1,) if series == "A" else (-1, 1))]
+    terms += [(1 + (series == "C"), i, 0, 0) for i in range(n) if series in ("B", "C")]
+    rows = sorted((_labels(alg, e := _eps_row(alg, *t)), t, e) for t in terms)
+    expected = {"A": n * (n + 1) // 2, "B": n * n, "C": n * n, "D": n * (n - 1)}[series]
+    if len(rows) != expected:
+        raise DomainError(f"positive root count for {alg}: got {len(rows)}, expected {expected}")
+    forms = []
+    for _, _, e in rows:
+        form = [k * x for x in accumulate(e[:n])]
+        if series == "D":
+            form[-2] = (form[-2] - k * e[-1]) // 2
+        if series in ("B", "D"):
+            form[-1] //= 2
+        forms.append(tuple(form))
+    cols = [[k * x for x in col] for col in zip(*(e for _, _, e in rows))]
+    gram = tuple(tuple([a * x + b * y for x, y in zip(cols[i], cols[j])]) for _, (a, i, b, j), _ in rows)
+    return tuple(labels for labels, _, _ in rows), tuple(forms), gram
+
+
 def positive_roots(alg: SimpleAlgebra) -> tuple[Weight, ...]:
-    """All positive roots, in fundamental-weight coordinates.
-
-    Counts: A_n has n(n+1)/2, B_n and C_n have n^2, D_n has n(n-1).
-    """
-    n = alg.rank
-    eps_roots: list[dict[int, int]] = []
-
-    def e(*pairs):
-        return {i: c for i, c in pairs if c}
-
-    if alg.series == "A":
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
-                eps_roots.append(e((i, 1), (j, -1)))
-    else:
-        for i in range(n):
-            for j in range(i + 1, n):
-                eps_roots.append(e((i, 1), (j, -1)))
-                eps_roots.append(e((i, 1), (j, 1)))
-        if alg.series == "B":
-            eps_roots.extend(e((i, 1)) for i in range(n))
-        elif alg.series == "C":
-            eps_roots.extend(e((i, 2)) for i in range(n))
-
-    roots = tuple(sorted(_labels(alg, r) for r in eps_roots))
-    expected = {"A": n * (n + 1) // 2, "B": n * n, "C": n * n, "D": n * (n - 1)}[alg.series]
-    if len(roots) != expected:
-        raise DomainError(f"positive root count for {alg}: got {len(roots)}, expected {expected}")
-    return roots
+    """All positive roots, in fundamental-weight coordinates, sorted: the first column of root_table."""
+    return root_table(alg)[0]
 
 
-def rho(alg: SimpleAlgebra) -> Weight:
-    """Half-sum of positive roots; the all-ones weight in label coordinates."""
-    return (1,) * alg.rank
+def _rho_row(alg: SimpleAlgebra) -> range:
+    """eps2 of rho = (1, ..., 1): 2n, ..., 0 for A; 2n-1, ..., 1 for B; 2n, ..., 2 for C; 2n-2, ..., 0 for D."""
+    top = 2 * alg.rank - {"B": 1, "D": 2}.get(alg.series, 0)
+    return range(top, top - 2 * (alg.rank + (alg.series == "A")), -2)
 
 
 def dimension(alg: SimpleAlgebra, lam) -> int:
@@ -230,7 +232,7 @@ def weyl_dimension(alg: SimpleAlgebra, lam: Weight) -> int:
     (the doubling cancels), then one exact division.
     """
     c = eps2(alg, [x + 1 for x in lam])
-    r = eps2(alg, rho(alg))
+    r = _rho_row(alg)
     pairs, singles = alg.series != "A", alg.series in ("B", "C")
     top = bottom = 1
     for i, (a, b) in enumerate(zip(c, r)):
@@ -273,7 +275,8 @@ def dominant_weights_up_to_dim(alg: SimpleAlgebra, bound: int) -> list[Weight]:
     """All dominant weights of dimension <= bound, in lexicographic order.
 
     Relies on the Weyl dimension being strictly increasing in every label,
-    which makes the prefix pruning exhaustive.
+    which makes the prefix pruning exhaustive: it rises by at least 1 per
+    label step from 1 at the trivial weight, so no label can reach bound.
     """
     if bound < 1:
         return []
@@ -287,8 +290,10 @@ def dominant_weights_up_to_dim(alg: SimpleAlgebra, bound: int) -> list[Weight]:
         v = 0
         while True:
             labels[i] = v
-            if dimension(alg, tuple(labels)) > bound:
+            if (dim := dimension(alg, tuple(labels))) > bound:
                 break
+            if v == bound:
+                raise InternalConsistencyError(f"dimension {dim} of {tuple(labels)} over {alg} is at most {v}")
             rec(i + 1)
             v += 1
         labels[i] = 0

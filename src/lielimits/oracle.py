@@ -26,9 +26,9 @@ from .algebras import (
     dimension,
     eps2,
     form_scale,
-    fundamental_weight,
     pairing,
     positive_roots,
+    root_table,
     weyl_dimension,
 )
 from .errors import InternalConsistencyError, ResourceBoundError
@@ -50,16 +50,17 @@ class WeightMultiset(Record):
 
 
 @lru_cache(maxsize=None)
-def _root_forms(alg: SimpleAlgebra) -> tuple[tuple[int, ...], ...]:
-    """Per positive root alpha, pairing(omega_i, alpha) over the fundamental
-    weights: mu -> pairing(mu, alpha) as a linear form on the labels of mu."""
-    omegas = [eps2(alg, fundamental_weight(alg, i)) for i in range(alg.rank)]
-    return tuple(tuple(pairing(alg, w, eps2(alg, alpha)) for w in omegas)
-                 for alpha in positive_roots(alg))
-
-
-def _pairings(forms, mu) -> tuple[int, ...]:
-    return tuple(sum(c * x for c, x in zip(form, mu)) for form in forms)
+def _root_forms(alg: SimpleAlgebra):
+    """What the walk and the recursion read of the positive roots alpha: the forms
+    mu -> pairing(mu, alpha) on labels; moves (alpha, its row of root_table's Gram,
+    2 pairing(rho, alpha) - pairing(alpha, alpha)); lengths pairing(alpha, alpha);
+    heights <rho, alpha^vee>; positions; pairing(rho, rho) = sum of pairing(rho, alpha) / 2."""
+    roots, forms, gram = root_table(alg)
+    lengths = tuple(row[r] for r, row in enumerate(gram))
+    shifts = [sum(form) for form in forms]  # pairing(rho, alpha): rho is the all-ones weight
+    moves = tuple(zip(roots, gram, [2 * s - length for s, length in zip(shifts, lengths)]))
+    heights = tuple(2 * s // length for s, length in zip(shifts, lengths))
+    return forms, moves, lengths, heights, {alpha: r for r, alpha in enumerate(roots)}, sum(shifts) // 2
 
 
 def weight_system(alg: SimpleAlgebra, lam) -> dict[Weight, tuple[int, tuple[int, ...]]]:
@@ -74,13 +75,10 @@ def weight_system(alg: SimpleAlgebra, lam) -> dict[Weight, tuple[int, tuple[int,
     the norm and (alpha, beta) off each pairing (mu, beta).
     """
     lam = check_dominant(alg, lam)
-    forms = _root_forms(alg)
-    moves = []
-    for r, (alpha, form) in enumerate(zip(positive_roots(alg), forms)):
-        steps = _pairings(forms, alpha)
-        moves.append((alpha, steps, 2 * sum(form) - steps[r]))
+    forms, moves = _root_forms(alg)[:2]
     shifted = eps2(alg, [x + 1 for x in lam])
-    walk = {lam: (pairing(alg, shifted, shifted), _pairings(forms, lam))}
+    walk = {lam: (pairing(alg, shifted, shifted),
+                  tuple(sum(c * x for c, x in zip(form, lam)) for form in forms))}
     todo = [lam]
     for mu in todo:
         norm, pairs = walk[mu]
@@ -121,11 +119,9 @@ def _dominant(alg: SimpleAlgebra, lam: Weight) -> tuple[dict[Weight, tuple[int, 
     the orbit has pairing(nu, nu) = norm - sum(pairs) - pairing(rho, rho).
     """
     walk = weight_system(alg, lam)
-    roots, forms, cartan = positive_roots(alg), _root_forms(alg), cartan_matrix(alg)
-    lengths = [sum(c * a for c, a in zip(form, alpha)) for form, alpha in zip(forms, roots)]
-    heights = [2 * sum(form) // length for form, length in zip(forms, lengths)]
-    position = {alpha: r for r, alpha in enumerate(roots)}
-    top_norm, rho_norm = walk[lam][0], sum(map(sum, forms)) // 2
+    roots, cartan = positive_roots(alg), cartan_matrix(alg)
+    lengths, heights, position, rho_norm = _root_forms(alg)[2:]
+    top_norm = walk[lam][0]
     mult, sums, sizes = {}, {}, {}  # (m, |W mu|), T_alpha(mu) per positive root, |W mu| by zero labels
     total = moment = 0
     for i, mu in enumerate(sorted(walk, key=lambda mu: walk[mu][0], reverse=True)):

@@ -44,6 +44,10 @@ def zero(alg):
     return (0,) * alg.rank
 
 
+def fundamental_weight(alg, i):
+    return tuple(1 if j == i else 0 for j in range(alg.rank))
+
+
 def random_diagonal_system(rng: random.Random, max_levels=6, max_comps=4, dim_cap=14):
     """A valid diagonal-type system with type-A components, built so the
     level-to-level sum law holds by construction.  Component dimensions are

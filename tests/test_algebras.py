@@ -4,7 +4,8 @@ from functools import lru_cache
 
 import pytest
 
-from conftest import run_cli
+from conftest import fundamental_weight, run_cli
+from ref_roots import ref_gram, ref_positive_roots, ref_root_forms
 from lielimits import algebras
 from lielimits.algebras import (
     SimpleAlgebra,
@@ -13,13 +14,12 @@ from lielimits.algebras import (
     dominant_weights_up_to_dim,
     dual_weight,
     eps2,
-    fundamental_weight,
     positive_roots,
-    rho,
+    root_table,
     weight_form,
     weyl_dimension,
 )
-from lielimits.errors import DimensionMismatchError, DomainError, ParseError
+from lielimits.errors import DimensionMismatchError, DomainError, InternalConsistencyError, ParseError
 
 TEST_ALGEBRAS = [
     SimpleAlgebra("A", 1), SimpleAlgebra("A", 2), SimpleAlgebra("A", 3), SimpleAlgebra("A", 5),
@@ -98,6 +98,11 @@ def test_cartan_matrix_is_read_off_the_simple_roots(series, floor):
     for rank in range(floor, 41):
         alg = SimpleAlgebra(series, rank)
         assert cartan_matrix(alg) == ref_cartan_matrix(alg), alg
+
+
+def rho(alg):
+    """Half the sum of the positive roots: the all-ones weight in labels."""
+    return (1,) * alg.rank
 
 
 def simple_roots(alg):
@@ -328,6 +333,25 @@ def test_rho_is_half_sum_of_positive_roots(alg):
     assert tuple(x // 2 for x in total) == rho(alg)
 
 
+@pytest.mark.parametrize("series, floor", [("A", 1), ("B", 2), ("C", 1), ("D", 4)])
+def test_root_table_matches_the_reference_builders_up_to_rank_25(series, floor):
+    # the reference Gram costs rank^5, so above rank 12 it checks 10 seeded rows
+    for rank in range(floor, 26):
+        alg = SimpleAlgebra(series, rank)
+        roots, forms, gram = root_table(alg)
+        assert roots == positive_roots(alg) == ref_positive_roots(alg), alg
+        assert forms == ref_root_forms(alg, roots), alg
+        rows = range(len(roots)) if rank <= 12 else random.Random(str(alg)).sample(range(len(roots)), 10)
+        assert [gram[r] for r in rows] == list(ref_gram(forms, [roots[r] for r in rows])), alg
+
+
+@pytest.mark.parametrize("series, floor", [("A", 1), ("B", 2), ("C", 1), ("D", 4)])
+def test_rho_row_is_eps2_of_rho(series, floor):
+    for rank in range(floor, 301):
+        alg = SimpleAlgebra(series, rank)
+        assert list(algebras._rho_row(alg)) == eps2(alg, rho(alg)), alg
+
+
 def test_dimension_examples():
     assert dimension(SimpleAlgebra("A", 1), (1,)) == 2
     assert dimension(SimpleAlgebra("A", 2), (1, 1)) == 8
@@ -377,12 +401,26 @@ def test_dominant_weight_enumeration_is_exhaustive():
     assert dominant_weights_up_to_dim(alg, 0) == []
 
 
+def test_weight_enumeration_refuses_a_dimension_that_does_not_grow(monkeypatch, cold_caches):
+    calls = []
+
+    def flat(alg, lam):  # a wrong kernel that gives every weight dimension 1
+        calls.append(lam)
+        assert len(calls) < 1000, "the enumeration ran on past its label bound"
+        return 1
+
+    monkeypatch.setattr(algebras, "weyl_dimension", flat)
+    with pytest.raises(InternalConsistencyError) as fault:
+        dominant_weights_up_to_dim(SimpleAlgebra("A", 2), 5)
+    assert str(fault.value) == "dimension 1 of (0, 5) over A2 is at most 5"
+
+
 # guard -> (algebras name, wrong value of it, library call, command, message)
 ALGEBRA_FAULTS = {
     "root-count": ("sorted", lambda roots: sorted(roots)[1:],
                    lambda: positive_roots(SimpleAlgebra("A", 2)), ("oracle", "trace", "A2", "1,0"),
                    "positive root count for A2: got 2, expected 3"),
-    "weyl-dimension": ("rho", lambda alg: (1,) * (alg.rank - 1) + (2,),
+    "weyl-dimension": ("_rho_row", lambda alg: eps2(alg, (1,) * (alg.rank - 1) + (2,)),
                        lambda: dimension(SimpleAlgebra("A", 2), (1, 1)), ("index", "A2", "1,1"),
                        "Weyl dimension of (1, 1) over A2 is not a positive integer"),
 }

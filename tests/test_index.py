@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graph_from_fixture, run_cli
+from conftest import fundamental_weight, graph_from_fixture, run_cli
 from lielimits import algebras, index
 from lielimits.algebras import (
     SimpleAlgebra,
     dimension,
     dominant_weights_up_to_dim,
     dual_weight,
-    fundamental_weight,
     weyl_dimension,
 )
 from lielimits.errors import DimensionMismatchError, DomainError, ResourceBoundError

@@ -4,7 +4,8 @@ from operator import add
 
 import pytest
 
-from conftest import run_cli
+from conftest import fundamental_weight, run_cli
+from ref_roots import ref_root_data
 from lielimits import oracle
 from lielimits.algebras import (
     SimpleAlgebra,
@@ -13,7 +14,6 @@ from lielimits.algebras import (
     dimension,
     dominant_weights_up_to_dim,
     eps2,
-    fundamental_weight,
     pairing,
     positive_roots,
 )
@@ -255,6 +255,18 @@ def test_walk_carries_norm_and_pairings():
             assert norm == pairing(alg, shifted, shifted)
             a = eps2(alg, mu)
             assert pairs == tuple(pairing(alg, a, eps2(alg, alpha)) for alpha in roots)
+
+
+@pytest.mark.parametrize("literal", "A1 A2 A5 A12 B2 B3 B9 C1 C3 C9 D4 D5 D10".split())
+def test_root_forms_match_the_per_call_derivations(literal):
+    alg = SimpleAlgebra.parse(literal)
+    assert oracle._root_forms(alg) == ref_root_data(alg)
+
+
+@pytest.mark.parametrize("literal", ["A40", "B20", "C20", "D30"])
+def test_trace_index_matches_the_closed_form_on_the_natural_module_at_large_rank(literal):
+    alg = SimpleAlgebra.parse(literal)
+    assert trace_index(alg, alg.natural_weight) == index_of_irrep(alg, alg.natural_weight)
 
 
 def ref_orbit(alg, mu):

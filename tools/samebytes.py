@@ -28,9 +28,10 @@ other entry's; both formats x the CLI paths of coverage_entries that no
 other entry runs (index on large ranks among them); both formats x
 `oracle freudenthal` and `oracle trace` on every irrep of dimension <=
 ORACLE_DIM_BOUND over the bench's sweep algebras, `oracle tensor` on
-ORACLE_TENSOR_PAIRS pairs drawn with ORACLE_SEED, and ORACLE_EXTRAS (the
-selftest, a dimension bound, a non-dominant weight, and global options given
-on both sides of the command or nowhere); the demos.
+ORACLE_TENSOR_PAIRS pairs drawn with ORACLE_SEED, both on omega_1 of the
+ORACLE_LARGE algebras, and ORACLE_EXTRAS (the selftest, a dimension bound, a
+non-dominant weight, and global options given on both sides of the command or
+nowhere); the demos.
 It is a correctness check, not a timer.  The exit code is 1 when some
 entry differs.
 """
@@ -74,6 +75,7 @@ WIDE_TAIL_FROM = 2000  # about 0.5-0.8 s per entry on a 2-CPU sandbox
 ORACLE_DIM_BOUND = 60
 ORACLE_TENSOR_PAIRS = 64
 ORACLE_SEED = 22
+ORACLE_LARGE = ("A20", "A40", "B20", "D30")  # omega_1 at ranks where the root data costs most
 ORACLE_EXTRAS = (["oracle", "selftest"], ["--seed", "5", "oracle", "selftest"],
                  ["--dim-bound", "10", "oracle", "freudenthal", "A2", "2,2"],
                  ["--dim-bound", "10", "oracle", "tensor", "A2", "1,1", "1,1"],
@@ -107,6 +109,8 @@ def oracle_entries(generate) -> list[dict]:
                   if any(a) and any(b) and da * db <= generate.TENSOR_DIM_BOUND]
     argvs += [["oracle", "tensor", literal, _labels(a), _labels(b)]
               for literal, a, b in random.Random(ORACLE_SEED).sample(pairs, ORACLE_TENSOR_PAIRS)]
+    argvs += [["oracle", op, literal, _labels([1] + [0] * (int(literal[1:]) - 1))]
+              for literal in ORACLE_LARGE for op in ("freudenthal", "trace")]
     return [{"argv": fmt + argv} for argv in argvs + list(ORACLE_EXTRAS) for fmt in FORMATS]
 
 

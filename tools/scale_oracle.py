@@ -12,9 +12,11 @@ afresh.  The long A1 strings and the A2 (k, k) family show how the cost
 grows with string length; B3 (0, 0, k) and C3 (0, 0, k) put all of lam on
 the short and on the long last simple root, which gives the longest
 strings for their size; B3 (1, 3, 1) and D4 (3, 2, 0, 0) have
-dimension over 10,000.  TENSOR_CASES time `oracle.tensor_decompose` the same
-way, on products of dimension up to TENSOR_DIM_BOUND.  Times are seconds at
-the reference speed (see scale_chains.best_time).  Standard library only.
+dimension over 10,000; omega_1 of A20, A40, B20 and D30 has few weights, so
+its time is mostly the root data of a large rank.  TENSOR_CASES time
+`oracle.tensor_decompose` the same way, on products of dimension up to
+TENSOR_DIM_BOUND.  Times are seconds at the reference speed (see
+scale_chains.best_time).  Standard library only.
 """
 
 import sys
@@ -29,6 +31,7 @@ CASES = (
     + [("B3", (0, 0, k)) for k in (4, 8, 10)]
     + [("C3", (0, 0, k)) for k in (2, 4, 6)]
     + [("B3", (1, 3, 1)), ("D4", (3, 2, 0, 0))]
+    + [(name, (1,) + (0,) * (int(name[1:]) - 1)) for name in ("A20", "A40", "B20", "D30")]
 )
 DIM_BOUND = 20_000
 TENSOR_CASES = (
@@ -44,7 +47,8 @@ def main() -> int:
     for name, lam in CASES:
         alg = algebras.SimpleAlgebra.parse(name)
         seconds, value = best_time(lambda: oracle.trace_index(alg, lam, DIM_BOUND))
-        print(f"{name:<8} {str(lam):<14} {algebras.dimension(alg, lam):>6} {value:>12} "
+        weight = str(lam) if len(lam) <= 4 else f"({lam[0]}, {lam[1]}, ...)"
+        print(f"{name:<8} {weight:<14} {algebras.dimension(alg, lam):>6} {value:>12} "
               f"{seconds:>9.4f}", flush=True)
     print(f"{'algebra':<8} {'tensor':<30} {'dim':>6} {'summands':>12} {'tensor_s':>9}")
     for name, lam, mu in TENSOR_CASES:
