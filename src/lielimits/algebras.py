@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 
 from .errors import DimensionMismatchError, DomainError, InternalConsistencyError, ParseError
 from .record import Record
@@ -170,37 +169,23 @@ def _labels(alg: SimpleAlgebra, e: list[int]) -> Weight:
 
 
 @lru_cache(maxsize=None)
-def root_table(alg: SimpleAlgebra) -> tuple[tuple[Weight, ...], ...]:
-    """The positive roots alpha in labels, sorted, and per root the rows
-    pairing(omega_i, alpha) over the fundamental weights and pairing(alpha, beta)
-    over the roots beta.  Each root is a e_i + b e_j (Bourbaki, Lie Groups and
-    Lie Algebras VI, Plates I-IV): e_i - e_j, for B, C and D also e_i + e_j, for
-    B also e_i, for C also 2 e_i; A_n has n(n+1)/2, B_n and C_n n^2, D_n n(n-1).
-    On a root, pairing is k = 4(n+1) for A, 4 otherwise, times the epsilon dot
-    product: pairing(alpha, beta) = k (a beta_i + b beta_j), and pairing(omega_i,
-    alpha) is k times the first i+1 coordinates of alpha summed, halved at the
-    spin weights (the last of B; the last two of D, with
-    omega_{n-1} = (e_1 + ... + e_{n-1} - e_n) / 2)."""
+def root_table(alg: SimpleAlgebra) -> tuple[tuple[Weight, ...], tuple[tuple[int, int, int, int], ...]]:
+    """The positive roots alpha in labels, sorted, and per root its terms
+    (a, i, b, j), alpha = a e_i + b e_j in epsilon coordinates, 0-based
+    (Bourbaki, Lie Groups and Lie Algebras VI, Plates I-IV): e_i - e_j, for
+    B, C and D also e_i + e_j, for B also e_i, for C also 2 e_i; A_n has
+    n(n+1)/2, B_n and C_n n^2, D_n n(n-1).  The pairing of a weight with
+    alpha reads two entries of the weight's eps2 row."""
     n, series = alg.rank, alg.series
-    k, width = (4 * (n + 1), n + 1) if series == "A" else (4, n)
+    width = n + 1 if series == "A" else n
     terms = [(1, i, c, j) for i in range(width) for j in range(i + 1, width)
              for c in ((-1,) if series == "A" else (-1, 1))]
     terms += [(1 + (series == "C"), i, 0, 0) for i in range(n) if series in ("B", "C")]
-    rows = sorted((_labels(alg, e := _eps_row(alg, *t)), t, e) for t in terms)
+    rows = sorted((_labels(alg, _eps_row(alg, *t)), t) for t in terms)
     expected = {"A": n * (n + 1) // 2, "B": n * n, "C": n * n, "D": n * (n - 1)}[series]
     if len(rows) != expected:
         raise DomainError(f"positive root count for {alg}: got {len(rows)}, expected {expected}")
-    forms = []
-    for _, _, e in rows:
-        form = [k * x for x in accumulate(e[:n])]
-        if series == "D":
-            form[-2] = (form[-2] - k * e[-1]) // 2
-        if series in ("B", "D"):
-            form[-1] //= 2
-        forms.append(tuple(form))
-    cols = [[k * x for x in col] for col in zip(*(e for _, _, e in rows))]
-    gram = tuple(tuple([a * x + b * y for x, y in zip(cols[i], cols[j])]) for _, (a, i, b, j), _ in rows)
-    return tuple(labels for labels, _, _ in rows), tuple(forms), gram
+    return tuple(zip(*rows))
 
 
 def positive_roots(alg: SimpleAlgebra) -> tuple[Weight, ...]:

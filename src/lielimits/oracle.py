@@ -5,11 +5,12 @@ index evaluates Tr pi(h)^2 / 2 on a long simple coroot h, and small tensor
 products are decomposed by the Brauer-Klimyk formula.  Multiplicities are
 constant on Weyl orbits, so the recursion runs on the dominant weights
 alone: a walk by mu - alpha over the positive roots carries each weight's
-norm |mu + rho|^2 and its pairings with the positive roots, both linear in
-mu, and each string sum is one step up, read at a dominant weight.  The
-trace is a sum over orbits, from their sizes, and only the full multiset
-fills each orbit.  None of these touch the closed-form index formula, so
-agreement with it is evidence rather than tautology.
+norm |mu + rho|^2 and eps2 row, both linear in mu, reads its pairing with a
+root off two entries of the row, and each string sum is one step up, read
+at a dominant weight.  The trace is a sum over orbits, from their sizes,
+and only the full multiset fills each orbit.  None of these touch the
+closed-form index formula, so agreement with it is evidence rather than
+tautology.
 """
 
 from __future__ import annotations
@@ -51,41 +52,44 @@ class WeightMultiset(Record):
 
 @lru_cache(maxsize=None)
 def _root_forms(alg: SimpleAlgebra):
-    """What the walk and the recursion read of the positive roots alpha: the forms
-    mu -> pairing(mu, alpha) on labels; moves (alpha, its row of root_table's Gram,
-    2 pairing(rho, alpha) - pairing(alpha, alpha)); lengths pairing(alpha, alpha);
-    heights <rho, alpha^vee>; positions; pairing(rho, rho) = sum of pairing(rho, alpha) / 2."""
-    roots, forms, gram = root_table(alg)
-    lengths = tuple(row[r] for r, row in enumerate(gram))
-    shifts = [sum(form) for form in forms]  # pairing(rho, alpha): rho is the all-ones weight
-    moves = tuple(zip(roots, gram, [2 * s - length for s, length in zip(shifts, lengths)]))
+    """What the walk and the recursion read of the positive roots alpha = a e_i + b e_j:
+    k, 2(n+1) for A and 2 otherwise, with pairing(x, eps2(alpha)) = k (a x_i + b x_j) on an
+    eps2 row x; moves (alpha, (a, i, b, j), 2 pairing(rho, alpha) - pairing(alpha, alpha));
+    lengths 2k(a^2 + b^2); heights <rho, alpha^vee>; positions; pairing(rho, rho)."""
+    roots, terms = root_table(alg)
+    k, rho = 2 * (alg.rank + 1) if alg.series == "A" else 2, eps2(alg, (1,) * alg.rank)
+    lengths = tuple(2 * k * (a * a + b * b) for a, _, b, _ in terms)
+    shifts = [k * (a * rho[i] + b * rho[j]) for a, i, b, j in terms]
+    moves = tuple(zip(roots, terms, [2 * s - length for s, length in zip(shifts, lengths)]))
     heights = tuple(2 * s // length for s, length in zip(shifts, lengths))
-    return forms, moves, lengths, heights, {alpha: r for r, alpha in enumerate(roots)}, sum(shifts) // 2
+    return k, moves, lengths, heights, {alpha: r for r, alpha in enumerate(roots)}, sum(shifts) // 2
 
 
-def weight_system(alg: SimpleAlgebra, lam) -> dict[Weight, tuple[int, tuple[int, ...]]]:
+def weight_system(alg: SimpleAlgebra, lam) -> dict[Weight, tuple[int, list[int]]]:
     """Dominant weights of the irreducible with highest weight lam.
 
-    Maps mu to (norm, pairs): pairing(mu + rho, mu + rho) and the tuple of
-    pairing(mu, alpha) over positive_roots(alg).  Every dominant weight
-    below lam is reached from lam by steps mu - alpha, alpha a positive
-    root, through dominant weights (Stembridge, "The partial order of
-    dominant weights", Adv. Math. 136, 1998), and both values are linear
-    in mu: a step takes 2 (mu, alpha) + 2 (rho, alpha) - (alpha, alpha) off
-    the norm and (alpha, beta) off each pairing (mu, beta).
+    Maps mu to (norm, row): pairing(mu + rho, mu + rho) and eps2(mu), for A
+    up to a shift by a constant.  Every dominant weight below lam is reached
+    from lam by steps mu - alpha, alpha a positive root, through dominant
+    weights (Stembridge, "The partial order of dominant weights", Adv. Math.
+    136, 1998), and both values are linear in mu: a step takes 2 (mu, alpha)
+    + 2 (rho, alpha) - (alpha, alpha) off the norm, (mu, alpha) read off two
+    entries of the row, and 2a at i and 2b at j off the row.
     """
     lam = check_dominant(alg, lam)
-    forms, moves = _root_forms(alg)[:2]
+    k, moves = _root_forms(alg)[:2]
     shifted = eps2(alg, [x + 1 for x in lam])
-    walk = {lam: (pairing(alg, shifted, shifted),
-                  tuple(sum(c * x for c, x in zip(form, lam)) for form in forms))}
+    walk = {lam: (pairing(alg, shifted, shifted), eps2(alg, lam))}
     todo = [lam]
     for mu in todo:
-        norm, pairs = walk[mu]
-        for (alpha, steps, cost), p in zip(moves, pairs):
+        norm, row = walk[mu]
+        for alpha, (a, i, b, j), cost in moves:
             down = tuple(map(sub, mu, alpha))
             if min(down) >= 0 and down not in walk:
-                walk[down] = (norm - 2 * p - cost, tuple(map(sub, pairs, steps)))
+                step = row.copy()
+                step[i] -= 2 * a
+                step[j] -= 2 * b
+                walk[down] = (norm - 2 * k * (a * row[i] + b * row[j]) - cost, step)
                 todo.append(down)
     return walk
 
@@ -120,12 +124,13 @@ def _dominant(alg: SimpleAlgebra, lam: Weight) -> tuple[dict[Weight, tuple[int, 
     """
     walk = weight_system(alg, lam)
     roots, cartan = positive_roots(alg), cartan_matrix(alg)
-    lengths, heights, position, rho_norm = _root_forms(alg)[2:]
+    k, moves, lengths, heights, position, rho_norm = _root_forms(alg)
     top_norm = walk[lam][0]
     mult, sums, sizes = {}, {}, {}  # (m, |W mu|), T_alpha(mu) per positive root, |W mu| by zero labels
     total = moment = 0
-    for i, mu in enumerate(sorted(walk, key=lambda mu: walk[mu][0], reverse=True)):
-        norm, pairs = walk[mu]
+    for mu in sorted(walk, key=lambda mu: walk[mu][0], reverse=True):
+        norm, eps = walk[mu]
+        pairs = [k * (a * eps[i] + b * eps[j]) for _, (a, i, b, j), _ in moves]
         row = []
         for alpha, length, p in zip(roots, lengths, pairs):
             nu, beta = tuple(map(add, mu, alpha)), alpha
@@ -136,7 +141,7 @@ def _dominant(alg: SimpleAlgebra, lam: Weight) -> tuple[dict[Weight, tuple[int, 
             row.append(mult[nu][0] * (p + length) + sums[nu][position[beta]] if nu in mult else 0)
         sums[mu] = row
         m = 1
-        if i:
+        if mu != lam:
             denom = top_norm - norm
             if denom == 0:
                 raise InternalConsistencyError(f"Freudenthal denominator vanished at {mu}")

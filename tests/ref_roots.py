@@ -1,13 +1,14 @@
 """Reference root data for `lielimits.algebras.root_table` and
 `lielimits.oracle._root_forms`.
 
-The library reads each positive root, its pairings with the fundamental
-weights and its Gram row off the epsilon coordinates of Bourbaki's plates
-in closed form.  This module builds the same data the long way: the roots
-from dicts of their nonzero epsilon coordinates, each pairing with a
-fundamental weight by `eps2` and `pairing`, each Gram row by summing those
-forms against the labels of a root, and the lengths, heights and positions
-that the oracle once rebuilt on every call.
+The library keeps each positive root as its labels and its terms
+(a, i, b, j), alpha = a e_i + b e_j in the epsilon coordinates of
+Bourbaki's plates, and reads every pairing with alpha off two entries of
+an eps2 row in closed form.  This module builds the same data the long
+way: the roots from dicts of their nonzero epsilon coordinates, each
+pairing with a fundamental weight by `eps2` and `pairing`, each row of the
+Gram matrix by summing those forms against the labels of a root, and the
+lengths, heights and positions that the oracle once rebuilt on every call.
 """
 
 from __future__ import annotations
@@ -69,16 +70,15 @@ def ref_gram(forms, roots):
 
 
 def ref_root_data(alg):
-    """What the walk and the recursion read, rebuilt from the reference forms: the forms;
-    the moves (alpha, its Gram row, 2 pairing(rho, alpha) - pairing(alpha, alpha)); the
-    lengths pairing(alpha, alpha); the heights <rho, alpha^vee>; each root's position; and
-    pairing(rho, rho)."""
+    """What the walk and the recursion read, rebuilt from the reference forms: the moves
+    (alpha, 2 pairing(rho, alpha) - pairing(alpha, alpha)); the lengths pairing(alpha, alpha);
+    the heights <rho, alpha^vee>; each root's position; and pairing(rho, rho)."""
     roots = ref_positive_roots(alg)
     forms = ref_root_forms(alg, roots)
     gram = ref_gram(forms, roots)
-    moves = tuple((alpha, steps, 2 * sum(form) - steps[r])
+    moves = tuple((alpha, 2 * sum(form) - steps[r])
                   for r, (alpha, form, steps) in enumerate(zip(roots, forms, gram)))
     lengths = tuple(sum(c * a for c, a in zip(form, alpha)) for form, alpha in zip(forms, roots))
     heights = tuple(2 * sum(form) // length for form, length in zip(forms, lengths))
     position = {alpha: r for r, alpha in enumerate(roots)}
-    return forms, moves, lengths, heights, position, sum(map(sum, forms)) // 2
+    return moves, lengths, heights, position, sum(map(sum, forms)) // 2

@@ -335,14 +335,25 @@ def test_rho_is_half_sum_of_positive_roots(alg):
 
 @pytest.mark.parametrize("series, floor", [("A", 1), ("B", 2), ("C", 1), ("D", 4)])
 def test_root_table_matches_the_reference_builders_up_to_rank_25(series, floor):
-    # the reference Gram costs rank^5, so above rank 12 it checks 10 seeded rows
+    # a root a e_i + b e_j pairs with an eps2 row x as k (a x_i + b x_j), checked at the
+    # fundamental weights and at the roots; the reference Gram costs rank^5, so above
+    # rank 12 it checks 10 seeded rows
     for rank in range(floor, 26):
         alg = SimpleAlgebra(series, rank)
-        roots, forms, gram = root_table(alg)
+        k = 2 * (rank + 1) if series == "A" else 2
+        roots, terms = root_table(alg)
         assert roots == positive_roots(alg) == ref_positive_roots(alg), alg
+        omegas = [eps2(alg, fundamental_weight(alg, i)) for i in range(rank)]
+        forms = tuple(zip(*(closed_form(k, terms, x) for x in omegas)))
         assert forms == ref_root_forms(alg, roots), alg
         rows = range(len(roots)) if rank <= 12 else random.Random(str(alg)).sample(range(len(roots)), 10)
-        assert [gram[r] for r in rows] == list(ref_gram(forms, [roots[r] for r in rows])), alg
+        gram = list(zip(*(closed_form(k, [terms[r] for r in rows], eps2(alg, beta)) for beta in roots)))
+        assert gram == list(ref_gram(forms, [roots[r] for r in rows])), alg
+
+
+def closed_form(k, terms, x):
+    """k (a x_i + b x_j) per root a e_i + b e_j of terms: its pairing with the eps2 row x."""
+    return tuple(k * (a * x[i] + b * x[j]) for a, i, b, j in terms)
 
 
 @pytest.mark.parametrize("series, floor", [("A", 1), ("B", 2), ("C", 1), ("D", 4)])

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import factorial, isqrt
 from operator import add
 
@@ -248,25 +249,41 @@ def test_kernels_match_the_coded_walk():
 def test_walk_carries_norm_and_pairings():
     for alg, lam in DIFFERENTIAL_CASES:
         roots = positive_roots(alg)
+        k, moves = oracle._root_forms(alg)[:2]
         walk = weight_system(alg, lam)
         assert walk.keys() == dominant_part(ref_weight_system(alg, lam))
-        for mu, (norm, pairs) in walk.items():
+        for mu, (norm, row) in walk.items():
             shifted = eps2(alg, [x + 1 for x in mu])
             assert norm == pairing(alg, shifted, shifted)
-            a = eps2(alg, mu)
-            assert pairs == tuple(pairing(alg, a, eps2(alg, alpha)) for alpha in roots)
+            # eps2 puts A's last coordinate at 0; a step moves it, and a root has coordinate sum 0
+            shift = row[-1] if alg.series == "A" else 0
+            assert [x - shift for x in row] == eps2(alg, mu)
+            pairs = [k * (a * row[i] + b * row[j]) for _, (a, i, b, j), _ in moves]
+            assert pairs == [pairing(alg, row, eps2(alg, alpha)) for alpha in roots]
 
 
 @pytest.mark.parametrize("literal", "A1 A2 A5 A12 B2 B3 B9 C1 C3 C9 D4 D5 D10".split())
 def test_root_forms_match_the_per_call_derivations(literal):
     alg = SimpleAlgebra.parse(literal)
-    assert oracle._root_forms(alg) == ref_root_data(alg)
+    k, moves, *rest = oracle._root_forms(alg)
+    ref_moves, *ref_rest = ref_root_data(alg)
+    assert [(alpha, cost) for alpha, _, cost in moves] == list(ref_moves)
+    assert rest == ref_rest
+    assert k == {"A": 2 * (alg.rank + 1)}.get(alg.series, 2)
 
 
 @pytest.mark.parametrize("literal", ["A40", "B20", "C20", "D30"])
-def test_trace_index_matches_the_closed_form_on_the_natural_module_at_large_rank(literal):
+def test_trace_index_matches_the_closed_form_on_the_natural_module_at_large_rank(literal, cold_caches):
+    # the walk carries one eps2 row per weight, and no root data is R x R (R ~ rank^2)
     alg = SimpleAlgebra.parse(literal)
-    assert trace_index(alg, alg.natural_weight) == index_of_irrep(alg, alg.natural_weight)
+    tracemalloc.start()
+    try:
+        value = trace_index(alg, alg.natural_weight)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"{alg}: trace_index peaked at {peak / 2**20:.2f} MiB"
+    assert value == index_of_irrep(alg, alg.natural_weight)
 
 
 def ref_orbit(alg, mu):

@@ -75,7 +75,7 @@ WIDE_TAIL_FROM = 2000  # about 0.5-0.8 s per entry on a 2-CPU sandbox
 ORACLE_DIM_BOUND = 60
 ORACLE_TENSOR_PAIRS = 64
 ORACLE_SEED = 22
-ORACLE_LARGE = ("A20", "A40", "B20", "D30")  # omega_1 at ranks where the root data costs most
+ORACLE_LARGE = ("A20", "A40", "A60", "B20", "D30")  # omega_1 at ranks where the root data costs most
 ORACLE_EXTRAS = (["oracle", "selftest"], ["--seed", "5", "oracle", "selftest"],
                  ["--dim-bound", "10", "oracle", "freudenthal", "A2", "2,2"],
                  ["--dim-bound", "10", "oracle", "tensor", "A2", "1,1", "1,1"],
