@@ -8,7 +8,6 @@ from .algebras import (
     dimension,
     dominant_weights_up_to_dim,
     dual_weight,
-    positive_roots,
     weight_form,
 )
 from .errors import (

@@ -188,11 +188,6 @@ def root_table(alg: SimpleAlgebra) -> tuple[tuple[Weight, ...], tuple[tuple[int,
     return tuple(zip(*rows))
 
 
-def positive_roots(alg: SimpleAlgebra) -> tuple[Weight, ...]:
-    """All positive roots, in fundamental-weight coordinates, sorted: the first column of root_table."""
-    return root_table(alg)[0]
-
-
 def _rho_row(alg: SimpleAlgebra) -> range:
     """eps2 of rho = (1, ..., 1): 2n, ..., 0 for A; 2n-1, ..., 1 for B; 2n, ..., 2 for C; 2n-2, ..., 0 for D."""
     top = 2 * alg.rank - {"B": 1, "D": 2}.get(alg.series, 0)
@@ -221,8 +216,10 @@ def weyl_dimension(alg: SimpleAlgebra, lam: Weight) -> int:
     pairs, singles = alg.series != "A", alg.series in ("B", "C")
     top = bottom = 1
     for i, (a, b) in enumerate(zip(c, r)):
+        if a == b:  # c_i - r_i sums the labels from i on (but at D's last row): no later row moves a factor
+            break
         # a row's factors are small: multiplied first, they make one big product per row, not per root
-        u, v = (a, b) if singles and a != b else (1, 1)
+        u, v = (a, b) if singles else (1, 1)
         for x, y in zip(c[i + 1:], r[i + 1:]):
             if (p := a - x) != (q := b - y):
                 u *= p

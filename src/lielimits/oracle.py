@@ -28,7 +28,6 @@ from .algebras import (
     eps2,
     form_scale,
     pairing,
-    positive_roots,
     root_table,
     weyl_dimension,
 )
@@ -54,15 +53,16 @@ class WeightMultiset(Record):
 def _root_forms(alg: SimpleAlgebra):
     """What the walk and the recursion read of the positive roots alpha = a e_i + b e_j:
     k, 2(n+1) for A and 2 otherwise, with pairing(x, eps2(alpha)) = k (a x_i + b x_j) on an
-    eps2 row x; moves (alpha, (a, i, b, j), 2 pairing(rho, alpha) - pairing(alpha, alpha));
-    lengths 2k(a^2 + b^2); heights <rho, alpha^vee>; positions; pairing(rho, rho)."""
+    eps2 row x; per root (alpha, a, i, b, j, 2 pairing(rho, alpha) - pairing(alpha, alpha),
+    pairing(alpha, alpha) = 2k(a^2 + b^2)); heights <rho, alpha^vee>; positions; pairing(rho, rho)."""
     roots, terms = root_table(alg)
     k, rho = 2 * (alg.rank + 1) if alg.series == "A" else 2, eps2(alg, (1,) * alg.rank)
-    lengths = tuple(2 * k * (a * a + b * b) for a, _, b, _ in terms)
+    lengths = [2 * k * (a * a + b * b) for a, _, b, _ in terms]
     shifts = [k * (a * rho[i] + b * rho[j]) for a, i, b, j in terms]
-    moves = tuple(zip(roots, terms, [2 * s - length for s, length in zip(shifts, lengths)]))
+    moves = tuple((alpha, *t, 2 * s - length, length)
+                  for alpha, t, s, length in zip(roots, terms, shifts, lengths))
     heights = tuple(2 * s // length for s, length in zip(shifts, lengths))
-    return k, moves, lengths, heights, {alpha: r for r, alpha in enumerate(roots)}, sum(shifts) // 2
+    return k, moves, heights, {alpha: r for r, alpha in enumerate(roots)}, sum(shifts) // 2
 
 
 def weight_system(alg: SimpleAlgebra, lam) -> dict[Weight, tuple[int, list[int]]]:
@@ -83,7 +83,7 @@ def weight_system(alg: SimpleAlgebra, lam) -> dict[Weight, tuple[int, list[int]]
     todo = [lam]
     for mu in todo:
         norm, row = walk[mu]
-        for alpha, (a, i, b, j), cost in moves:
+        for alpha, a, i, b, j, cost, _ in moves:
             down = tuple(map(sub, mu, alpha))
             if min(down) >= 0 and down not in walk:
                 step = row.copy()
@@ -120,41 +120,52 @@ def _dominant(alg: SimpleAlgebra, lam: Weight) -> tuple[dict[Weight, tuple[int, 
     (h + 1) / h over the positive roots, h = <rho, alpha^vee> the height of
     the coroot (Macdonald, Math. Ann. 199, 1972), and its stabilizer W_mu
     takes the product over the roots with (mu, alpha) = 0.  Each weight nu of
-    the orbit has pairing(nu, nu) = norm - sum(pairs) - pairing(rho, rho).
+    the orbit has pairing(nu, nu) = norm - sum of the pairings - pairing(rho, rho).
+    Each pairing is read once and feeds the string sum and both running sums;
+    only a step up that leaves the chamber reflects.
     """
     walk = weight_system(alg, lam)
-    roots, cartan = positive_roots(alg), cartan_matrix(alg)
-    k, moves, lengths, heights, position, rho_norm = _root_forms(alg)
+    cartan = cartan_matrix(alg)
+    k, moves, heights, position, rho_norm = _root_forms(alg)
     top_norm = walk[lam][0]
-    mult, sums, sizes = {}, {}, {}  # (m, |W mu|), T_alpha(mu) per positive root, |W mu| by zero labels
+    mult, seen, sizes = {}, {}, {}  # (m, |W mu|); (m, T_alpha(mu) per positive root); |W mu| by zero labels
     total = moment = 0
     for mu in sorted(walk, key=lambda mu: walk[mu][0], reverse=True):
         norm, eps = walk[mu]
-        pairs = [k * (a * eps[i] + b * eps[j]) for _, (a, i, b, j), _ in moves]
         row = []
-        for alpha, length, p in zip(roots, lengths, pairs):
-            nu, beta = tuple(map(add, mu, alpha)), alpha
-            while (low := min(nu)) < 0:  # s_j nu = nu - nu_j alpha_j, and so for beta
-                j = nu.index(low)
-                nu = tuple(x - low * a for x, a in zip(nu, cartan[j]))
-                beta = tuple(x - beta[j] * a for x, a in zip(beta, cartan[j]))
-            row.append(mult[nu][0] * (p + length) + sums[nu][position[beta]] if nu in mult else 0)
-        sums[mu] = row
+        acc = paired = 0
+        for r, (alpha, a, i, b, j, _, length) in enumerate(moves):
+            p = k * (a * eps[i] + b * eps[j])
+            paired += p
+            nu = tuple(map(add, mu, alpha))
+            if (low := min(nu)) < 0:  # s_q nu = nu - nu_q alpha_q, and so for beta = w alpha
+                beta = alpha
+                while low < 0:
+                    q = nu.index(low)
+                    nu = tuple(x - low * c for x, c in zip(nu, cartan[q]))
+                    beta = tuple(x - beta[q] * c for x, c in zip(beta, cartan[q]))
+                    low = min(nu)
+                r = position[beta]
+            if (up := seen.get(nu)) is None:  # nu is no weight
+                row.append(0)
+            else:
+                row.append(t := up[0] * (p + length) + up[1][r])
+                acc += t
         m = 1
         if mu != lam:
             denom = top_norm - norm
             if denom == 0:
                 raise InternalConsistencyError(f"Freudenthal denominator vanished at {mu}")
-            acc = 2 * sum(row)
-            m, rest = divmod(acc, denom)
+            m, rest = divmod(2 * acc, denom)
             if rest or m <= 0:
-                raise InternalConsistencyError(f"non-integral multiplicity {acc}/{denom} at {mu}")
+                raise InternalConsistencyError(f"non-integral multiplicity {2 * acc}/{denom} at {mu}")
+        seen[mu] = m, row
         if (size := sizes.get(zeros := tuple(map(bool, mu)))) is None:
-            kept = [h for h, q in zip(heights, pairs) if q]
+            kept = [h for h, (_, a, i, b, j, _, _) in zip(heights, moves) if a * eps[i] + b * eps[j]]
             size = sizes[zeros] = prod(h + 1 for h in kept) // prod(kept)
         mult[mu] = m, size
         total += m * size
-        moment += m * size * (norm - sum(pairs) - rho_norm)
+        moment += m * size * (norm - paired - rho_norm)
     dim = weyl_dimension(alg, lam)
     if total != dim:
         raise InternalConsistencyError(

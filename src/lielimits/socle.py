@@ -5,9 +5,10 @@ strings.  Limits are judged from a finite prefix with a three-level
 window, so every verdict ships its evidence sequence: `finite(t)` when the
 trivial mass is constant across the window, `countable` when it grows
 strictly, `undetermined_at_horizon` otherwise.  The dual side uses the
-level's conatural override when present and the factorwise dual of the
-primal branching when not; an override is checked against that dual once
-per infinite constituent, by `multiplicities`.
+level's conatural override when present and the primal's trivial masses
+when not (a dual summand is trivial where its summand is); an override is
+checked against the factorwise dual of the primal once per infinite
+constituent, by `multiplicities`.
 
 A finite prefix cannot tell trivial directions that persist (socle) from
 trivial directions that keep escaping into later naturals (quotient); the
@@ -71,9 +72,14 @@ def _trivial_mass(decomp: ModuleDecomposition, positions) -> int:
 
 
 def _trivial_dims(levels) -> tuple[ExtendedDim, ExtendedDim]:
-    """Trivial masses of V and V_* over the factors listed per level, as (level, positions) pairs."""
-    return (ExtendedDim.from_sequence(_trivial_mass(lv.ambient_branching, ps) for lv, ps in levels),
-            ExtendedDim.from_sequence(_trivial_mass(lv.conatural, ps) for lv, ps in levels))
+    """Trivial masses of V and V_* over the factors listed per level, as (level, positions) pairs.
+    A dual summand is trivial where its summand is and has its dimension, so V_* has V's mass
+    unless the level overrides its conatural branching."""
+    primal, dual = [], []
+    for lv, ps in levels:
+        primal.append(mass := _trivial_mass(lv.ambient_branching, ps))
+        dual.append(mass if lv.conatural_branching is None else _trivial_mass(lv.conatural_branching, ps))
+    return ExtendedDim.from_sequence(primal), ExtendedDim.from_sequence(dual)
 
 
 def _string_dims(graph: BratteliGraph, constituents) -> tuple[ExtendedDim, ExtendedDim]:
@@ -130,7 +136,7 @@ def _check_override(level, n: int, j: int, k: int, l: int) -> None:
     """At factor j, level n's conatural override must count what the dual of the primal (k, l) counts."""
     if level.conatural_branching is None:
         return
-    k_dual, l_dual = _pure_counts(level.conatural, j, f"level {n} (conatural)")
+    k_dual, l_dual = _pure_counts(level.conatural_branching, j, f"level {n} (conatural)")
     if (k_dual, l_dual) != _pure_counts(level.ambient_branching.dual(), j, f"level {n}"):
         raise DomainError(f"conatural override at level {n} carries multiplicities "
                           f"({k_dual},{l_dual}), expected the mirror of ({k},{l})")

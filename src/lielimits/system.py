@@ -21,8 +21,6 @@ Levels are numbered from 1; component positions j are 0-based.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .algebras import SimpleAlgebra
 from .errors import DimensionMismatchError, DomainError, InternalConsistencyError, NotStabilizedError
 from .index import Embedding, ModuleDecomposition, SemisimpleAlgebra, embedding_index, natural_copies
@@ -65,11 +63,6 @@ class LevelSpec(Record):
                 raise DimensionMismatchError("conatural branching cannot exceed the ambient natural dimension")
         self.__dict__.update(components=components, ambient=ambient, ambient_branching=ambient_branching,
                              conatural_branching=conatural_branching, embedding=embedding)
-
-    @cached_property
-    def conatural(self) -> ModuleDecomposition:
-        """The dual-side branching, computed once per level."""
-        return self.conatural_branching or self.ambient_branching.dual()
 
 
 class BratteliGraph(Record):

@@ -14,7 +14,6 @@ from lielimits.algebras import (
     dominant_weights_up_to_dim,
     dual_weight,
     eps2,
-    positive_roots,
     root_table,
     weight_form,
     weyl_dimension,
@@ -187,7 +186,7 @@ def reference_dimension(alg, lam):
     """Weyl's product over the positive roots, in Fractions on the reference form."""
     shifted = [x + 1 for x in lam]
     value = Fraction(1)
-    for alpha in positive_roots(alg):
+    for alpha in root_table(alg)[0]:
         value *= gram_form(alg, shifted, alpha) / gram_form(alg, rho(alg), alpha)
     return value
 
@@ -260,6 +259,20 @@ def test_weyl_dimension_matches_the_full_products_up_to_rank_40(series, floor):
             assert weyl_dimension(alg, weights[0]) == reference_dimension(alg, weights[0]), alg
 
 
+@pytest.mark.parametrize("series, floor", [("A", 1), ("B", 2), ("C", 1), ("D", 4)])
+def test_weyl_dimension_stops_at_the_last_moved_row(series, floor):
+    # a weight on the first labels moves only the first rows of factors
+    rng = random.Random(f"first labels {series}")
+    for rank in sorted(rng.sample(range(floor, 60), 8)) + [60]:
+        alg = SimpleAlgebra(series, rank)
+        for support in (1, 2, 3):
+            lam = tuple(rng.randint(0, 3) if i < support else 0 for i in range(rank))
+            assert weyl_dimension(alg, lam) == ref_weyl_dimension(alg, lam), (alg, lam)
+    n = 1000
+    assert weyl_dimension(SimpleAlgebra(series, n), (1,) + (0,) * (n - 1)) == {
+        "A": n + 1, "B": 2 * n + 1, "C": 2 * n, "D": 2 * n}[series]
+
+
 def adjoint_weight(alg):
     """The highest root: omega_1 + omega_n for A, 2 omega_1 for C, omega_2 for B and D (B2: 2 omega_2)."""
     n = alg.rank
@@ -321,13 +334,13 @@ def test_simple_root_norms(alg):
     ids=str,
 )
 def test_positive_root_counts(alg, count):
-    assert len(positive_roots(alg)) == count
+    assert len(root_table(alg)[0]) == count
 
 
 @pytest.mark.parametrize("alg", TEST_ALGEBRAS, ids=str)
 def test_rho_is_half_sum_of_positive_roots(alg):
     total = [0] * alg.rank
-    for root in positive_roots(alg):
+    for root in root_table(alg)[0]:
         total = [a + b for a, b in zip(total, root)]
     assert all(x % 2 == 0 for x in total)
     assert tuple(x // 2 for x in total) == rho(alg)
@@ -342,7 +355,7 @@ def test_root_table_matches_the_reference_builders_up_to_rank_25(series, floor):
         alg = SimpleAlgebra(series, rank)
         k = 2 * (rank + 1) if series == "A" else 2
         roots, terms = root_table(alg)
-        assert roots == positive_roots(alg) == ref_positive_roots(alg), alg
+        assert roots == ref_positive_roots(alg), alg
         omegas = [eps2(alg, fundamental_weight(alg, i)) for i in range(rank)]
         forms = tuple(zip(*(closed_form(k, terms, x) for x in omegas)))
         assert forms == ref_root_forms(alg, roots), alg
@@ -429,7 +442,7 @@ def test_weight_enumeration_refuses_a_dimension_that_does_not_grow(monkeypatch, 
 # guard -> (algebras name, wrong value of it, library call, command, message)
 ALGEBRA_FAULTS = {
     "root-count": ("sorted", lambda roots: sorted(roots)[1:],
-                   lambda: positive_roots(SimpleAlgebra("A", 2)), ("oracle", "trace", "A2", "1,0"),
+                   lambda: root_table(SimpleAlgebra("A", 2)), ("oracle", "trace", "A2", "1,0"),
                    "positive root count for A2: got 2, expected 3"),
     "weyl-dimension": ("_rho_row", lambda alg: eps2(alg, (1,) * (alg.rank - 1) + (2,)),
                        lambda: dimension(SimpleAlgebra("A", 2), (1, 1)), ("index", "A2", "1,1"),

@@ -1,6 +1,6 @@
 import random
 import tracemalloc
-from math import factorial, isqrt
+from math import factorial, isqrt, prod
 from operator import add
 
 import pytest
@@ -16,7 +16,7 @@ from lielimits.algebras import (
     dominant_weights_up_to_dim,
     eps2,
     pairing,
-    positive_roots,
+    root_table,
 )
 from lielimits.errors import InternalConsistencyError, ResourceBoundError
 from lielimits.index import ModuleDecomposition, SemisimpleAlgebra, Summand, index_of_irrep, index_of_module
@@ -77,7 +77,7 @@ def ref_freudenthal(alg, lam):
     """Reference: Freudenthal's recursion walking every string mu + k alpha."""
     weights = sorted(ref_weight_system(alg, lam), key=lambda mu: (_depth(alg, lam, mu), mu))
     index = {mu: i for i, mu in enumerate(weights)}
-    roots = positive_roots(alg)
+    roots = root_table(alg)[0]
     forms, steps = [], []
     for alpha in roots:
         a = eps2(alg, alpha)
@@ -133,12 +133,12 @@ def ref_walk(alg, lam):
     """Every weight of lam, by a walk of mu - alpha_i and s_i mu = mu - mu_i alpha_i
     for each i with mu_i > 0: code(mu) at _radix(alg, lam) -> (mu, depth, norm,
     pairs), where depth is the height of lam - mu, norm is pairing(mu + rho,
-    mu + rho) and pairs the tuple of pairing(mu, alpha) over positive_roots(alg).
+    mu + rho) and pairs the tuple of pairing(mu, alpha) over the positive roots.
     All four are linear in mu, so the walk carries them."""
     radix = _radix(alg, lam)
     forms = [
         [pairing(alg, omega, eps2(alg, alpha)) for omega, _ in _coweights(alg)]
-        for alpha in positive_roots(alg)
+        for alpha in root_table(alg)[0]
     ]
 
     def root_pairings(mu):
@@ -175,7 +175,7 @@ def ref_walk_freudenthal(alg, lam):
     stored under code(mu + alpha) = code(mu) + code(alpha)."""
     walk = ref_walk(alg, lam)
     radix = _radix(alg, lam)
-    shifts = [_code(alpha, radix) for alpha in positive_roots(alg)]
+    shifts = [_code(alpha, radix) for alpha in root_table(alg)[0]]
     top_norm = walk[_code(lam, radix)][2]
     weights, mult = [], []
     sums = [{} for _ in shifts]  # sums[r][code(mu)] = T(mu - alpha_r)
@@ -248,7 +248,7 @@ def test_kernels_match_the_coded_walk():
 
 def test_walk_carries_norm_and_pairings():
     for alg, lam in DIFFERENTIAL_CASES:
-        roots = positive_roots(alg)
+        roots = root_table(alg)[0]
         k, moves = oracle._root_forms(alg)[:2]
         walk = weight_system(alg, lam)
         assert walk.keys() == dominant_part(ref_weight_system(alg, lam))
@@ -258,7 +258,7 @@ def test_walk_carries_norm_and_pairings():
             # eps2 puts A's last coordinate at 0; a step moves it, and a root has coordinate sum 0
             shift = row[-1] if alg.series == "A" else 0
             assert [x - shift for x in row] == eps2(alg, mu)
-            pairs = [k * (a * row[i] + b * row[j]) for _, (a, i, b, j), _ in moves]
+            pairs = [k * (a * row[i] + b * row[j]) for _, a, i, b, j, _, _ in moves]
             assert pairs == [pairing(alg, row, eps2(alg, alpha)) for alpha in roots]
 
 
@@ -266,8 +266,10 @@ def test_walk_carries_norm_and_pairings():
 def test_root_forms_match_the_per_call_derivations(literal):
     alg = SimpleAlgebra.parse(literal)
     k, moves, *rest = oracle._root_forms(alg)
-    ref_moves, *ref_rest = ref_root_data(alg)
-    assert [(alpha, cost) for alpha, _, cost in moves] == list(ref_moves)
+    ref_moves, ref_lengths, *ref_rest = ref_root_data(alg)
+    assert [(alpha, cost) for alpha, *_, cost, _ in moves] == list(ref_moves)
+    assert tuple(length for *_, length in moves) == ref_lengths
+    assert [move[1:5] for move in moves] == list(root_table(alg)[1])
     assert rest == ref_rest
     assert k == {"A": 2 * (alg.rank + 1)}.get(alg.series, 2)
 
@@ -284,6 +286,46 @@ def test_trace_index_matches_the_closed_form_on_the_natural_module_at_large_rank
         tracemalloc.stop()
     assert peak < 2 * 2**20, f"{alg}: trace_index peaked at {peak / 2**20:.2f} MiB"
     assert value == index_of_irrep(alg, alg.natural_weight)
+
+
+def ref_dominant(alg, lam):
+    """Reference: the dominant kernel with a list of pairings per weight, a
+    reflection loop on every step up and the string sums in a second dict."""
+    walk = weight_system(alg, lam)
+    (roots, terms), cartan = root_table(alg), cartan_matrix(alg)
+    k, moves, heights, position, rho_norm = oracle._root_forms(alg)
+    lengths = [length for *_, length in moves]
+    top_norm = walk[lam][0]
+    mult, sums, sizes = {}, {}, {}
+    moment = 0
+    for mu in sorted(walk, key=lambda mu: walk[mu][0], reverse=True):
+        norm, eps = walk[mu]
+        pairs = [k * (a * eps[i] + b * eps[j]) for a, i, b, j in terms]
+        row = []
+        for alpha, length, p in zip(roots, lengths, pairs):
+            nu, beta = tuple(map(add, mu, alpha)), alpha
+            while (low := min(nu)) < 0:
+                j = nu.index(low)
+                nu = tuple(x - low * a for x, a in zip(nu, cartan[j]))
+                beta = tuple(x - beta[j] * a for x, a in zip(beta, cartan[j]))
+            row.append(mult[nu][0] * (p + length) + sums[nu][position[beta]] if nu in mult else 0)
+        sums[mu] = row
+        m = 1
+        if mu != lam:
+            m, rest = divmod(2 * sum(row), top_norm - norm)
+            assert rest == 0 and m > 0
+        if (size := sizes.get(zeros := tuple(map(bool, mu)))) is None:
+            kept = [h for h, q in zip(heights, pairs) if q]
+            size = sizes[zeros] = prod(h + 1 for h in kept) // prod(kept)
+        mult[mu] = m, size
+        moment += m * size * (norm - sum(pairs) - rho_norm)
+    assert sum(m * size for m, size in mult.values()) == dimension(alg, lam)
+    return mult, moment
+
+
+def test_dominant_kernel_matches_the_reference(cold_caches):
+    for alg, lam in KERNEL_CASES:
+        assert oracle._dominant(alg, lam) == ref_dominant(alg, lam), (alg, lam)
 
 
 def ref_orbit(alg, mu):
@@ -330,7 +372,7 @@ def step_up_landings(alg, lam):
     """Where the kernel's step up from each dominant mu by each positive root alpha
     lands: on a dominant weight, on no weight at all, or on a weight outside the
     chamber whose reflection into it takes alpha to a positive or a negative root."""
-    walk, cartan, roots = weight_system(alg, lam), cartan_matrix(alg), positive_roots(alg)
+    walk, cartan, roots = weight_system(alg, lam), cartan_matrix(alg), root_table(alg)[0]
     found = set()
     for mu in walk:
         for alpha in roots:

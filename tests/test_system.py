@@ -4,10 +4,10 @@ import random
 import pytest
 
 from conftest import A, graph_from_fixture, load_fixture, random_diagonal_system, run_cli
-from lielimits import formats, system
+from lielimits import formats, socle, system
 from lielimits.algebras import dimension, dual_weight
 from lielimits.errors import (DimensionMismatchError, DomainError, InternalConsistencyError,
-                              NotStabilizedError)
+                              LieLimitsError, NotStabilizedError)
 from lielimits.index import (
     Embedding,
     ModuleDecomposition,
@@ -426,7 +426,8 @@ def _assert_counts_match_reference(g) -> set:
     string edge.  Returns the outcomes seen: the flags, and 'mixes' or 'not diagonal'
     for the messages."""
     seen = set()
-    branchings = [b for lv in g.levels for b in (lv.ambient_branching, lv.conatural)]
+    branchings = [b for lv in g.levels
+                  for b in (lv.ambient_branching, lv.conatural_branching or lv.ambient_branching.dual())]
     for b in branchings + [b for edge in g.edges for b in edge]:
         for j in range(len(b.algebra.factors)):
             got = _counts_or_message(_pure_counts, b, j)
@@ -525,11 +526,45 @@ def test_parsing_shares_one_algebra_per_level(name):
     levels, edges = formats.system_from_doc(load_fixture(name))
     for n, lv in enumerate(levels):
         outgoing = edges[n] if n < len(edges) else ()
-        over = [lv.ambient_branching, lv.conatural, lv.embedding.branching, *outgoing]
+        over = [lv.ambient_branching, lv.conatural_branching or lv.ambient_branching.dual(), lv.embedding.branching,
+                *outgoing]
         assert all(b.algebra is lv.components for b in over)
         assert lv.embedding.source is lv.components
     algebras = [f for lv in levels for f in (lv.ambient, *lv.components.factors)]
     assert len(set(map(id, algebras))) == len(set(algebras))
+
+
+def _dual_masses_of(g, monkeypatch) -> set:
+    """Every trivial mass that the socle and invariants reports read of a level's primal
+    branching equals the mass of its factorwise dual over the same factors; returns the
+    factor sets checked, as (number of factors, positions)."""
+    real, calls = socle._trivial_mass, []
+    monkeypatch.setattr(socle, "_trivial_mass", lambda b, ps: calls.append((b, tuple(ps))) or real(b, ps))
+    for report in (socle.socle_report, socle.standard_invariants):
+        try:
+            report(g)
+        except LieLimitsError:
+            pass
+    monkeypatch.undo()
+    primal = {id(lv.ambient_branching) for lv in g.levels}
+    checked = set()
+    for b, ps in calls:
+        if id(b) in primal:
+            assert real(b.dual(), ps) == real(b, ps), (b, ps)
+            checked.add((len(b.algebra.factors), ps))
+    return checked
+
+
+def test_a_dual_branching_has_the_trivial_masses_of_its_primal(monkeypatch):
+    # so the reports read V_*'s masses off V's wherever a level has no conatural override
+    checked = set().union(*(_dual_masses_of(graph_from_fixture(name), monkeypatch) for name in SYSTEM_FIXTURES))
+    for seed, count, max_levels in ((4040, 200, 6), (7171, 40, 12)):
+        rng = random.Random(seed)
+        for _ in range(count):
+            checked |= _dual_masses_of(compute_labels(*random_diagonal_system(rng, max_levels=max_levels)),
+                                       monkeypatch)
+    assert any(len(ps) == width > 1 for width, ps in checked)  # every factor of a wide level
+    assert any(len(ps) < width for width, ps in checked)  # the factors of some constituents
 
 
 def test_closure_walk_matches_reference_on_random_systems():

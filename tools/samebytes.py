@@ -25,7 +25,9 @@ the numbers too long to print or to read, and the rational exponents past
 the digit limit, of too_long_entries; both formats x `maximal gl` and
 `maximal sl` on a tail from WIDE_TAIL_FROM, a window far wider than any
 other entry's; both formats x the CLI paths of coverage_entries that no
-other entry runs (index on large ranks among them); both formats x
+other entry runs (index on large ranks among them); both formats x `index`
+on omega_1 and omega_2 at EARLY_EXIT_RANKS and on omega_n and the spin weight
+at the smallest of them, in every series; both formats x
 `oracle freudenthal` and `oracle trace` on every irrep of dimension <=
 ORACLE_DIM_BOUND over the bench's sweep algebras, `oracle tensor` on
 ORACLE_TENSOR_PAIRS pairs drawn with ORACLE_SEED, both on omega_1 of the
@@ -75,6 +77,7 @@ WIDE_TAIL_FROM = 2000  # about 0.5-0.8 s per entry on a 2-CPU sandbox
 ORACLE_DIM_BOUND = 60
 ORACLE_TENSOR_PAIRS = 64
 ORACLE_SEED = 22
+EARLY_EXIT_RANKS = (300, 1200)
 ORACLE_LARGE = ("A20", "A40", "A60", "B20", "D30")  # omega_1 at ranks where the root data costs most
 ORACLE_EXTRAS = (["oracle", "selftest"], ["--seed", "5", "oracle", "selftest"],
                  ["--dim-bound", "10", "oracle", "freudenthal", "A2", "2,2"],
@@ -164,7 +167,21 @@ def coverage_entries(work: Path) -> list[dict]:
     argvs += [["index", literal, _labels(weight)] for literal, weight in
               (("A400", [1] + [0] * 399), ("C300", [1] + [0] * 299), ("D300", [1] + [0] * 299),
                ("A400", [0] * 199 + [1] + [0] * 200))]
-    return [{"argv": fmt + argv} for argv in argvs for fmt in FORMATS]
+    return [{"argv": fmt + argv} for argv in argvs + early_exit_argvs() for fmt in FORMATS]
+
+
+def early_exit_argvs() -> list[list[str]]:
+    """index on omega_1 and omega_2 at the EARLY_EXIT_RANKS of each series, where the Weyl
+    dimension stops at the last row a weight moves, and on omega_n and the spin weight
+    (omega_{n-1} for D) at the smallest: they move every row, and B, C and D take about
+    40 s each at rank 1200 (a 2-CPU sandbox)."""
+    argvs = []
+    for series in "ABCD":
+        for n in EARLY_EXIT_RANKS:
+            picks = {0, 1} | ({n - 2, n - 1} if n == EARLY_EXIT_RANKS[0] else set())
+            argvs += [["index", f"{series}{n}", _labels([int(i == k) for i in range(n)])]
+                      for k in sorted(picks) if k != n - 2 or series == "D"]
+    return argvs
 
 
 def table(work: Path) -> list[dict]:
