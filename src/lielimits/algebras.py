@@ -1,10 +1,10 @@
-"""Exact root-system data for the classical series A, B, C, D.
+"""Exact weight data for the classical series A, B, C, D.
 
 Conventions, fixed once for the whole package:
 
 * Bourbaki numbering of simple roots.  For B_n the last simple root is
   short, for C_n the last is long, for D_n the fork is at the end.  The
-  Cartan matrix is read off the simple roots' epsilon coordinates.
+  roots and the Cartan rows are the oracle's table, their only reader.
 * Weights are tuples of integers in fundamental-weight coordinates
   (Dynkin labels).  Doubled epsilon coordinates (eps2) are integers in
   every series; they carry the form and the Weyl dimension.
@@ -101,15 +101,6 @@ def check_dominant(alg: SimpleAlgebra, weight) -> Weight:
     return weight
 
 
-@lru_cache(maxsize=None)
-def cartan_matrix(alg: SimpleAlgebra) -> tuple[tuple[int, ...], ...]:
-    """Cartan matrix a[i][j] = <alpha_i, alpha_j^vee>: row i is the labels of the simple root alpha_i."""
-    n = alg.rank
-    last = {"A": (1, n - 1, -1, n), "B": (1, n - 1, 0, 0), "C": (2, n - 1, 0, 0), "D": (1, n - 2, 1, n - 1)}
-    return tuple(_labels(alg, _eps_row(alg, *t)) for t in [*((1, i, -1, i + 1) for i in range(n - 1)),
-                                                              last[alg.series]])
-
-
 def form_scale(alg: SimpleAlgebra) -> int:
     """The fixed S with pairing = S * (form): 4(n+1) for A, 8 for C, 4 for B and D."""
     return {"A": 4 * (alg.rank + 1), "C": 8}.get(alg.series, 4)
@@ -152,40 +143,6 @@ def weight_form(alg: SimpleAlgebra, lam, mu) -> Fraction:
     lam = check_weight(alg, lam)
     mu = check_weight(alg, mu)
     return Fraction(pairing(alg, eps2(alg, lam), eps2(alg, mu)), form_scale(alg))
-
-
-def _eps_row(alg: SimpleAlgebra, a: int, i: int, b: int, j: int) -> list[int]:
-    """The epsilon coordinates of a e_i + b e_j, 0-based: n+1 entries for A_n, n for B, C and D."""
-    return [a * (k == i) + b * (k == j) for k in range(alg.rank + (alg.series == "A"))]
-
-
-def _labels(alg: SimpleAlgebra, e: list[int]) -> Weight:
-    """The labels of a root given by its epsilon coordinates: for A all n are
-    differences of neighbours, for B, C and D the first n - 1 are."""
-    lab = [x - y for x, y in zip(e, e[1:])]
-    if alg.series != "A":
-        lab.append(2 * e[-1] if alg.series == "B" else e[-1] if alg.series == "C" else e[-2] + e[-1])
-    return tuple(lab)
-
-
-@lru_cache(maxsize=None)
-def root_table(alg: SimpleAlgebra) -> tuple[tuple[Weight, ...], tuple[tuple[int, int, int, int], ...]]:
-    """The positive roots alpha in labels, sorted, and per root its terms
-    (a, i, b, j), alpha = a e_i + b e_j in epsilon coordinates, 0-based
-    (Bourbaki, Lie Groups and Lie Algebras VI, Plates I-IV): e_i - e_j, for
-    B, C and D also e_i + e_j, for B also e_i, for C also 2 e_i; A_n has
-    n(n+1)/2, B_n and C_n n^2, D_n n(n-1).  The pairing of a weight with
-    alpha reads two entries of the weight's eps2 row."""
-    n, series = alg.rank, alg.series
-    width = n + 1 if series == "A" else n
-    terms = [(1, i, c, j) for i in range(width) for j in range(i + 1, width)
-             for c in ((-1,) if series == "A" else (-1, 1))]
-    terms += [(1 + (series == "C"), i, 0, 0) for i in range(n) if series in ("B", "C")]
-    rows = sorted((_labels(alg, _eps_row(alg, *t)), t) for t in terms)
-    expected = {"A": n * (n + 1) // 2, "B": n * n, "C": n * n, "D": n * (n - 1)}[series]
-    if len(rows) != expected:
-        raise DomainError(f"positive root count for {alg}: got {len(rows)}, expected {expected}")
-    return tuple(zip(*rows))
 
 
 def _rho_row(alg: SimpleAlgebra) -> range:

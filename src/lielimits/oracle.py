@@ -8,9 +8,10 @@ alone: a walk by mu - alpha over the positive roots carries each weight's
 norm |mu + rho|^2 and eps2 row, both linear in mu, reads its pairing with a
 root off two entries of the row, and each string sum is one step up, read
 at a dominant weight.  The trace is a sum over orbits, from their sizes,
-and only the full multiset fills each orbit.  None of these touch the
-closed-form index formula, so agreement with it is evidence rather than
-tautology.
+and only the full multiset fills each orbit.  One cached root table per
+algebra, `_root_forms`, also holds the Cartan rows that the reflections
+read.  None of these touch the closed-form index, so agreement with it is
+evidence rather than tautology.
 """
 
 from __future__ import annotations
@@ -22,16 +23,14 @@ from operator import add, sub
 from .algebras import (
     SimpleAlgebra,
     Weight,
-    cartan_matrix,
     check_dominant,
     dimension,
     eps2,
     form_scale,
     pairing,
-    root_table,
     weyl_dimension,
 )
-from .errors import InternalConsistencyError, ResourceBoundError
+from .errors import DomainError, InternalConsistencyError, ResourceBoundError
 from .index import ModuleDecomposition, SemisimpleAlgebra, Summand
 from .record import Record
 
@@ -49,20 +48,41 @@ class WeightMultiset(Record):
         return sum(m for _, m in self.entries)
 
 
+def _labels(alg: SimpleAlgebra, a: int, i: int, b: int, j: int) -> Weight:
+    """The labels of a e_i + b e_j: for A all n are differences of neighbours, for B, C, D n - 1."""
+    e = [a * (k == i) + b * (k == j) for k in range(alg.rank + (alg.series == "A"))]
+    lab = [x - y for x, y in zip(e, e[1:])]
+    if alg.series != "A":
+        lab.append(2 * e[-1] if alg.series == "B" else e[-1] if alg.series == "C" else e[-2] + e[-1])
+    return tuple(lab)
+
+
 @lru_cache(maxsize=None)
 def _root_forms(alg: SimpleAlgebra):
-    """What the walk and the recursion read of the positive roots alpha = a e_i + b e_j:
-    k, 2(n+1) for A and 2 otherwise, with pairing(x, eps2(alpha)) = k (a x_i + b x_j) on an
-    eps2 row x; per root (alpha, a, i, b, j, 2 pairing(rho, alpha) - pairing(alpha, alpha),
-    pairing(alpha, alpha) = 2k(a^2 + b^2)); heights <rho, alpha^vee>; positions; pairing(rho, rho)."""
-    roots, terms = root_table(alg)
-    k, rho = 2 * (alg.rank + 1) if alg.series == "A" else 2, eps2(alg, (1,) * alg.rank)
+    """The positive roots alpha = a e_i + b e_j, 0-based (Bourbaki, Lie Groups and Lie Algebras
+    VI, Plates I-IV: e_i - e_j, for B, C, D also e_i + e_j, for B e_i, for C 2 e_i) sorted by
+    labels, as the walk and the recursion read them: k, 2(n+1) for A and 2 otherwise, with
+    pairing(x, eps2(alpha)) = k (a x_i + b x_j) on an eps2 row x; per root (alpha, a, i, b, j,
+    2 pairing(rho, alpha) - pairing(alpha, alpha), pairing(alpha, alpha) = 2k(a^2 + b^2));
+    heights <rho, alpha^vee>; positions; pairing(rho, rho); the Cartan rows, the roots of
+    height 1 in the order of the position of their 2."""
+    n, series = alg.rank, alg.series
+    width = n + 1 if series == "A" else n
+    terms = [(1, i, c, j) for i in range(width) for j in range(i + 1, width)
+             for c in ((-1,) if series == "A" else (-1, 1))]
+    terms += [(1 + (series == "C"), i, 0, 0) for i in range(n) if series in ("B", "C")]
+    rows = sorted((_labels(alg, *t), t) for t in terms)
+    if len(rows) != (count := (alg.dim - n) // 2):
+        raise DomainError(f"positive root count for {alg}: got {len(rows)}, expected {count}")
+    k, rho = 2 * (n + 1) if series == "A" else 2, eps2(alg, (1,) * n)
+    roots, terms = zip(*rows)
     lengths = [2 * k * (a * a + b * b) for a, _, b, _ in terms]
     shifts = [k * (a * rho[i] + b * rho[j]) for a, i, b, j in terms]
     moves = tuple((alpha, *t, 2 * s - length, length)
                   for alpha, t, s, length in zip(roots, terms, shifts, lengths))
     heights = tuple(2 * s // length for s, length in zip(shifts, lengths))
-    return k, moves, heights, {alpha: r for r, alpha in enumerate(roots)}, sum(shifts) // 2
+    cartan = sorted((alpha for alpha, h in zip(roots, heights) if h == 1), key=lambda alpha: alpha.index(2))
+    return k, moves, heights, {alpha: r for r, alpha in enumerate(roots)}, sum(shifts) // 2, tuple(cartan)
 
 
 def weight_system(alg: SimpleAlgebra, lam) -> dict[Weight, tuple[int, list[int]]]:
@@ -122,11 +142,12 @@ def _dominant(alg: SimpleAlgebra, lam: Weight) -> tuple[dict[Weight, tuple[int, 
     takes the product over the roots with (mu, alpha) = 0.  Each weight nu of
     the orbit has pairing(nu, nu) = norm - sum of the pairings - pairing(rho, rho).
     Each pairing is read once and feeds the string sum and both running sums;
-    only a step up that leaves the chamber reflects.
+    only a step up that leaves the chamber with |nu + rho|^2 < |lam + rho|^2
+    reflects: no other nu is a weight, since every weight nu != lam has the
+    smaller norm (Humphreys, Introduction to Lie Algebras, section 22).
     """
     walk = weight_system(alg, lam)
-    cartan = cartan_matrix(alg)
-    k, moves, heights, position, rho_norm = _root_forms(alg)
+    k, moves, heights, position, rho_norm, cartan = _root_forms(alg)
     top_norm = walk[lam][0]
     mult, seen, sizes = {}, {}, {}  # (m, |W mu|); (m, T_alpha(mu) per positive root); |W mu| by zero labels
     total = moment = 0
@@ -134,11 +155,14 @@ def _dominant(alg: SimpleAlgebra, lam: Weight) -> tuple[dict[Weight, tuple[int, 
         norm, eps = walk[mu]
         row = []
         acc = paired = 0
-        for r, (alpha, a, i, b, j, _, length) in enumerate(moves):
+        for r, (alpha, a, i, b, j, cost, length) in enumerate(moves):
             p = k * (a * eps[i] + b * eps[j])
             paired += p
             nu = tuple(map(add, mu, alpha))
             if (low := min(nu)) < 0:  # s_q nu = nu - nu_q alpha_q, and so for beta = w alpha
+                if norm + 2 * (p + length) + cost >= top_norm:  # |nu + rho|^2: nu is no weight
+                    row.append(0)
+                    continue
                 beta = alpha
                 while low < 0:
                     q = nu.index(low)
@@ -184,7 +208,7 @@ def _freudenthal(alg: SimpleAlgebra, lam: Weight) -> WeightMultiset:
     """Memoized kernel of `freudenthal` for a weight it accepted: the orbit of
     each dominant weight of _dominant, filled by s_i nu = nu - nu_i alpha_i
     for each nu_i > 0."""
-    cartan, mult = cartan_matrix(alg), {}
+    cartan, mult = _root_forms(alg)[-1], {}
     for mu, (m, _) in _dominant(alg, lam)[0].items():
         mult[mu] = m
         orbit = [mu]
@@ -236,7 +260,7 @@ def tensor_decompose(alg: SimpleAlgebra, lam, mu, dim_bound: int = DEFAULT_DIM_B
         )
     if dims[1] > dims[0]:
         lam, mu = mu, lam
-    cartan, coeff = cartan_matrix(alg), {}
+    cartan, coeff = _root_forms(alg)[-1], {}
     for nu, m in freudenthal(alg, mu, dim_bound).entries:
         g = [a + b + 1 for a, b in zip(lam, nu)]
         while (low := min(g)) < 0:

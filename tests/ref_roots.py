@@ -1,5 +1,4 @@
-"""Reference root data for `lielimits.algebras.root_table` and
-`lielimits.oracle._root_forms`.
+"""Reference root data for `lielimits.oracle._root_forms`, the one root table.
 
 The library keeps each positive root as its labels and its terms
 (a, i, b, j), alpha = a e_i + b e_j in the epsilon coordinates of

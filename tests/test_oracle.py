@@ -6,17 +6,15 @@ from operator import add
 import pytest
 
 from conftest import fundamental_weight, run_cli
-from ref_roots import ref_root_data
+from ref_roots import ref_labels, ref_root_data
 from lielimits import oracle
 from lielimits.algebras import (
     SimpleAlgebra,
-    cartan_matrix,
     check_dominant,
     dimension,
     dominant_weights_up_to_dim,
     eps2,
     pairing,
-    root_table,
 )
 from lielimits.errors import InternalConsistencyError, ResourceBoundError
 from lielimits.index import ModuleDecomposition, SemisimpleAlgebra, Summand, index_of_irrep, index_of_module
@@ -33,11 +31,21 @@ A2 = SimpleAlgebra("A", 2)
 SWEEP_ALGEBRAS = tuple(map(SimpleAlgebra.parse, ("A1", "A2", "A3", "A4", "B2", "B3", "C2", "C3", "D4")))
 
 
+def _roots(alg):
+    """The positive roots in labels, sorted: the first entry of each of the oracle's moves."""
+    return tuple(move[0] for move in oracle._root_forms(alg)[1])
+
+
+def _cartan(alg):
+    """The Cartan rows of the oracle's root table: row i is the labels of alpha_i."""
+    return oracle._root_forms(alg)[-1]
+
+
 def _coweights(alg):
     """Fundamental coweights 2 omega_i / (alpha_i, alpha_i), one per simple
     root, as pairs (eps2(omega_i), pairing(alpha_i, alpha_i))."""
     out = []
-    for i, alpha in enumerate(cartan_matrix(alg)):
+    for i, alpha in enumerate(_cartan(alg)):
         a = eps2(alg, alpha)
         out.append((eps2(alg, fundamental_weight(alg, i)), pairing(alg, a, a)))
     return tuple(out)
@@ -57,7 +65,7 @@ def _depth(alg, top, mu):
 
 def ref_weight_system(alg, lam):
     """Reference: regenerate the whole i-string below every weight."""
-    cartan = cartan_matrix(alg)
+    cartan = _cartan(alg)
     seen = {lam}
     frontier = [lam]
     while frontier:
@@ -77,7 +85,7 @@ def ref_freudenthal(alg, lam):
     """Reference: Freudenthal's recursion walking every string mu + k alpha."""
     weights = sorted(ref_weight_system(alg, lam), key=lambda mu: (_depth(alg, lam, mu), mu))
     index = {mu: i for i, mu in enumerate(weights)}
-    roots = root_table(alg)[0]
+    roots = _roots(alg)
     forms, steps = [], []
     for alpha in roots:
         a = eps2(alg, alpha)
@@ -138,7 +146,7 @@ def ref_walk(alg, lam):
     radix = _radix(alg, lam)
     forms = [
         [pairing(alg, omega, eps2(alg, alpha)) for omega, _ in _coweights(alg)]
-        for alpha in root_table(alg)[0]
+        for alpha in _roots(alg)
     ]
 
     def root_pairings(mu):
@@ -146,7 +154,7 @@ def ref_walk(alg, lam):
 
     moves = [
         (row, step, root_pairings(row), _code(row, radix))
-        for row, (_, step) in zip(cartan_matrix(alg), _coweights(alg))
+        for row, (_, step) in zip(_cartan(alg), _coweights(alg))
     ]
     shifted = eps2(alg, [x + 1 for x in lam])
     top = _code(lam, radix)
@@ -175,7 +183,7 @@ def ref_walk_freudenthal(alg, lam):
     stored under code(mu + alpha) = code(mu) + code(alpha)."""
     walk = ref_walk(alg, lam)
     radix = _radix(alg, lam)
-    shifts = [_code(alpha, radix) for alpha in root_table(alg)[0]]
+    shifts = [_code(alpha, radix) for alpha in _roots(alg)]
     top_norm = walk[_code(lam, radix)][2]
     weights, mult = [], []
     sums = [{} for _ in shifts]  # sums[r][code(mu)] = T(mu - alpha_r)
@@ -248,7 +256,7 @@ def test_kernels_match_the_coded_walk():
 
 def test_walk_carries_norm_and_pairings():
     for alg, lam in DIFFERENTIAL_CASES:
-        roots = root_table(alg)[0]
+        roots = _roots(alg)
         k, moves = oracle._root_forms(alg)[:2]
         walk = weight_system(alg, lam)
         assert walk.keys() == dominant_part(ref_weight_system(alg, lam))
@@ -265,11 +273,12 @@ def test_walk_carries_norm_and_pairings():
 @pytest.mark.parametrize("literal", "A1 A2 A5 A12 B2 B3 B9 C1 C3 C9 D4 D5 D10".split())
 def test_root_forms_match_the_per_call_derivations(literal):
     alg = SimpleAlgebra.parse(literal)
-    k, moves, *rest = oracle._root_forms(alg)
+    k, moves, *rest, _ = oracle._root_forms(alg)  # the Cartan rows: test_algebras
     ref_moves, ref_lengths, *ref_rest = ref_root_data(alg)
     assert [(alpha, cost) for alpha, *_, cost, _ in moves] == list(ref_moves)
     assert tuple(length for *_, length in moves) == ref_lengths
-    assert [move[1:5] for move in moves] == list(root_table(alg)[1])
+    # the terms (a, i, b, j) spell each root: a e_i + b e_j, where b = 0 leaves a at i = j = 0
+    assert [ref_labels(alg, {j: b, i: a}) for _, a, i, b, j, _, _ in moves] == [move[0] for move in moves]
     assert rest == ref_rest
     assert k == {"A": 2 * (alg.rank + 1)}.get(alg.series, 2)
 
@@ -288,12 +297,40 @@ def test_trace_index_matches_the_closed_form_on_the_natural_module_at_large_rank
     assert value == index_of_irrep(alg, alg.natural_weight)
 
 
+class _UnreadRows:
+    """Cartan rows that fail when indexed: a step up that reflects reads one."""
+
+    def __getitem__(self, q):
+        raise AssertionError(f"the step up read Cartan row {q}")
+
+
+# (algebra, 0-based position of the 1) of minuscule weights: omega_1 and the middle
+# fundamental weight of A, omega_1 of C, omega_1 and both spin weights of D, the spin weight of B
+MINUSCULE = (
+    [(f"A{n}", k) for n in (1, 8, 41, 100) for k in sorted({0, n // 2})]
+    + [(f"C{n}", 0) for n in (2, 37, 100)]
+    + [(f"D{n}", k) for n in (4, 9, 60, 100) for k in (0, n - 2, n - 1)]
+    + [(f"B{n}", n - 1) for n in (2, 11, 100)]
+)
+
+
+@pytest.mark.parametrize("literal, k", MINUSCULE, ids=[f"{a}-w{k + 1}" for a, k in MINUSCULE])
+def test_a_minuscule_weight_never_reflects(monkeypatch, cold_caches, literal, k):
+    # lam is its only dominant weight, and every step up from it raises |nu + rho|^2 past
+    # |lam + rho|^2: the norm bound answers each one, so no Cartan row is read
+    alg = SimpleAlgebra.parse(literal)
+    lam = fundamental_weight(alg, k)
+    real = oracle._root_forms
+    monkeypatch.setattr(oracle, "_root_forms", lambda alg: (*real(alg)[:-1], _UnreadRows()))
+    assert trace_index(alg, lam, dim_bound=dimension(alg, lam)) == index_of_irrep(alg, lam)
+
+
 def ref_dominant(alg, lam):
     """Reference: the dominant kernel with a list of pairings per weight, a
     reflection loop on every step up and the string sums in a second dict."""
     walk = weight_system(alg, lam)
-    (roots, terms), cartan = root_table(alg), cartan_matrix(alg)
-    k, moves, heights, position, rho_norm = oracle._root_forms(alg)
+    k, moves, heights, position, rho_norm, cartan = oracle._root_forms(alg)
+    roots, terms = _roots(alg), [move[1:5] for move in moves]
     lengths = [length for *_, length in moves]
     top_norm = walk[lam][0]
     mult, sums, sizes = {}, {}, {}
@@ -331,7 +368,7 @@ def test_dominant_kernel_matches_the_reference(cold_caches):
 def ref_orbit(alg, mu):
     """Reference: the Weyl orbit of a dominant mu, filled by s_i nu = nu - nu_i alpha_i
     for each nu_i > 0."""
-    cartan = cartan_matrix(alg)
+    cartan = _cartan(alg)
     orbit, seen = [mu], {mu}
     for nu in orbit:
         for x, alpha in zip(nu, cartan):
@@ -372,7 +409,7 @@ def step_up_landings(alg, lam):
     """Where the kernel's step up from each dominant mu by each positive root alpha
     lands: on a dominant weight, on no weight at all, or on a weight outside the
     chamber whose reflection into it takes alpha to a positive or a negative root."""
-    walk, cartan, roots = weight_system(alg, lam), cartan_matrix(alg), root_table(alg)[0]
+    walk, cartan, roots = weight_system(alg, lam), _cartan(alg), _roots(alg)
     found = set()
     for mu in walk:
         for alpha in roots:
@@ -428,7 +465,7 @@ def test_freudenthal_trivial():
 def reflection_symmetric(ms):
     """Invariance under every simple reflection s_i(mu) = mu - mu_i alpha_i."""
     table = dict(ms.entries)
-    cartan = cartan_matrix(ms.algebra)
+    cartan = _cartan(ms.algebra)
     return all(table.get(tuple(x - mu[i] * a for x, a in zip(mu, cartan[i])), 0) == m
                for mu, m in ms.entries for i in range(ms.algebra.rank))
 

@@ -31,7 +31,8 @@ at the smallest of them, in every series; both formats x
 `oracle freudenthal` and `oracle trace` on every irrep of dimension <=
 ORACLE_DIM_BOUND over the bench's sweep algebras, `oracle tensor` on
 ORACLE_TENSOR_PAIRS pairs drawn with ORACLE_SEED, both on omega_1 of the
-ORACLE_LARGE algebras, and ORACLE_EXTRAS (the selftest, a dimension bound, a
+ORACLE_LARGE algebras, `oracle trace` on the ORACLE_MINUSCULE weights under
+MINUSCULE_DIM_BOUND, and ORACLE_EXTRAS (the selftest, a dimension bound, a
 non-dominant weight, and global options given on both sides of the command or
 nowhere); the demos.
 It is a correctness check, not a timer.  The exit code is 1 when some
@@ -79,6 +80,9 @@ ORACLE_TENSOR_PAIRS = 64
 ORACLE_SEED = 22
 EARLY_EXIT_RANKS = (300, 1200)
 ORACLE_LARGE = ("A20", "A40", "A60", "B20", "D30")  # omega_1 at ranks where the root data costs most
+# minuscule weights, as (algebra, 0-based position of the 1), whose every step up leaves the chamber
+ORACLE_MINUSCULE = (("A40", 19), ("B20", 19), ("C30", 0), ("D30", 29))
+MINUSCULE_DIM_BOUND = 10**12
 ORACLE_EXTRAS = (["oracle", "selftest"], ["--seed", "5", "oracle", "selftest"],
                  ["--dim-bound", "10", "oracle", "freudenthal", "A2", "2,2"],
                  ["--dim-bound", "10", "oracle", "tensor", "A2", "1,1", "1,1"],
@@ -114,6 +118,8 @@ def oracle_entries(generate) -> list[dict]:
               for literal, a, b in random.Random(ORACLE_SEED).sample(pairs, ORACLE_TENSOR_PAIRS)]
     argvs += [["oracle", op, literal, _labels([1] + [0] * (int(literal[1:]) - 1))]
               for literal in ORACLE_LARGE for op in ("freudenthal", "trace")]
+    argvs += [["--dim-bound", str(MINUSCULE_DIM_BOUND), "oracle", "trace", literal,
+               _labels([int(i == k) for i in range(int(literal[1:]))])] for literal, k in ORACLE_MINUSCULE]
     return [{"argv": fmt + argv} for argv in argvs + list(ORACLE_EXTRAS) for fmt in FORMATS]
 
 

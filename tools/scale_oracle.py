@@ -12,10 +12,11 @@ afresh.  The long A1 strings and the A2 (k, k) family show how the cost
 grows with string length; B3 (0, 0, k) and C3 (0, 0, k) put all of lam on
 the short and on the long last simple root, which gives the longest
 strings for their size; B3 (1, 3, 1) and D4 (3, 2, 0, 0) have
-dimension over 10,000; omega_1 of A20, A40, A60, B20 and D30 has few
-weights, so its time is mostly the root data of a large rank.  The
-peak_MiB column is the tracemalloc peak of one more cold run, taken
-outside the timed runs.  TENSOR_CASES time
+dimension over 10,000; omega_1 of A20 to A200, B20, C100, D30 and D100, and
+the spin weight omega_100 of D100, have few weights, so their time is
+mostly the root table of a large rank.  Each trace runs with its own
+dimension as the bound.  The peak_MiB column is the tracemalloc peak of one
+more cold run, taken outside the timed runs.  TENSOR_CASES time
 `oracle.tensor_decompose` the same way, on products of dimension up to
 TENSOR_DIM_BOUND.  Times are seconds at the reference speed (see
 scale_chains.best_time).  Standard library only.
@@ -34,9 +35,10 @@ CASES = (
     + [("B3", (0, 0, k)) for k in (4, 8, 10)]
     + [("C3", (0, 0, k)) for k in (2, 4, 6)]
     + [("B3", (1, 3, 1)), ("D4", (3, 2, 0, 0))]
-    + [(name, (1,) + (0,) * (int(name[1:]) - 1)) for name in ("A20", "A40", "A60", "B20", "D30")]
+    + [(name, (1,) + (0,) * (int(name[1:]) - 1))
+       for name in ("A20", "A40", "A60", "A100", "A200", "B20", "C100", "D30", "D100")]
+    + [("D100", (0,) * 99 + (1,))]
 )
-DIM_BOUND = 20_000
 
 
 def peak_mib(fn) -> float:
@@ -61,10 +63,11 @@ def main() -> int:
     print(f"{'algebra':<8} {'weight':<14} {'dim':>6} {'index':>12} {'trace_s':>9} {'peak_MiB':>9}")
     for name, lam in CASES:
         alg = algebras.SimpleAlgebra.parse(name)
-        seconds, value = best_time(lambda: oracle.trace_index(alg, lam, DIM_BOUND))
-        peak = peak_mib(lambda: oracle.trace_index(alg, lam, DIM_BOUND))
-        weight = str(lam) if len(lam) <= 4 else f"({lam[0]}, {lam[1]}, ...)"
-        print(f"{name:<8} {weight:<14} {algebras.dimension(alg, lam):>6} {value:>12} "
+        dim = algebras.dimension(alg, lam)
+        seconds, value = best_time(lambda: oracle.trace_index(alg, lam, dim))
+        peak = peak_mib(lambda: oracle.trace_index(alg, lam, dim))
+        weight = str(lam) if len(lam) <= 4 else f"omega_{lam.index(1) + 1}"
+        print(f"{name:<8} {weight:<14} {dim:>6} {value:>12} "
               f"{seconds:>9.4f} {peak:>9.2f}", flush=True)
     print(f"{'algebra':<8} {'tensor':<30} {'dim':>6} {'summands':>12} {'tensor_s':>9}")
     for name, lam, mu in TENSOR_CASES:
